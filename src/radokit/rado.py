@@ -13,13 +13,13 @@ Column indices are 0-based throughout the API (the CLI renders them
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd, lcm
 
 from .linalg import RatMatrix, in_span
 from .rings import Rat
 
-# Hard cap on column count: the partition search is exponential in v.
-MAX_COLUMNS = 20
+# Hard cap on column count: each step of the search is exponential in v/2.
+MAX_COLUMNS = 32
 
 
 @dataclass(frozen=True)
@@ -62,81 +62,130 @@ def _mask_bits(mask: int) -> list[int]:
     return out
 
 
-def _ascending_submasks(mask: int) -> list[int]:
-    """Nonempty submasks of mask in increasing numeric order."""
-    subs = []
-    sub = mask
-    while sub:
-        subs.append(sub)
-        sub = (sub - 1) & mask
-    subs.reverse()
-    return subs
+def _least_zero_sum(values: list[int]) -> int | None:
+    """Numerically least nonempty mask s with sum(values[i] for i in s) == 0,
+    or None.
+
+    Meet in the middle (Horowitz-Sahni): the low half's submasks go into a
+    table keyed by sum, keeping the least submask per sum; then the high
+    half's submasks are scanned in ascending order.  The high bits decide
+    numeric order, so the first high submask with a partner in the table,
+    joined to that partner, is the least mask overall.  Subset sums are
+    built in mask order, each from one with its lowest bit cleared.
+    """
+    h = len(values) // 2
+    least_low: dict[int, int] = {}
+    sums = [0]
+    for s in range(1, 1 << h):
+        low = s & -s
+        t = sums[s ^ low] + values[low.bit_length() - 1]
+        if t == 0:
+            return s
+        sums.append(t)
+        least_low.setdefault(t, s)
+    least_low[0] = 0
+    sums = [0]
+    for s in range(1, 1 << (len(values) - h)):
+        low = s & -s
+        t = sums[s ^ low] + values[h + low.bit_length() - 1]
+        partner = least_low.get(-t)
+        if partner is not None:
+            return (s << h) | partner
+        sums.append(t)
+    return None
+
+
+def _pack(vectors: list[list[int]]) -> list[int]:
+    """One int per vector, digits in a balanced base W, so that a sum of any
+    subset of the vectors is zero exactly when the packed sum is zero.
+
+    Every coordinate of such a sum lies strictly inside (-W/2, W/2), and
+    balanced base-W digits in that range determine the vector.
+    """
+    bound = max((abs(x) for vec in vectors for x in vec), default=0)
+    base = 2 * len(vectors) * bound + 1
+    return [sum(x * base**i for i, x in enumerate(vec)) for vec in vectors]
+
+
+def _quotient(residuals: dict[int, list[int]], block: tuple[int, ...]) -> None:
+    """Move block's columns into the used span: remove them from residuals
+    and reduce the other residuals modulo their span, in place.
+
+    Gaussian elimination on integer vectors.  Every residual is multiplied
+    by the same pivot, so a subset's residuals still sum to zero exactly
+    when its column sum lies in the span; then coordinates that vanish
+    everywhere are dropped and the common gcd is divided out.
+    """
+    for j in block:
+        r = residuals.pop(j)
+        p = next((i for i, x in enumerate(r) if x), None)
+        if p is None:
+            continue
+        for k, s in residuals.items():
+            residuals[k] = [r[p] * x - s[p] * y for x, y in zip(s, r)]
+    dims = len(next(iter(residuals.values()), []))
+    keep = [i for i in range(dims) if any(s[i] for s in residuals.values())]
+    g = gcd(*(s[i] for s in residuals.values() for i in keep)) or 1
+    for k, s in residuals.items():
+        residuals[k] = [s[i] // g for i in keep]
 
 
 def columns_condition(A: RatMatrix) -> CCCertificate | None:
-    """Search for a columns-condition certificate, or None if there is none.
+    """Find the canonical columns-condition certificate, or None if there is
+    none.
 
-    Depth-first over ordered partitions: the first block ranges over
-    nonempty zero-sum column subsets in ascending bitmask order, and each
-    later block over unused subsets whose column sum lies in the span of
-    the columns used so far.  Dead used-column masks are memoized, which is
-    sound because admissibility of the next block depends only on the span
-    of the used columns.  The certificate returned is the canonical one:
-    lexicographically least sequence of used-column masks.
+    The canonical certificate is the lexicographically least sequence of
+    used-column masks: each block is the numerically least admissible
+    bitmask of unused columns, the first one zero-sum and each later one
+    summing into the span of the columns used so far.  It is built by a
+    greedy chain with no backtracking, which the extension lemma allows:
+
+      If some partition B_1..B_k satisfies the columns condition, then every
+      used set U whose first block sums to zero extends to a certificate.
+      Proof: the nonempty B_i minus U, in order, continue U, because
+      sum(B_i - U) = sum(B_i) - sum(B_i & U), where the first term lies in
+      span(B_1..B_{i-1}) (or is 0 for i = 1) and the second in span(U), so
+      both lie in the span of U and the restricted blocks before B_i - U.
+
+    So a depth-first search over ordered partitions in ascending mask order
+    never backtracks on a yes-instance: the first admissible block at each
+    step always extends, and the greedy chain is that search's answer.  On
+    a no-instance the chain stops at its first dead end.
+
+    Each step works in the quotient by span(used): the unused columns,
+    scaled to integers and reduced modulo that span, form residuals, and a
+    block is admissible exactly when its residuals sum to zero.  The first
+    block and every later one are thus one problem, the least nonempty
+    zero-sum submask, solved by meet in the middle: a step builds at most
+    2^floor(v/2) + 2^ceil(v/2) subset sums, and there are at most v steps,
+    so a call costs O(v * 2^(v/2)).  Each later block costs one in_span
+    call, for its witness.
     """
     if A.cols > MAX_COLUMNS:
         raise ValueError(
             f"columns_condition handles at most {MAX_COLUMNS} columns, got {A.cols}"
         )
+    if A.cols == 0:
+        return None
     cols = [A.column(j) for j in range(A.cols)]
-    zero = tuple(Fraction(0) for _ in range(A.rows))
-    full = (1 << A.cols) - 1
-    if full == 0:
-        return None
-
-    sums: dict[int, tuple[Rat, ...]] = {0: zero}
-
-    def mask_sum(mask: int) -> tuple[Rat, ...]:
-        cached = sums.get(mask)
-        if cached is None:
-            low = mask & -mask
-            rest = mask_sum(mask ^ low)
-            col = cols[low.bit_length() - 1]
-            cached = tuple(a + b for a, b in zip(rest, col))
-            sums[mask] = cached
-        return cached
-
-    dead: set[int] = set()
-
-    def extend(
-        used: int, blocks: list[tuple[int, ...]], witnesses: list[tuple[Rat, ...]]
-    ) -> CCCertificate | None:
-        if used == full:
-            return CCCertificate(tuple(blocks), tuple(witnesses))
-        if used in dead:
+    den = lcm(*(x.denominator for x in A.entries))
+    residuals = {j: [int(x * den) for x in col] for j, col in enumerate(cols)}
+    used: list[int] = []
+    blocks: list[tuple[int, ...]] = []
+    witnesses: list[tuple[Rat, ...]] = []
+    while residuals:
+        unused = list(residuals)
+        local = _least_zero_sum(_pack(list(residuals.values())))
+        if local is None:
             return None
-        used_cols = [cols[j] for j in _mask_bits(used)]
-        for sub in _ascending_submasks(full & ~used):
-            w = in_span(used_cols, mask_sum(sub))
-            if w is None:
-                continue
-            blocks.append(tuple(_mask_bits(sub)))
-            witnesses.append(tuple(w))
-            found = extend(used | sub, blocks, witnesses)
-            if found is not None:
-                return found
-            blocks.pop()
-            witnesses.pop()
-        dead.add(used)
-        return None
-
-    for first in _ascending_submasks(full):
-        if mask_sum(first) != zero:
-            continue
-        found = extend(first, [tuple(_mask_bits(first))], [])
-        if found is not None:
-            return found
-    return None
+        block = tuple(unused[i] for i in _mask_bits(local))
+        if blocks:
+            target = tuple(sum(cols[j][i] for j in block) for i in range(A.rows))
+            witnesses.append(tuple(in_span([cols[j] for j in used], target)))
+        blocks.append(block)
+        used = sorted(used + list(block))
+        _quotient(residuals, block)
+    return CCCertificate(tuple(blocks), tuple(witnesses))
 
 
 def verify_cc_certificate(A: RatMatrix, cert: CCCertificate) -> bool:

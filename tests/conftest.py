@@ -90,3 +90,39 @@ def oracle_columns_condition(M: RatMatrix) -> bool:
                 if extend(list(block), set(all_idx) - set(block)):
                     return True
     return False
+
+
+def oracle_extends(M: RatMatrix, used) -> bool:
+    """Naive reference: can the used columns (in any order) be continued by
+    later blocks to a full columns-condition partition?  The same ordered
+    enumeration and rank test as oracle_columns_condition's inner search,
+    started from a given used set instead of from each zero-sum first block.
+    """
+    cols = [M.column(j) for j in range(M.cols)]
+
+    def colsum(idx):
+        return tuple(sum(cols[j][i] for j in idx) for i in range(M.rows))
+
+    def admissible(used, block):
+        target = colsum(block)
+        base = RatMatrix.from_rows(
+            [[cols[j][i] for j in used] for i in range(M.rows)]
+        )
+        ext = RatMatrix.from_rows(
+            [[cols[j][i] for j in used] + [target[i]] for i in range(M.rows)]
+        )
+        return rank(base) == rank(ext)
+
+    def extend(used, remaining):
+        if not remaining:
+            return True
+        rem = sorted(remaining)
+        for size in range(1, len(rem) + 1):
+            for block in combinations(rem, size):
+                if admissible(used, block):
+                    if extend(used + list(block), remaining - set(block)):
+                        return True
+        return False
+
+    used = list(used)
+    return extend(used, set(range(M.cols)) - set(used))

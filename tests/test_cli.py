@@ -31,9 +31,10 @@ class TestCcCheck:
         assert capsys.readouterr().out == "no certificate\n"
 
     def test_too_many_columns(self, tmp_path, capsys):
-        matrix = write(tmp_path, "m.txt", " ".join(["1"] * 21) + "\n")
+        matrix = write(tmp_path, "m.txt", " ".join(["1"] * 33) + "\n")
         assert main(["cc-check", "--matrix", matrix]) == 2
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: columns_condition handles at most 32 columns, got 33\n")
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["cc-check", "--matrix", str(tmp_path / "none.txt")]) == 2

@@ -1,9 +1,10 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
 
-from conftest import oracle_columns_condition, random_matrix
+from conftest import oracle_columns_condition, oracle_extends, random_matrix
 from radokit.linalg import RatMatrix
 from radokit.rado import (
     CCCertificate,
@@ -12,7 +13,12 @@ from radokit.rado import (
     verify_cc_certificate,
     weak_first_entries_condition,
 )
-from radokit.systems import CoefficientSchedule, SystemSpec, build_stacked_matrix
+from radokit.systems import (
+    CoefficientSchedule,
+    SystemSpec,
+    build_stacked_matrix,
+    build_truncated_system,
+)
 
 SCHUR = RatMatrix.from_rows([[1, 1, -1]])
 
@@ -41,8 +47,8 @@ class TestColumnsCondition:
         assert verify_cc_certificate(M, cert)
 
     def test_column_count_guard(self):
-        wide = RatMatrix.from_rows([[0] * 21])
-        with pytest.raises(ValueError, match="20"):
+        wide = RatMatrix.from_rows([[0] * 33])
+        with pytest.raises(ValueError, match="32"):
             columns_condition(wide)
 
     def test_no_columns(self):
@@ -101,6 +107,117 @@ class TestColumnsCondition:
                                for i in range(M.rows))
                 assert in_span([M.column(j) for j in used], target) is not None
                 used += block
+
+
+def zero_sum_blocks(M):
+    """Every nonempty column subset summing to zero, as sorted index lists."""
+    out = []
+    for mask in range(1, 1 << M.cols):
+        block = [j for j in range(M.cols) if mask >> j & 1]
+        if all(sum(M.at(i, j) for j in block) == 0 for i in range(M.rows)):
+            out.append(block)
+    return out
+
+
+class TestExtensionLemma:
+    """If a matrix has a certificate, every used set whose first block sums
+    to zero extends to one; this is what lets columns_condition skip
+    backtracking."""
+
+    def accepted(self, seed, count):
+        rng = random.Random(seed)
+        out = []
+        while len(out) < count:
+            M = random_matrix(rng, max_rows=2, max_cols=6, lo=-2, hi=2)
+            if oracle_columns_condition(M):
+                out.append(M)
+        return out
+
+    def test_every_zero_sum_first_block_extends(self):
+        for M in self.accepted(41, 40):
+            for block in zero_sum_blocks(M):
+                assert oracle_extends(M, block)
+
+    def test_every_greedy_prefix_extends(self):
+        for M in self.accepted(42, 40):
+            cert = columns_condition(M)
+            used = []
+            for block in cert.blocks:
+                used += block
+                assert oracle_extends(M, used)
+
+    def test_random_admissible_walks_extend(self):
+        # any chain, not only the greedy one: random zero-sum first block,
+        # then random admissible blocks, checking each used set on the way
+        from radokit.linalg import in_span
+
+        rng = random.Random(43)
+        for M in self.accepted(43, 40):
+            used = list(rng.choice(zero_sum_blocks(M)))
+            while len(used) < M.cols:
+                assert oracle_extends(M, used)
+                rest = [j for j in range(M.cols) if j not in used]
+                blocks = [
+                    [rest[i] for i in range(len(rest)) if mask >> i & 1]
+                    for mask in range(1, 1 << len(rest))
+                ]
+                admissible = [
+                    b for b in blocks
+                    if in_span([M.column(j) for j in used],
+                               [sum(M.at(i, j) for j in b) for i in range(M.rows)])
+                    is not None
+                ]
+                used += rng.choice(admissible)
+
+
+def positive_row(rng, v):
+    rows = [[rng.randint(1, 3) for _ in range(v)],
+            [rng.randint(-3, 3) for _ in range(v)]]
+    rng.shuffle(rows)
+    return RatMatrix.from_rows(rows)
+
+
+def pinned_pair(rng, v):
+    cols = [(1, 0), (-1, 0)] + [(rng.randint(2, 3), rng.randint(1, 3))
+                                for _ in range(v - 2)]
+    rng.shuffle(cols)
+    return RatMatrix.from_rows([[c[0] for c in cols], [c[1] for c in cols]])
+
+
+class TestWideMatrices:
+    """Worst cases at and near the 32-column cap, each within 2 s."""
+
+    BUDGET_S = 2.0
+
+    def timed(self, M):
+        start = time.perf_counter()
+        cert = columns_condition(M)
+        elapsed = time.perf_counter() - start
+        assert elapsed < self.BUDGET_S, f"{M.rows}x{M.cols} took {elapsed:.2f}s"
+        return cert
+
+    @pytest.mark.parametrize("family", [positive_row, pinned_pair])
+    def test_32_column_refusals(self, family):
+        rng = random.Random(51)
+        for _ in range(3):
+            assert self.timed(family(rng, 32)) is None
+
+    def test_all_zero_1x32(self):
+        M = RatMatrix.from_rows([[0] * 32])
+        cert = self.timed(M)
+        assert cert.blocks == tuple((j,) for j in range(32))
+        assert verify_cc_certificate(M, cert)
+
+    @pytest.mark.parametrize("schedule,alpha,cols", [
+        (CoefficientSchedule.qpow(2), 1, 26),
+        (CoefficientSchedule.allprimespair(), 2, 27),
+    ])
+    def test_depth_6_truncations(self, schedule, alpha, cols):
+        M = build_truncated_system(SystemSpec(alpha, 6, schedule))
+        assert M.cols == cols
+        cert = self.timed(M)
+        assert cert is not None
+        assert verify_cc_certificate(M, cert)
 
 
 class TestVerifyCertificate:
