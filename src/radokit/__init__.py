@@ -32,7 +32,6 @@ from .search import (
     GroundSet,
     RadoNumberResult,
     SolutionAssignment,
-    doubling_distinct,
     log2_parity_colour,
     min_rado_number,
     monochromatic_solution,
@@ -66,7 +65,6 @@ __all__ = [
     "build_stacked_matrix",
     "build_truncated_system",
     "columns_condition",
-    "doubling_distinct",
     "factorize",
     "finite_sums",
     "first_entries",

@@ -5,6 +5,24 @@ backtracking over colourings.
 A "solution" of a u x v matrix is an assignment to its v columns making
 every row's dot product exactly zero.  Searches are exhaustive within
 stated budgets; a None result is a covered-search claim, never a timeout.
+
+Both searches run on one integer kernel, `_first_solution`.  Rows are
+scaled to integers, and values are integer numerators over one common
+denominator.  The kernel enumerates, in candidate order, every column it
+assigns but the last, and solves for that last column, whose value is then
+unique: it must be integral, in the colour class and, when values must be
+distinct, not chosen already.  A row is checked as soon as all its columns
+are assigned.
+
+`monochromatic_solution` runs the kernel once per colour class on the
+columns up to the last nonzero one, then fills the all-zero columns after
+it in candidate order, so its first witness is the one a search over every
+variable would find first.  `min_rado_number` colours 1, 2, ... in turn and
+pins the newest value t at each column, since only tuples containing t can
+be new.  It colours with restricted growth (colour c only once colour c-1
+is used): renaming colours in order of first use turns any colouring into
+one that is no larger lexicographically and has the same solutions, so the
+least solution-free colourings it finds are the least of all.
 """
 
 from __future__ import annotations
@@ -12,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .linalg import RatMatrix
 from .rings import Rat
@@ -41,16 +59,12 @@ class SolutionAssignment:
         return all(r == 0 for r in self.residuals(M))
 
 
-def log2_parity_colour(x: Rat) -> int:
-    """Parity of floor(log2(|x|)), computed by exact bracketing.
+def _floor_log2(a: int, b: int) -> int:
+    """The e with 2^e <= a/b < 2^(e+1), for positive integers a and b.
 
     The candidate exponent from bit lengths is off by at most one; a single
-    shifted comparison settles it.  Doubling any nonzero rational always
-    flips this colour.
+    shifted comparison settles it.
     """
-    if x == 0:
-        raise ValueError("log2-parity colour is undefined at 0")
-    a, b = abs(x.numerator), x.denominator
     e = a.bit_length() - b.bit_length()
     if e >= 0:
         if a < (b << e):
@@ -58,7 +72,15 @@ def log2_parity_colour(x: Rat) -> int:
     else:
         if (a << -e) < b:
             e -= 1
-    return e & 1
+    return e
+
+
+def log2_parity_colour(x: Rat) -> int:
+    """Parity of floor(log2(|x|)), computed by exact bracketing.  Doubling
+    any nonzero rational always flips this colour."""
+    if x == 0:
+        raise ValueError("log2-parity colour is undefined at 0")
+    return _floor_log2(abs(x.numerator), x.denominator) & 1
 
 
 @dataclass(frozen=True)
@@ -116,21 +138,37 @@ class Colouring:
 
 @dataclass(frozen=True)
 class GroundSet:
-    """Finite set of distinct nonzero rationals, searched in listed order."""
+    """Finite set of distinct nonzero rationals, searched in listed order.
 
-    elements: tuple[Rat, ...]
+    Either explicit `elements`, or the slice {a/s : 1 <= a <= n} held as
+    `span` = (n, s) and listed, in increasing order, only when iterated: a
+    search sizes a slice's colour classes before making any element.
+    `elements` is empty for a slice.
+    """
+
+    elements: tuple[Rat, ...] = ()
+    span: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
+        if self.span is not None:
+            n, s = self.span
+            if n < 1 or s < 1 or self.elements:
+                raise ValueError(
+                    "slice needs positive numerator bound and denominator")
+            return
         if any(x == 0 for x in self.elements):
             raise ValueError("ground sets exclude 0")
         if len(set(self.elements)) != len(self.elements):
             raise ValueError("ground-set elements must be distinct")
 
     def __iter__(self):
-        return iter(self.elements)
+        if self.span is None:
+            return iter(self.elements)
+        n, s = self.span
+        return (Fraction(a, s) for a in range(1, n + 1))
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.elements) if self.span is None else self.span[0]
 
     @classmethod
     def integers(cls, n: int) -> "GroundSet":
@@ -141,19 +179,160 @@ class GroundSet:
     def slice(cls, num_bound: int, denominator: int = 1) -> "GroundSet":
         """{a/s : 1 <= a <= num_bound} for a fixed denominator s: a finite
         slice of the subring whose primes cover s."""
-        if num_bound < 1 or denominator < 1:
-            raise ValueError("slice needs positive numerator bound and denominator")
-        return cls(tuple(Fraction(a, denominator) for a in range(1, num_bound + 1)))
+        return cls(span=(num_bound, denominator))
 
 
-def doubling_distinct(c: Colouring, g: GroundSet) -> bool:
-    """Does x and 2x always get different colours?  Pairs where 2x is not
-    in the colouring's scope are skipped."""
-    for x in g:
-        if c.covers(x) and c.covers(2 * x):
-            if c.colour_of(2 * x) == c.colour_of(x):
-                return False
-    return True
+def _colour_classes(c: Colouring, g: GroundSet) -> tuple[int, list[list[Sequence[int]]]]:
+    """The non-empty colour classes of g under c, in colour order, as
+    integer numerators over one common denominator; each class is a list of
+    runs whose concatenation is in ground-set order.
+
+    Only an explicit ground set is walked.  A slice under a table colouring
+    takes the table's values that lie in it; under log2parity it splits
+    into one range per dyadic interval [2^e, 2^(e+1)), of colour e mod 2.
+    """
+    if g.span is None:
+        covered = [x for x in g if c.covers(x)]
+        den = lcm(*(x.denominator for x in covered))
+        pairs = [(x.numerator * (den // x.denominator), c.colour_of(x))
+                 for x in covered]
+    elif c.kind == "table":
+        n, den = g.span
+        pairs = sorted(((x * den).numerator, colour)
+                       for x, colour in c.assignments
+                       if (x * den).denominator == 1 and 1 <= x * den <= n)
+    else:
+        n, den = g.span
+        runs: list[list[Sequence[int]]] = [[], []]
+        e, lo = _floor_log2(1, den), 1
+        while lo <= n:
+            # the numerators a with a/den < 2^(e+1)
+            hi = (den << e + 1) - 1 if e >= -1 else (den - 1) >> -(e + 1)
+            runs[e & 1].append(range(lo, min(hi, n) + 1))
+            e, lo = e + 1, hi + 1
+        return den, [cls for cls in runs if cls]
+    members: list[list[int]] = [[] for _ in range(c.r)]
+    for a, colour in pairs:
+        members[colour].append(a)
+    return den, [[m] for m in members if m]
+
+
+def _integer_rows(A: RatMatrix) -> list[tuple[int, ...]]:
+    """The nonzero rows of A, each scaled by the lcm of its denominators."""
+    rows = []
+    for i in range(A.rows):
+        row = A.row(i)
+        if any(row):
+            s = lcm(*(x.denominator for x in row))
+            rows.append(tuple(x.numerator * (s // x.denominator) for x in row))
+    return rows
+
+
+class _Plan(NamedTuple):
+    """How `_first_solution` assigns a list of columns: each column but the
+    last is enumerated, and the last is solved for from row `pivot`.
+
+    heads[k] holds the k-th enumerated column's coefficient in every row,
+    and checks[k] the rows that column completes.  `solved` holds the last
+    column's coefficients and `others` the rows besides the pivot that it
+    completes.  `fixed` rows involve none of the columns.  pivot is -1 when
+    there are no columns.
+    """
+
+    heads: tuple[tuple[int, ...], ...]
+    checks: tuple[tuple[int, ...], ...]
+    solved: tuple[int, ...]
+    pivot: int
+    others: tuple[int, ...]
+    fixed: tuple[int, ...]
+
+
+def _plan(rows: list[tuple[int, ...]], columns: Sequence[int]) -> _Plan:
+    """The plan for `columns`, whose last member must be nonzero in some row."""
+    if not columns:
+        return _Plan((), (), (), -1, (), tuple(range(len(rows))))
+    *head, last = columns
+    checks: list[list[int]] = [[] for _ in head]
+    solving: list[int] = []
+    fixed: list[int] = []
+    for i, row in enumerate(rows):
+        involved = [k for k, j in enumerate(head) if row[j]]
+        if row[last]:
+            solving.append(i)
+        elif involved:
+            checks[involved[-1]].append(i)
+        else:
+            fixed.append(i)
+    return _Plan(
+        tuple(tuple(row[j] for row in rows) for j in head),
+        tuple(map(tuple, checks)),
+        tuple(row[last] for row in rows),
+        solving[0],
+        tuple(solving[1:]),
+        tuple(fixed),
+    )
+
+
+def _first_solution(plan: _Plan, res: list[int], members: list[int],
+                    inclass: set[int], distinct: bool) -> list[int] | None:
+    """The first assignment of the plan's columns, in candidate order, that
+    zeroes every row: enumerated values come from `members`, and the solved
+    value must lie in `inclass`.  res[i] is row i's sum over the columns
+    assigned beforehand.  Returns the values in plan order, or None."""
+    if any(res[i] for i in plan.fixed):
+        return None
+    chosen: list[int] = []
+    if plan.pivot < 0:
+        return chosen
+    if not plan.heads:
+        y = _solve(plan, res, chosen, inclass, distinct)
+        return None if y is None else [y]
+    return chosen if _extend(plan, res, chosen, members, inclass, distinct) else None
+
+
+def _solve(plan: _Plan, res: list[int], chosen: list[int], inclass: set[int],
+           distinct: bool) -> int | None:
+    """The solved column's value, given every row's sum over the enumerated
+    columns, or None when no allowed value zeroes the rows it completes."""
+    solved = plan.solved
+    y, rest = divmod(-res[plan.pivot], solved[plan.pivot])
+    if (rest or y not in inclass or (distinct and y in chosen)
+            or any(res[i] + solved[i] * y for i in plan.others)):
+        return None
+    return y
+
+
+def _extend(plan: _Plan, res: list[int], chosen: list[int], members: list[int],
+            inclass: set[int], distinct: bool) -> bool:
+    """Extend `chosen` by the enumerated columns it lacks, then by the
+    solved column; res holds the row sums over the columns in `chosen`."""
+    k = len(chosen)
+    coeffs, checks = plan.heads[k], plan.checks[k]
+    innermost = k + 1 == len(plan.heads)
+    a, b, r = coeffs[plan.pivot], plan.solved[plan.pivot], res[plan.pivot]
+    for x in members:
+        # innermost, the pivot row alone must give an integral value in the
+        # class: a cheap test that rejects most candidates before any list
+        # is built
+        if innermost:
+            y, rest = divmod(-r - a * x, b)
+            if rest or y not in inclass:
+                continue
+        if distinct and x in chosen:
+            continue
+        new = [ri + ai * x for ri, ai in zip(res, coeffs)]
+        if any(new[i] for i in checks):
+            continue
+        chosen.append(x)
+        if innermost:
+            y = _solve(plan, new, chosen, inclass, distinct)
+            if y is not None:
+                chosen.append(y)
+                return True
+        elif _extend(plan, new, chosen, members, inclass, distinct):
+            return True
+        chosen.pop()
+    return False
 
 
 def monochromatic_solution(
@@ -167,55 +346,34 @@ def monochromatic_solution(
     drawn from g; optionally all values pairwise distinct.
 
     Deterministic: colour classes in colour order, candidates in ground-set
-    order, first witness wins.  Raises BudgetExceededError instead of
-    searching more than `budget` candidate tuples.
+    order, first witness wins.  Raises BudgetExceededError, before any
+    search and before a slice is listed, when the sum over colour classes
+    of |class|^v, for v the number of columns, exceeds `budget`.
     """
     v = A.cols
     if v == 0:
         raise ValueError("matrix has no columns to solve for")
-    classes = []
-    for colour in range(c.r):
-        members = [x for x in g if c.covers(x) and c.colour_of(x) == colour]
-        if members:
-            classes.append(members)
-    if sum(len(cls) ** v for cls in classes) > budget:
+    den, classes = _colour_classes(c, g)
+    sizes = [sum(map(len, runs)) for runs in classes]
+    if sum(size ** v for size in sizes) > budget:
         raise BudgetExceededError(
             f"search space exceeds budget of {budget} candidate tuples"
         )
-
-    # rows checked as soon as their last-involved variable is assigned
-    finishing: list[list[int]] = [[] for _ in range(v)]
-    for i in range(A.rows):
-        last = max((j for j in range(v) if A.at(i, j) != 0), default=None)
-        if last is not None:
-            finishing[last].append(i)
-
-    for members in classes:
-        chosen: list[Rat] = []
-        residual = [Fraction(0)] * A.rows
-
-        def extend() -> SolutionAssignment | None:
-            depth = len(chosen)
-            if depth == v:
-                return SolutionAssignment(tuple(chosen))
-            for x in members:
-                if distinct and x in chosen:
-                    continue
-                for i in range(A.rows):
-                    residual[i] += A.at(i, depth) * x
-                chosen.append(x)
-                if all(residual[i] == 0 for i in finishing[depth]):
-                    found = extend()
-                    if found is not None:
-                        return found
-                chosen.pop()
-                for i in range(A.rows):
-                    residual[i] -= A.at(i, depth) * x
-            return None
-
-        found = extend()
+    rows = _integer_rows(A)
+    last = max((j for row in rows for j in range(v) if row[j]), default=-1)
+    plan = _plan(rows, range(last + 1))
+    for runs, size in zip(classes, sizes):
+        if distinct and size < v:
+            continue
+        members = [x for run in runs for x in run]
+        found = _first_solution(plan, [0] * len(rows), members, set(members),
+                                distinct)
         if found is not None:
-            return found
+            # all-zero columns after the solved one take the first allowed candidates
+            for _ in range(last + 1, v):
+                found.append(next(x for x in members
+                                  if not (distinct and x in found)))
+            return SolutionAssignment(tuple(Fraction(x, den) for x in found))
     return None
 
 
@@ -227,7 +385,7 @@ class RadoNumberResult:
     monochromatic solution, or None when some colouring of the whole range
     survives.  witness is always a solution-free colouring: of {1..N-1}
     when number is found (colour of 1, colour of 2, ...), of the full range
-    otherwise.
+    otherwise.  Either way it is the lexicographically least one.
     """
 
     number: int | None
@@ -238,9 +396,11 @@ def min_rado_number(A: RatMatrix, r: int, n_max: int) -> RadoNumberResult:
     """Least N <= n_max forcing a monochromatic solution under every
     r-colouring of {1..N}, by backtracking with solution pruning.
 
-    Colour classes are interchangeable, so colour(1) is pinned to 0.  The
-    search is exhaustive at desk scale only; hence the caps r <= 4 and
-    n_max <= 64.
+    Colourings are tried in lexicographic order with restricted growth:
+    colour c is used only once colour c-1 has been used, so of the
+    colourings that differ only by a renaming of colours only the least is
+    tried.  The search is exhaustive at desk scale only; hence the caps
+    r <= 4 and n_max <= 64.
     """
     if not 1 <= r <= 4:
         raise ValueError(f"colour count must be 1..4, got {r}")
@@ -250,62 +410,45 @@ def min_rado_number(A: RatMatrix, r: int, n_max: int) -> RadoNumberResult:
     if v == 0:
         raise ValueError("matrix has no columns to solve for")
 
-    # integer fast path: scale each row to integer coefficients
-    int_rows: list[tuple[int, ...]] = []
-    for i in range(A.rows):
-        row = A.row(i)
-        if all(x == 0 for x in row):
-            continue
-        s = lcm(*(x.denominator for x in row))
-        int_rows.append(tuple(int(x * s) for x in row))
+    rows = _integer_rows(A)
+    columns = [tuple(row[j] for row in rows) for j in range(v)]
+    nonzero = [j for j in range(v) if any(columns[j])]
+    # swapping two columns with equal coefficients maps solutions to
+    # solutions, so t is pinned only at the first column of each kind
+    plans = [(columns[p], _plan(rows, [j for j in nonzero if j != p]))
+             for p in range(v) if columns.index(columns[p]) == p]
 
-    def completes_solution(t: int, colours: list[int]) -> bool:
-        """Does colouring t create a monochromatic solution inside {1..t}?
-
-        Only tuples containing the newest value t need checking; older
-        tuples were vetted when their maximum was coloured.
-        """
-        cls = [s for s in range(1, t + 1) if colours[s - 1] == colours[t - 1]]
-
-        def fill(pos: int, partial: list[int], has_t: bool) -> bool:
-            if pos == v:
-                return has_t and all(
-                    sum(row[j] * partial[j] for j in range(v)) == 0
-                    for row in int_rows
-                )
-            candidates = cls if (has_t or pos < v - 1) else (t,)
-            for value in candidates:
-                partial.append(value)
-                if fill(pos + 1, partial, has_t or value == t):
-                    return True
-                partial.pop()
-            return False
-
-        return fill(0, [], False)
-
-    best_depth = 0
-    best_witness: tuple[int, ...] = ()
+    members: list[list[int]] = [[] for _ in range(r)]
+    inclass: list[set[int]] = [set() for _ in range(r)]
     colours: list[int] = []
-
-    def search() -> tuple[int, ...] | None:
-        nonlocal best_depth, best_witness
+    used = [0]          # used[t]: colours used on 1..t
+    best: tuple[int, ...] = ()
+    colour = 0
+    while True:
         t = len(colours) + 1
-        choices = range(1) if t == 1 else range(r)
-        for colour in choices:
-            colours.append(colour)
-            if not completes_solution(t, colours):
-                if t > best_depth:
-                    best_depth = t
-                    best_witness = tuple(colours)
+        if colour < min(r, used[-1] + 1):
+            members[colour].append(t)
+            inclass[colour].add(t)
+            # only solutions that contain t are new
+            if not any(_first_solution(plan, [a * t for a in pinned],
+                                       members[colour], inclass[colour], False)
+                       is not None for pinned, plan in plans):
+                colours.append(colour)
+                used.append(max(used[-1], colour + 1))
+                if t > len(best):
+                    best = tuple(colours)
                 if t == n_max:
-                    return tuple(colours)
-                survivor = search()
-                if survivor is not None:
-                    return survivor
-            colours.pop()
-        return None
-
-    survivor = search()
-    if survivor is not None:
-        return RadoNumberResult(None, survivor)
-    return RadoNumberResult(best_depth + 1, best_witness)
+                    return RadoNumberResult(None, best)
+                colour = 0
+                continue
+            members[colour].pop()
+            inclass[colour].discard(t)
+            colour += 1
+        elif colours:
+            colour = colours.pop()
+            used.pop()
+            members[colour].pop()
+            inclass[colour].discard(t - 1)
+            colour += 1
+        else:
+            return RadoNumberResult(len(best) + 1, best)

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from radokit.cli import main
@@ -224,6 +226,27 @@ class TestMonoSearch:
                      "--budget", "10"])
         assert code == 2
         assert "budget" in capsys.readouterr().err
+
+    def test_budget_checked_before_the_ground_set_is_listed(self, tmp_path, capsys):
+        matrix = write(tmp_path, "m.txt", "1 -2\n")
+        start = time.perf_counter()
+        code = main(["mono-search", "--matrix", matrix,
+                     "--colouring", "log2parity", "--ground", "1000000000"])
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: search space exceeds budget of 100000000 candidate tuples\n")
+
+    def test_file_colouring_on_a_huge_slice(self, tmp_path, capsys):
+        # only the coloured values that lie in the slice are searched
+        matrix = write(tmp_path, "m.txt", "1 1 -1\n")
+        colouring = write(tmp_path, "c.txt", "3/2 0\n1/2 0\n1 1\n7/3 0\n")
+        start = time.perf_counter()
+        code = main(["mono-search", "--matrix", matrix, "--colouring",
+                     f"file:{colouring}", "--ground", "1000000000,2"])
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert capsys.readouterr().out == "no monochromatic solution\n"
 
     def test_malformed_colouring_file(self, tmp_path, capsys):
         matrix = write(tmp_path, "m.txt", "1 1 -1\n")

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -11,7 +12,6 @@ from radokit.search import (
     Colouring,
     GroundSet,
     SolutionAssignment,
-    doubling_distinct,
     log2_parity_colour,
     min_rado_number,
     monochromatic_solution,
@@ -104,21 +104,6 @@ class TestGroundSet:
             GroundSet((F(1), F(1)))
         with pytest.raises(ValueError):
             GroundSet.slice(0)
-
-
-class TestDoublingDistinct:
-    def test_log2_parity_always_passes(self):
-        g = GroundSet((F(1), F(3), F(1, 2), F(-7), F(5, 3)))
-        assert doubling_distinct(Colouring.log2_parity(), g)
-
-    def test_same_colour_pair_fails(self):
-        c = Colouring.table([1, 2], [0, 0])
-        assert not doubling_distinct(c, GroundSet.integers(2))
-
-    def test_only_in_scope_pairs_checked(self):
-        # pairs (1,2) and (2,4) differ; 2*3 and 2*4 are uncoloured, skipped
-        c = Colouring.table([1, 2, 3, 4], [0, 1, 0, 0])
-        assert doubling_distinct(c, GroundSet.integers(4))
 
 
 class TestMonochromaticSolution:
@@ -240,6 +225,28 @@ class TestMinRadoNumber:
     def test_three_colour_schur(self):
         result = min_rado_number(SCHUR, 3, 16)
         assert result.number == 14
+
+    def test_sum_of_four_equation_in_time(self):
+        # x1 + x2 + x3 + x4 = x5: m^2 - m - 1 = 19 for m = 5
+        M = RatMatrix.from_rows([[1, 1, 1, 1, -1]])
+        start = time.perf_counter()
+        result = min_rado_number(M, 2, 22)
+        assert time.perf_counter() - start < 1.5
+        assert result.number == 19
+        assert len(result.witness) == 18
+        c = Colouring.table(list(range(1, 19)), list(result.witness), r=2)
+        start = time.perf_counter()
+        assert monochromatic_solution(M, c, GroundSet.integers(18)) is None
+        assert time.perf_counter() - start < 1.5
+
+    def test_four_colour_schur_survivor_in_time(self):
+        start = time.perf_counter()
+        result = min_rado_number(SCHUR, 4, 28)
+        assert time.perf_counter() - start < 1.5
+        assert result.number is None
+        assert len(result.witness) == 28 and set(result.witness) == {0, 1, 2, 3}
+        c = Colouring.table(list(range(1, 29)), list(result.witness), r=4)
+        assert monochromatic_solution(SCHUR, c, GroundSet.integers(28)) is None
 
     def test_bounds_rejected(self):
         with pytest.raises(ValueError):

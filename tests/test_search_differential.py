@@ -1,0 +1,116 @@
+"""monochromatic_solution and min_rado_number against the searches they
+replaced (search_reference.py, next to this file) on seeded random inputs:
+the same witness or None, the same Rado number and witness colouring, and
+BudgetExceededError on exactly the same inputs."""
+
+import random
+from fractions import Fraction as F
+
+import search_reference as ref
+from radokit.linalg import RatMatrix
+from radokit.search import (
+    BudgetExceededError,
+    Colouring,
+    GroundSet,
+    min_rado_number,
+    monochromatic_solution,
+)
+
+ENTRIES = [F(0)] * 4 + [F(k) for k in (-3, -2, -1, 1, 2, 3)] * 2 + [
+    F(1, 2), F(-2, 3), F(3, 2), F(-5, 4)]
+BUDGETS = (5, 40, 300, 2000, 10**8)
+
+
+def random_matrix(rng: random.Random, max_rows: int, max_cols: int) -> RatMatrix:
+    rows = min(max_rows, rng.choice((1, 1, 1, 2, 3)))  # one row solves most often
+    cols = rng.randint(1, max_cols)
+    M = [[rng.choice(ENTRIES) for _ in range(cols)] for _ in range(rows)]
+    for j in range(cols):
+        if rng.random() < 0.15:
+            for row in M:
+                row[j] = F(0)
+    return RatMatrix.from_rows(M)
+
+
+def outcome(search, *args, **kwargs):
+    try:
+        return search(*args, **kwargs)
+    except BudgetExceededError:
+        return "budget exceeded"
+
+
+def random_ground_and_colouring(rng: random.Random, size: int):
+    """One of: a table colouring of a shuffled explicit ground set, log2parity
+    on a slice with denominator 1-7, or a table colouring read against a
+    slice (the CLI's file: colourings)."""
+    kind = rng.choice(("explicit", "log2-slice", "table-slice"))
+    if kind == "log2-slice":
+        return GroundSet.slice(size, rng.randint(1, 7)), Colouring.log2_parity()
+    r = rng.randint(1, 4)
+    if kind == "explicit":
+        pool = sorted({F(a, d) for a in range(-12, 13) if a for d in (1, 2, 3)})
+        elements = rng.sample(pool, min(size, len(pool)))
+        rng.shuffle(elements)
+        ground = GroundSet(tuple(elements))
+        # some ground values uncoloured, some coloured values off the ground
+        extra = rng.sample(pool, 3)
+        coloured = [x for x in elements if rng.random() < 0.9]
+        coloured += [x for x in extra if x not in coloured]
+    else:
+        den = rng.randint(1, 4)
+        ground = GroundSet.slice(size, den)
+        coloured = [F(a, den) for a in range(1, size + 1) if rng.random() < 0.9]
+        coloured += [F(size + 1, den), F(1, den + 1), F(-1, den)]
+        coloured = list(dict.fromkeys(coloured))
+        rng.shuffle(coloured)
+    return ground, Colouring.table(coloured, [rng.randrange(r) for _ in coloured], r=r)
+
+
+def test_monochromatic_solution_matches_reference():
+    rng = random.Random(20260301)
+    found = budget = 0
+    for case in range(1000):
+        A = random_matrix(rng, 3, 5)
+        # keep the reference's full enumeration small
+        size = rng.randint(1, min(30, int(3000 ** (1 / A.cols))))
+        g, c = random_ground_and_colouring(rng, size)
+        distinct = rng.random() < 0.5
+        b = rng.choice(BUDGETS)
+        want = outcome(ref.monochromatic_solution, A, c, g, distinct, b)
+        got = outcome(monochromatic_solution, A, c, g, distinct, b)
+        assert got == want, (case, A.to_lists(), c, g, distinct, b)
+        found += want not in (None, "budget exceeded")
+        budget += want == "budget exceeded"
+    # the draw exercises all three outcomes
+    assert found > 80 and budget > 100 and 1000 - found - budget > 300
+
+
+def test_min_rado_number_matches_reference():
+    rng = random.Random(20260302)
+    numbers = 0
+    for case in range(150):
+        A = random_matrix(rng, 2, 4)
+        r = rng.randint(1, 4)
+        n_max = rng.randint(1, 20 if A.cols <= 3 else 10)
+        want = ref.min_rado_number(A, r, n_max)
+        assert min_rado_number(A, r, n_max) == want, (case, A.to_lists(), r, n_max)
+        numbers += want.number is not None
+    assert 15 < numbers < 135
+
+
+def test_min_rado_number_matches_reference_on_equations():
+    """Single equations with positive and negative coefficients, where the
+    numbers are largest and the colouring search deepest."""
+    rng = random.Random(20260303)
+    numbers = 0
+    for case in range(60):
+        v = rng.randint(2, 4)
+        row = [F(rng.choice((1, 1, 2, 3))) for _ in range(v - 1)] + [F(-rng.randint(1, 3))]
+        rng.shuffle(row)
+        A = RatMatrix.from_rows([row])
+        r = rng.randint(1, 3 if v <= 3 else 2)
+        n_max = rng.randint(5, 20 if v <= 3 else 12)
+        want = ref.min_rado_number(A, r, n_max)
+        assert min_rado_number(A, r, n_max) == want, (case, row, r, n_max)
+        numbers += want.number is not None
+    assert 15 < numbers < 45
