@@ -14,13 +14,11 @@ from .rado import (
 from .rings import (
     PrimeSet,
     Rat,
-    factorize,
     finite_sums,
     format_rat,
     in_scaled_subring,
     in_subring,
     is_prime,
-    make_rat,
     padic_valuation,
     parse_prime_set,
     parse_rat,
@@ -65,7 +63,6 @@ __all__ = [
     "build_stacked_matrix",
     "build_truncated_system",
     "columns_condition",
-    "factorize",
     "finite_sums",
     "first_entries",
     "format_matrix",
@@ -75,7 +72,6 @@ __all__ = [
     "in_subring",
     "is_prime",
     "log2_parity_colour",
-    "make_rat",
     "min_rado_number",
     "monochromatic_solution",
     "natural_solution_witness",

@@ -34,10 +34,10 @@ from .systems import (
     SystemSpec,
     build_stacked_matrix,
     build_truncated_system,
+    d_combination,
     natural_solution_witness,
     parse_schedule,
     refute_over_subring,
-    schedule_value,
 )
 
 
@@ -167,10 +167,7 @@ def _cmd_refute(args: argparse.Namespace) -> int:
     if n is None:
         print(f"no obstruction for n up to {args.nmax}")
         return 1
-    combo = sum(
-        schedule_value(spec.schedule, n, i) * y[i - 1]
-        for i in range(1, spec.alpha + 1)
-    )
+    combo = d_combination(spec.schedule, n, y)
     print(f"obstruction at n={n}: d-combination {format_rat(combo)} "
           "is outside the subring")
     return 0

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Sequence
 
-from .rings import Rat, format_rat, parse_rat
+from .rings import Rat, parse_rat
 
 
 @dataclass(frozen=True)
@@ -34,15 +35,20 @@ class RatMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[Rat | int]]) -> "RatMatrix":
-        row_tuples = [tuple(Fraction(x) for x in row) for row in rows]
+        row_tuples = []
+        for row in rows:
+            row = tuple(row)
+            # entries that are already Fractions are kept, not rebuilt
+            if set(map(type, row)) - {Fraction}:
+                row = tuple(x if type(x) is Fraction else Fraction(x) for x in row)
+            row_tuples.append(row)
         if not row_tuples:
             return cls(0, 0, ())
         cols = len(row_tuples[0])
         for i, row in enumerate(row_tuples):
             if len(row) != cols:
                 raise ValueError(f"row {i} has {len(row)} entries, expected {cols}")
-        flat = tuple(x for row in row_tuples for x in row)
-        return cls(len(row_tuples), cols, flat)
+        return cls(len(row_tuples), cols, tuple(chain.from_iterable(row_tuples)))
 
     def at(self, i: int, j: int) -> Rat:
         return self.entries[i * self.cols + j]
@@ -142,4 +148,5 @@ def parse_matrix(text: str) -> RatMatrix:
 
 def format_matrix(M: RatMatrix) -> str:
     """Inverse of parse_matrix; one line per row, single-space separated."""
-    return "\n".join(" ".join(format_rat(x) for x in M.row(i)) for i in range(M.rows))
+    # format_rat is str; mapping str itself saves a call per entry
+    return "\n".join(" ".join(map(str, M.row(i))) for i in range(M.rows))

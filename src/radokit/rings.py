@@ -3,9 +3,9 @@
 Every subring of the rationals is obtained by picking a set F of primes and
 allowing exactly those primes in reduced denominators (F empty gives the
 integers, F everything gives all of the rationals, F = {2} gives the dyadic
-rationals).  This module provides the membership tests, p-adic valuations,
-the constructive residue pigeonhole, and finite subset sums that the rest
-of the package builds on.
+rationals).  This module provides exact primality, the membership tests,
+p-adic valuations, the constructive residue pigeonhole, and finite subset
+sums that the rest of the package builds on.
 
 Rationals are plain :class:`fractions.Fraction` values, which already
 maintain the canonical reduced form (gcd 1, positive denominator, zero as
@@ -22,16 +22,12 @@ from typing import Iterable, Sequence
 
 Rat = Fraction
 
-# Trial division stays tractable below this; bigger inputs are refused
-# rather than left to grind.
-FACTOR_LIMIT = 2**64
-
 _RAT_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 
-
-def make_rat(num: int, den: int = 1) -> Rat:
-    """Canonical rational num/den; a zero denominator raises ZeroDivisionError."""
-    return Fraction(num, den)
+# Miller-Rabin on the 13 prime bases 2..41 has no strong pseudoprime below
+# psi_13 (Sorenson and Webster, 2015), so below it the test is exact.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_LIMIT = 3317044064679887385961981
 
 
 def parse_rat(text: str) -> Rat:
@@ -51,39 +47,35 @@ def format_rat(x: Rat) -> str:
 
 
 def is_prime(n: int) -> bool:
+    """Exact primality of n by deterministic Miller-Rabin.
+
+    Raises ValueError for n >= PRIMALITY_LIMIT, where the 13 bases no
+    longer decide primality.
+    """
     if n < 2:
         return False
-    if n < 4:
+    if n >= PRIMALITY_LIMIT:
+        raise ValueError(
+            f"{n} is too large for the exact primality test "
+            f"(limit {PRIMALITY_LIMIT})")
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n < 43 * 43:
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
-
-
-def factorize(n: int) -> list[int]:
-    """Prime factors of n with multiplicity, sorted; empty for n = 1."""
-    if n < 1:
-        raise ValueError(f"factorize needs a positive integer, got {n}")
-    if n >= FACTOR_LIMIT:
-        raise ValueError(f"refusing trial division for n >= 2**64 (got {n})")
-    out: list[int] = []
-    while n % 2 == 0:
-        out.append(2)
-        n //= 2
-    d = 3
-    while d * d <= n:
-        while n % d == 0:
-            out.append(d)
-            n //= d
-        d += 2
-    if n > 1:
-        out.append(n)
-    return out
 
 
 @dataclass(frozen=True)

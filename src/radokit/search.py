@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from typing import NamedTuple, Sequence
 
@@ -49,8 +50,9 @@ class SolutionAssignment:
     def residuals(self, M: RatMatrix) -> tuple[Rat, ...]:
         if len(self.values) != M.cols:
             raise ValueError(f"expected {M.cols} values, got {len(self.values)}")
+        # only the nonzero coefficients of a row contribute
         return tuple(
-            sum((M.at(i, j) * self.values[j] for j in range(M.cols)),
+            sum((a * x for a, x in zip(M.row(i), self.values) if a),
                 start=Fraction(0))
             for i in range(M.rows)
         )
@@ -335,6 +337,16 @@ def _extend(plan: _Plan, res: list[int], chosen: list[int], members: list[int],
     return False
 
 
+class _InRuns:
+    """Membership in a colour class given as runs (ranges or lists)."""
+
+    def __init__(self, runs: list[Sequence[int]]) -> None:
+        self.runs = runs
+
+    def __contains__(self, x: int) -> bool:
+        return any(x in run for run in self.runs)
+
+
 def monochromatic_solution(
     A: RatMatrix,
     c: Colouring,
@@ -365,13 +377,19 @@ def monochromatic_solution(
     for runs, size in zip(classes, sizes):
         if distinct and size < v:
             continue
-        members = [x for run in runs for x in run]
-        found = _first_solution(plan, [0] * len(rows), members, set(members),
-                                distinct)
+        if plan.heads:
+            members = [x for run in runs for x in run]
+            found = _first_solution(plan, [0] * len(rows), members, set(members),
+                                    distinct)
+        else:
+            # nothing is enumerated, so the class is never listed: the
+            # solved value is looked up in the runs themselves
+            found = _first_solution(plan, [0] * len(rows), [], _InRuns(runs),
+                                    distinct)
         if found is not None:
             # all-zero columns after the solved one take the first allowed candidates
             for _ in range(last + 1, v):
-                found.append(next(x for x in members
+                found.append(next(x for x in chain.from_iterable(runs)
                                   if not (distinct and x in found)))
             return SolutionAssignment(tuple(Fraction(x, den) for x in found))
     return None

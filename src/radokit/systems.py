@@ -11,28 +11,49 @@ refutes solvability over a localized subring.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count, islice
 from pathlib import Path
+from typing import Iterator, Sequence
 
 from .linalg import RatMatrix, parse_matrix
-from .rings import PrimeSet, Rat, format_rat, in_subring, is_prime
+from .rings import PrimeSet, Rat, format_rat, in_subring, is_prime, padic_valuation
 from .search import SolutionAssignment
+
+_ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
 
 _SCHEDULE_KINDS = ("qpow", "allprimes", "qpowpair", "allprimespair", "explicit")
 
 _primes_cache: list[int] = [2]
 
 
+def _primes() -> Iterator[int]:
+    """The primes in increasing order, extending the cache as they are read."""
+    for j in count():
+        if j == len(_primes_cache):
+            candidate = _primes_cache[-1] + 1
+            while not is_prime(candidate):
+                candidate += 1
+            _primes_cache.append(candidate)
+        yield _primes_cache[j]
+
+
 def _first_primes(n: int) -> list[int]:
     """The n smallest primes, in increasing order."""
-    candidate = _primes_cache[-1]
-    while len(_primes_cache) < n:
-        candidate += 1
-        if is_prime(candidate):
-            _primes_cache.append(candidate)
-    return _primes_cache[:n]
+    return list(islice(_primes(), n))
+
+
+# The built-in kinds as data: d_{n,i} = c_i / D(n), where D(n) is q^n, or
+# (p_1 ... p_n)^n when the denominators run over all primes; the positive
+# integer y with c.y = 0, when there is one, gives `natural_solution_witness`.
+# kind: (c, over all primes, kernel y)
+_BUILTIN_SCHEDULES = {
+    "qpow": ((1,), False, None),
+    "allprimes": ((1,), True, None),
+    "qpowpair": ((-1, 2), False, (2, 1)),
+    "allprimespair": ((-1, 2), True, (2, 1)),
+}
 
 
 @dataclass(frozen=True)
@@ -46,12 +67,19 @@ class CoefficientSchedule:
       allprimespair  (d_{n,1}, d_{n,2}) = (-1/P^n, 2/P^n), P = p_1 ... p_n
       explicit       a finite table, row n-2 listing d_{n,1..alpha}
 
-    The pair kinds are tuned so that d_{n,1}*2 + d_{n,2}*1 = 0 for every n.
+    A built-in kind is held as data: numerators `c`, so d_{n,i} = c_i / D(n)
+    with D(n) = q^n, or (p_1 ... p_n)^n when `over_all_primes`.  The pair
+    kinds are tuned so that d_{n,1}*2 + d_{n,2}*1 = 0 for every n: their
+    `kernel` is y = (2, 1).  `kind` is a label for messages.
     """
 
     kind: str
     q: int | None = None
     table: tuple[tuple[Rat, ...], ...] | None = None
+    c: tuple[int, ...] = field(init=False, repr=False, compare=False, default=())
+    over_all_primes: bool = field(init=False, repr=False, compare=False, default=False)
+    kernel: tuple[int, ...] | None = field(init=False, repr=False, compare=False,
+                                           default=None)
 
     def __post_init__(self) -> None:
         if self.kind not in _SCHEDULE_KINDS:
@@ -67,8 +95,13 @@ class CoefficientSchedule:
             width = len(self.table[0])
             if any(len(row) != width for row in self.table):
                 raise ValueError("explicit schedule table must be rectangular")
-        elif self.table is not None:
+            return
+        if self.table is not None:
             raise ValueError(f"schedule {self.kind} takes no table")
+        c, over_all_primes, kernel = _BUILTIN_SCHEDULES[self.kind]
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "over_all_primes", over_all_primes)
+        object.__setattr__(self, "kernel", kernel)
 
     @classmethod
     def qpow(cls, q: int) -> "CoefficientSchedule":
@@ -93,16 +126,17 @@ class CoefficientSchedule:
 
     @property
     def arity(self) -> int:
-        if self.kind in ("qpow", "allprimes"):
-            return 1
-        if self.kind in ("qpowpair", "allprimespair"):
-            return 2
-        return len(self.table[0])
+        return len(self.c) if self.table is None else len(self.table[0])
 
     @property
     def max_depth(self) -> int | None:
         """Largest usable equation index n, or None when unbounded."""
         return None if self.table is None else len(self.table) + 1
+
+    def denominator(self, n: int) -> int:
+        """D(n) of a built-in schedule: q^n or (p_1 ... p_n)^n."""
+        base = math.prod(_first_primes(n)) if self.over_all_primes else self.q
+        return base**n
 
 
 def schedule_value(s: CoefficientSchedule, n: int, i: int) -> Rat:
@@ -112,15 +146,8 @@ def schedule_value(s: CoefficientSchedule, n: int, i: int) -> Rat:
         raise ValueError(f"equation index starts at 2, got {n}")
     if not 1 <= i <= s.arity:
         raise ValueError(f"slot {i} outside 1..{s.arity}")
-    if s.kind == "qpow":
-        return Fraction(1, s.q**n)
-    if s.kind == "qpowpair":
-        return Fraction(-1, s.q**n) if i == 1 else Fraction(2, s.q**n)
-    if s.kind in ("allprimes", "allprimespair"):
-        base = math.prod(_first_primes(n)) ** n
-        if s.kind == "allprimes":
-            return Fraction(1, base)
-        return Fraction(-1, base) if i == 1 else Fraction(2, base)
+    if s.table is None:
+        return Fraction(s.c[i - 1], s.denominator(n))
     if n - 2 >= len(s.table):
         raise ValueError(f"explicit schedule defines n up to {s.max_depth}, got {n}")
     return s.table[n - 2][i - 1]
@@ -185,12 +212,12 @@ def build_truncated_system(spec: SystemSpec) -> RatMatrix:
     n-2 encodes x_{n,1}+...+x_{n,n} + sum_i d_{n,i} y_i - z_n = 0."""
     rows = []
     for n in range(2, spec.depth + 1):
-        row = [Fraction(0)] * spec.var_count
+        row = [_ZERO] * spec.var_count
         for j in range(1, n + 1):
-            row[spec.x_index(n, j)] = Fraction(1)
+            row[spec.x_index(n, j)] = _ONE
         for i in range(1, spec.alpha + 1):
             row[spec.y_index(i)] = schedule_value(spec.schedule, n, i)
-        row[spec.z_index(n)] = Fraction(-1)
+        row[spec.z_index(n)] = _MINUS_ONE
         rows.append(row)
     return RatMatrix.from_rows(rows)
 
@@ -216,40 +243,49 @@ def build_stacked_matrix(spec: SystemSpec) -> RatMatrix:
     k, alpha = spec.depth, spec.alpha
     b = block_offsets(k)
     v = b[k] + alpha
-    rows = [
-        [Fraction(1) if c == r else Fraction(0) for c in range(v)] for r in range(v)
-    ]
+    rows = []
+    for r in range(v):
+        row = [_ZERO] * v
+        row[r] = _ONE
+        rows.append(row)
     for i in range(1, k):
-        row = [Fraction(0)] * v
-        for c in range(b[i], b[i + 1]):
-            row[c] = Fraction(1)
+        row = [_ZERO] * v
+        row[b[i]:b[i + 1]] = [_ONE] * (b[i + 1] - b[i])
         for t in range(1, alpha + 1):
             row[b[k] + t - 1] = schedule_value(spec.schedule, i + 1, t)
         rows.append(row)
     for i, j in combinations(range(b[k], v), 2):
-        row = [Fraction(0)] * v
-        row[i] = Fraction(1)
-        row[j] = Fraction(-1)
+        row = [_ZERO] * v
+        row[i] = _ONE
+        row[j] = _MINUS_ONE
         rows.append(row)
     return RatMatrix.from_rows(rows)
 
 
 def natural_solution_witness(spec: SystemSpec) -> SolutionAssignment:
-    """A positive-integer solution of the truncated system for the pair
-    schedules: y = (2, 1) kills every d-combination, all x_{n,j} = 1, and
-    z_n = n.  Other schedule kinds are rejected."""
-    if spec.schedule.kind not in ("qpowpair", "allprimespair"):
+    """A positive-integer solution of the truncated system for a schedule
+    with an integer kernel y (the pair kinds: y = (2, 1)), which kills every
+    d-combination; all x_{n,j} = 1 and z_n = n.  Other schedules are
+    rejected."""
+    kernel = spec.schedule.kernel
+    if kernel is None:
         raise ValueError(
             f"integer witness needs a pair schedule, got {spec.schedule.kind!r}"
         )
-    values = [Fraction(0)] * spec.var_count
+    values = [_ZERO] * spec.var_count
     for n in range(2, spec.depth + 1):
         for j in range(1, n + 1):
-            values[spec.x_index(n, j)] = Fraction(1)
+            values[spec.x_index(n, j)] = _ONE
         values[spec.z_index(n)] = Fraction(n)
-    values[spec.y_index(1)] = Fraction(2)
-    values[spec.y_index(2)] = Fraction(1)
+    for i, y in enumerate(kernel, start=1):
+        values[spec.y_index(i)] = Fraction(y)
     return SolutionAssignment(tuple(values))
+
+
+def d_combination(s: CoefficientSchedule, n: int, y: Sequence[Rat]) -> Rat:
+    """The d-combination sum_i d_{n,i} y_i of equation n."""
+    return sum((schedule_value(s, n, i) * y[i - 1] for i in range(1, s.arity + 1)),
+               start=Fraction(0))
 
 
 def refute_over_subring(
@@ -262,21 +298,45 @@ def refute_over_subring(
     combination into z_n - x_{n,1} - ... - x_{n,n}, which stays inside the
     subring; so a returned n certifies that no truncation of depth >= n has
     a subring solution with these y values.
+
+    A built-in schedule is decided by valuations, with no scan.  The
+    combination is s / D(n) with s = c.y, and a prime p outside the set
+    never divides y's denominators; so it leaves the subring exactly when
+    some p outside the set divides D(n) more often than s, that is
+    n > v_p(s).  The prime p_j divides D(n) = (p_1 ... p_n)^n, n times, from
+    n = j on (q divides q^n from n = 1 on, so take j = 1 for it), so the
+    least n is the least max(j, 2, v_p(s) + 1) over the primes p = p_j
+    outside the set; s = 0 gives none.  An explicit table is scanned.
     """
     if len(y) != spec.alpha:
         raise ValueError(f"expected {spec.alpha} y-values, got {len(y)}")
     for i, value in enumerate(y, start=1):
         if not in_subring(value, primes):
             raise ValueError(f"y_{i} = {format_rat(value)} is outside the subring")
-    for n in range(2, n_max + 1):
-        combo = sum(
-            (schedule_value(spec.schedule, n, i) * y[i - 1]
-             for i in range(1, spec.alpha + 1)),
-            start=Fraction(0),
-        )
-        if not in_subring(combo, primes):
-            return n
-    return None
+    s = spec.schedule
+    if s.table is not None:
+        for n in range(2, n_max + 1):
+            if not in_subring(d_combination(s, n, y), primes):
+                return n
+        return None
+    total = sum((ci * yi for ci, yi in zip(s.c, y)), start=Fraction(0))
+    if total == 0:
+        return None
+    # (j, p): p divides D(n) from n = j on
+    indexed = enumerate(_primes(), start=1) if s.over_all_primes else [(1, s.q)]
+    # a set holding all but finitely many primes has none outside it past
+    # the largest one it excludes
+    last = max(primes.primes, default=0) if primes.kind in ("all", "cofinite") else None
+    best = None
+    for j, p in indexed:
+        # from here on, no prime gives a smaller n within n_max
+        if j > n_max or (best is not None and j >= best) or (
+                last is not None and p > last):
+            break
+        if p not in primes:
+            n = max(j, 2, padic_valuation(total, p) + 1)
+            best = n if best is None else min(best, n)
+    return best if best is not None and best <= n_max else None
 
 
 def parse_schedule(text: str) -> CoefficientSchedule:

@@ -140,6 +140,27 @@ class TestMembership:
     def test_bad_value(self, capsys):
         assert main(["membership", "--value", "1.5", "--primes", "all"]) == 2
 
+    def test_prime_beyond_the_exact_test(self, capsys):
+        big = 4 * 10**24 + 1
+        start = time.perf_counter()
+        assert main(["membership", "--value", "1/2", f"--primes=2,{big}"]) == 2
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == (
+            f"error: {big} is too large for the exact primality test "
+            "(limit 3317044064679887385961981)\n")
+
+    def test_nineteen_digit_primes(self, capsys):
+        p = 10**18 + 3
+        start = time.perf_counter()
+        assert main(["membership", f"--value=1/{p}", f"--primes={p}"]) == 0
+        assert main(["refute", "--alpha", "1", "--depth", "2",
+                     "--schedule", f"qpow:{p}", "--primes=", "--y=1",
+                     "--nmax", "5"]) == 0
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().out == (
+            f"member\nobstruction at n=2: d-combination 1/{p * p} "
+            "is outside the subring\n")
+
 
 class TestPigeonhole:
     def test_basic(self, capsys):
@@ -247,6 +268,22 @@ class TestMonoSearch:
         assert time.perf_counter() - start < 1
         assert code == 1
         assert capsys.readouterr().out == "no monochromatic solution\n"
+
+    @pytest.mark.parametrize("row,ground,out", [
+        # the solved value 0 is in no class
+        ("1", "100000000", "no monochromatic solution\n"),
+        # the all-zero column takes the class's first element
+        ("0", "100000000,3", "solution: 1/3\ncolour: 0\n"),
+    ])
+    def test_one_column_on_a_huge_slice(self, tmp_path, capsys, row, ground, out):
+        # nothing is enumerated, so no class of 10^8 values is listed
+        matrix = write(tmp_path, "m.txt", row + "\n")
+        start = time.perf_counter()
+        code = main(["mono-search", "--matrix", matrix, "--colouring",
+                     "log2parity", "--ground", ground])
+        assert time.perf_counter() - start < 1
+        assert code == (0 if out.startswith("solution") else 1)
+        assert capsys.readouterr().out == out
 
     def test_malformed_colouring_file(self, tmp_path, capsys):
         matrix = write(tmp_path, "m.txt", "1 1 -1\n")

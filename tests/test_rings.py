@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -7,38 +8,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_prime_set, random_subring_element
+from rings_reference import FACTOR_LIMIT, factorize, trial_is_prime
 from radokit.rings import (
-    FACTOR_LIMIT,
+    PRIMALITY_LIMIT,
     PrimeSet,
-    factorize,
     finite_sums,
     format_rat,
     in_scaled_subring,
     in_subring,
     is_prime,
-    make_rat,
     padic_valuation,
     parse_prime_set,
     parse_rat,
     pigeonhole_subset,
 )
-
-
-class TestMakeRat:
-    def test_reduction(self):
-        assert make_rat(2, 4) == F(1, 2)
-
-    def test_sign_normalization(self):
-        x = make_rat(-3, -6)
-        assert (x.numerator, x.denominator) == (1, 2)
-
-    def test_zero_canonical(self):
-        x = make_rat(0, 7)
-        assert (x.numerator, x.denominator) == (0, 1)
-
-    def test_zero_denominator_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            make_rat(1, 0)
 
 
 class TestTextualForm:
@@ -62,6 +45,48 @@ class TestTextualForm:
     @given(st.fractions())
     def test_round_trip(self, x):
         assert parse_rat(format_rat(x)) == x
+
+
+class TestIsPrime:
+    def test_agrees_with_trial_division_below_a_million(self):
+        # trial division by the primes up to sqrt(n), found on the way
+        primes = []
+        for n in range(2, 10**6):
+            for p in primes:
+                if p * p > n:
+                    primes.append(n)
+                    break
+                if n % p == 0:
+                    break
+            else:
+                primes.append(n)
+        assert [n for n in range(10**6) if is_prime(n)] == primes
+        rng = random.Random(5)
+        for n in [*range(-3, 3000), *(rng.randrange(10**6) for _ in range(3000))]:
+            assert is_prime(n) == trial_is_prime(n), n
+
+    @pytest.mark.parametrize("n", [
+        3215031751,                      # strong pseudoprime to 2, 3, 5, 7
+        3825123056546413051,             # strong pseudoprime to 2 .. 23
+        318665857834031151167461,        # psi_12: strong pseudoprime to 2 .. 37
+        399165290221 * 798330580441,     # psi_12 again, from its factors
+    ])
+    def test_rejects_strong_pseudoprimes(self, n):
+        assert not is_prime(n)
+
+    def test_nineteen_digit_prime_is_fast(self):
+        start = time.perf_counter()
+        assert is_prime(10**18 + 3) and is_prime(10**18 + 9)
+        assert not is_prime(10**18 + 7)
+        assert time.perf_counter() - start < 0.01
+
+    def test_largest_decided_numbers(self):
+        assert PRIMALITY_LIMIT == 3317044064679887385961981
+        assert not is_prime(PRIMALITY_LIMIT - 1)
+        with pytest.raises(ValueError, match="too large"):
+            is_prime(PRIMALITY_LIMIT)
+        with pytest.raises(ValueError, match="too large"):
+            PrimeSet.finite([10**30 + 57])
 
 
 class TestFactorize:
