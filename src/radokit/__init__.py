@@ -14,7 +14,6 @@ from .rado import (
 from .rings import (
     PrimeSet,
     Rat,
-    finite_sums,
     format_rat,
     in_scaled_subring,
     in_subring,
@@ -63,7 +62,6 @@ __all__ = [
     "build_stacked_matrix",
     "build_truncated_system",
     "columns_condition",
-    "finite_sums",
     "first_entries",
     "format_matrix",
     "format_rat",

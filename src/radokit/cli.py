@@ -10,6 +10,7 @@ inputs give byte-identical output.  Indices in reports are 1-based.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -17,6 +18,7 @@ from typing import Sequence
 from .linalg import RatMatrix, format_matrix, parse_matrix
 from .rado import columns_condition, first_entries, weak_first_entries_condition
 from .rings import (
+    DIGIT_LIMIT,
     format_rat,
     in_scaled_subring,
     parse_prime_set,
@@ -55,6 +57,17 @@ def _emit_matrix(M: RatMatrix, header: list[str], out: str | None) -> None:
 
 def _system_spec(args: argparse.Namespace) -> SystemSpec:
     return SystemSpec(args.alpha, args.depth, parse_schedule(args.schedule))
+
+
+def _printable_system_spec(args: argparse.Namespace) -> SystemSpec:
+    """The spec of a build-* command, refused before anything is built when
+    its largest denominator D(depth), which the matrix prints, is too long."""
+    spec = _system_spec(args)
+    s = spec.schedule
+    if s.table is None and s.denominator_exceeds(spec.depth, DIGIT_LIMIT):
+        raise ValueError(f"schedule {s.kind}: D({spec.depth}) has more than "
+                         f"{DIGIT_LIMIT} digits, too many to print")
+    return spec
 
 
 def _parse_rat_list(text: str) -> list:
@@ -117,7 +130,7 @@ def _cmd_fe_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_build_system(args: argparse.Namespace) -> int:
-    spec = _system_spec(args)
+    spec = _printable_system_spec(args)
     M = build_truncated_system(spec)
     header = [
         f"truncated system: depth {spec.depth}, alpha {spec.alpha}",
@@ -128,7 +141,7 @@ def _cmd_build_system(args: argparse.Namespace) -> int:
 
 
 def _cmd_build_iab(args: argparse.Namespace) -> int:
-    spec = _system_spec(args)
+    spec = _printable_system_spec(args)
     M = build_stacked_matrix(spec)
     header = [
         f"stacked (I; A; B) matrix: depth {spec.depth}, alpha {spec.alpha}",
@@ -160,6 +173,8 @@ def _cmd_pigeonhole(args: argparse.Namespace) -> int:
 
 
 def _cmd_refute(args: argparse.Namespace) -> int:
+    if args.nmax < 0:
+        raise ValueError(f"--nmax must be nonnegative, got {args.nmax}")
     spec = _system_spec(args)
     primes = parse_prime_set(args.primes)
     y = tuple(_parse_rat_list(args.y))
@@ -215,7 +230,10 @@ def _cmd_rado_number(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused: parse_args returns a
+    fresh Namespace each time, and nothing changes the parsers once built."""
     parser = argparse.ArgumentParser(
         prog="radokit",
         description="columns-condition certificates, localized-subring "

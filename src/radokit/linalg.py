@@ -1,7 +1,8 @@
 """Dense exact linear algebra over the rationals.
 
 Reduced row echelon form, span membership with witness coefficients, and
-rank, all in Fraction arithmetic.  No pivoting heuristics are needed or
+rank, by fraction-free elimination on integer rows; Fractions are built
+only for the entries returned.  No pivoting heuristics are needed or
 wanted: exact arithmetic has no conditioning, so the pivot is always the
 first nonzero entry.
 """
@@ -11,9 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .rings import Rat, parse_rat
+from .rings import TOO_LONG, Rat, parse_rat
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -80,31 +84,63 @@ class RatMatrix:
         return RatMatrix.from_rows(rows)
 
 
-def rref(M: RatMatrix) -> tuple[RatMatrix, list[int]]:
-    """Reduced row echelon form and the (0-based) pivot column list."""
-    rows = M.to_lists()
+def _integer_rows(rows: Iterable[Sequence[Rat]]) -> list[list[int]]:
+    """Each row times the lcm of its denominators: a list of ints."""
+    out = []
+    for row in rows:
+        m = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (m // x.denominator) for x in row])
+    return out
+
+
+def _eliminate(rows: list[list[int]], cols: int) -> list[int]:
+    """Gauss-Jordan elimination on integer rows, in place; returns the pivot
+    columns.
+
+    Fraction-free: clearing column c from row i replaces it by
+    a * row_i - b * row_r, where a/b is the pivot over row i's entry in
+    lowest terms, and the result is divided by the gcd of its entries.
+    Each row thus stays a nonzero multiple of the row that Fraction
+    elimination with the same pivots would hold, so dividing a pivot row by
+    its pivot gives the reduced row echelon form's row.
+    """
     pivots: list[int] = []
     r = 0
-    for c in range(M.cols):
-        pivot = next((i for i in range(r, M.rows) if rows[i][c] != 0), None)
+    for c in range(cols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [inv * x for x in rows[r]]
-        for i in range(M.rows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        top = rows[r]
+        p = top[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                new = [a * x - b * y for x, y in zip(row, top)]
+                g = gcd(*new)
+                rows[i] = [x // g for x in new] if g > 1 else new
         pivots.append(c)
         r += 1
-        if r == M.rows:
+        if r == len(rows):
             break
-    return RatMatrix.from_rows(rows) if rows else M, pivots
+    return pivots
+
+
+def rref(M: RatMatrix) -> tuple[RatMatrix, list[int]]:
+    """Reduced row echelon form and the (0-based) pivot column list."""
+    if M.rows == 0:
+        return M, []
+    rows = _integer_rows(M.row(i) for i in range(M.rows))
+    pivots = _eliminate(rows, M.cols)
+    out = [[Fraction(x, row[c]) for x in row] for row, c in zip(rows, pivots)]
+    out += [[_ZERO] * M.cols for _ in range(M.rows - len(pivots))]
+    return RatMatrix.from_rows(out), pivots
 
 
 def rank(M: RatMatrix) -> int:
-    return len(rref(M)[1])
+    return len(_eliminate(_integer_rows(M.row(i) for i in range(M.rows)), M.cols))
 
 
 def in_span(
@@ -114,23 +150,24 @@ def in_span(
     vectors, or None when target lies outside their span.
 
     The witness is deterministic: the unique solution with every free
-    variable set to zero.
+    variable set to zero.  It is read off the integer elimination of the
+    augmented matrix, one Fraction per coefficient.
     """
     dim = len(target)
-    for k, vec in enumerate(vectors):
+    k = len(vectors)
+    for j, vec in enumerate(vectors):
         if len(vec) != dim:
-            raise ValueError(f"vector {k} has dimension {len(vec)}, expected {dim}")
+            raise ValueError(f"vector {j} has dimension {len(vec)}, expected {dim}")
+    coeffs = [_ZERO] * k
     if dim == 0:
-        return [Fraction(0)] * len(vectors)
-    aug = RatMatrix.from_rows(
-        [[vec[i] for vec in vectors] + [target[i]] for i in range(dim)]
-    )
-    R, pivots = rref(aug)
-    if len(vectors) in pivots:
+        return coeffs
+    rows = _integer_rows([vec[i] for vec in vectors] + [target[i]]
+                         for i in range(dim))
+    pivots = _eliminate(rows, k + 1)
+    if pivots and pivots[-1] == k:
         return None
-    coeffs = [Fraction(0)] * len(vectors)
-    for r, c in enumerate(pivots):
-        coeffs[c] = R.at(r, len(vectors))
+    for row, c in zip(rows, pivots):
+        coeffs[c] = Fraction(row[k], row[c])
     return coeffs
 
 
@@ -149,4 +186,7 @@ def parse_matrix(text: str) -> RatMatrix:
 def format_matrix(M: RatMatrix) -> str:
     """Inverse of parse_matrix; one line per row, single-space separated."""
     # format_rat is str; mapping str itself saves a call per entry
-    return "\n".join(" ".join(map(str, M.row(i))) for i in range(M.rows))
+    try:
+        return "\n".join(" ".join(map(str, M.row(i))) for i in range(M.rows))
+    except ValueError:  # past the int-to-text digit limit
+        raise ValueError(TOO_LONG) from None

@@ -4,8 +4,8 @@ Every subring of the rationals is obtained by picking a set F of primes and
 allowing exactly those primes in reduced denominators (F empty gives the
 integers, F everything gives all of the rationals, F = {2} gives the dyadic
 rationals).  This module provides exact primality, the membership tests,
-p-adic valuations, the constructive residue pigeonhole, and finite subset
-sums that the rest of the package builds on.
+p-adic valuations and the constructive residue pigeonhole that the rest of
+the package builds on.
 
 Rationals are plain :class:`fractions.Fraction` values, which already
 maintain the canonical reduced form (gcd 1, positive denominator, zero as
@@ -29,21 +29,34 @@ _RAT_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIMALITY_LIMIT = 3317044064679887385961981
 
+# Python converts no int of more than this many digits to text (the default
+# int_max_str_digits), so radokit prints no number longer than that.
+DIGIT_LIMIT = 4300
+TOO_LONG = f"cannot print a number of more than {DIGIT_LIMIT} digits"
+
 
 def parse_rat(text: str) -> Rat:
     """Parse ``a`` or ``a/b`` with an optional leading minus sign."""
     m = _RAT_RE.match(text.strip())
     if m is None:
         raise ValueError(f"not a rational: {text!r}")
-    den = int(m.group(2)) if m.group(2) is not None else 1
+    try:
+        num = int(m.group(1))
+        den = int(m.group(2)) if m.group(2) is not None else 1
+    except ValueError:  # past the text-to-int digit limit
+        raise ValueError(f"cannot read a number of more than {DIGIT_LIMIT} "
+                         "digits") from None
     if den == 0:
         raise ValueError(f"zero denominator: {text!r}")
-    return Fraction(int(m.group(1)), den)
+    return Fraction(num, den)
 
 
 def format_rat(x: Rat) -> str:
     """Render as ``a/b``, omitting the denominator when it is 1."""
-    return str(x)
+    try:
+        return str(x)
+    except ValueError:  # past the int-to-text digit limit
+        raise ValueError(TOO_LONG) from None
 
 
 def is_prime(n: int) -> bool:
@@ -234,12 +247,3 @@ def pigeonhole_subset(m: int, primes: PrimeSet, xs: Sequence[Rat]) -> list[int]:
     # residue 0 is nonempty here.
     return [by_residue[0][0]]
 
-
-def finite_sums(xs: Sequence[Rat]) -> set[Rat]:
-    """All sums over nonempty subsets of xs (at most 20 elements)."""
-    if not 1 <= len(xs) <= 20:
-        raise ValueError(f"finite_sums takes 1..20 elements, got {len(xs)}")
-    sums: set[Rat] = set()
-    for x in xs:
-        sums |= {s + x for s in sums} | {x}
-    return sums

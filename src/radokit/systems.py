@@ -18,7 +18,15 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from .linalg import RatMatrix, parse_matrix
-from .rings import PrimeSet, Rat, format_rat, in_subring, is_prime, padic_valuation
+from .rings import (
+    DIGIT_LIMIT,
+    PrimeSet,
+    Rat,
+    format_rat,
+    in_subring,
+    is_prime,
+    padic_valuation,
+)
 from .search import SolutionAssignment
 
 _ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
@@ -137,6 +145,25 @@ class CoefficientSchedule:
         """D(n) of a built-in schedule: q^n or (p_1 ... p_n)^n."""
         base = math.prod(_first_primes(n)) if self.over_all_primes else self.q
         return base**n
+
+    def denominator_exceeds(self, n: int, digits: int) -> bool:
+        """Whether D(n) >= 10**digits, that is, D(n) has more than `digits`
+        digits.  The primes' logarithms decide it without building D(n),
+        unless log10 D(n) lies within a digit of `digits`: then D(n), about
+        `digits` digits long, is built and compared."""
+        if self.over_all_primes:
+            # D(n) >= (p_1 ... p_j)^n for every j <= n
+            total = 0.0
+            for p in islice(_primes(), n):
+                total += math.log10(p)
+                if n * total >= digits + 1:
+                    return True
+            log10 = n * total
+        else:
+            log10 = n * math.log10(self.q)
+        if abs(log10 - digits) >= 1:
+            return log10 > digits
+        return self.denominator(n) >= 10**digits
 
 
 def schedule_value(s: CoefficientSchedule, n: int, i: int) -> Rat:
@@ -283,9 +310,29 @@ def natural_solution_witness(spec: SystemSpec) -> SolutionAssignment:
 
 
 def d_combination(s: CoefficientSchedule, n: int, y: Sequence[Rat]) -> Rat:
-    """The d-combination sum_i d_{n,i} y_i of equation n."""
-    return sum((schedule_value(s, n, i) * y[i - 1] for i in range(1, s.arity + 1)),
-               start=Fraction(0))
+    """The d-combination sum_i d_{n,i} y_i of equation n; for a built-in
+    schedule, (c.y) / D(n).
+
+    Raises ValueError, without building D(n), when D(n) alone shows that
+    the quotient is too long to print: its reduced denominator is at least
+    D(n) / |numerator of c.y|.
+    """
+    if s.table is not None:
+        return sum((schedule_value(s, n, i) * y[i - 1] for i in range(1, s.arity + 1)),
+                   start=Fraction(0))
+    total = _dot(s.c, y)
+    if not total:
+        return total
+    # 10**(int(log10 |a|) + 2) > |a| even when the float log is a unit low
+    if s.denominator_exceeds(
+            n, DIGIT_LIMIT + 2 + int(math.log10(abs(total.numerator)))):
+        raise ValueError(f"the d-combination at n={n} has more than "
+                         f"{DIGIT_LIMIT} digits, too many to print")
+    return total / s.denominator(n)
+
+
+def _dot(c: Sequence[int], y: Sequence[Rat]) -> Rat:
+    return sum((ci * yi for ci, yi in zip(c, y)), start=Fraction(0))
 
 
 def refute_over_subring(
@@ -319,7 +366,7 @@ def refute_over_subring(
             if not in_subring(d_combination(s, n, y), primes):
                 return n
         return None
-    total = sum((ci * yi for ci, yi in zip(s.c, y)), start=Fraction(0))
+    total = _dot(s.c, y)
     if total == 0:
         return None
     # (j, p): p divides D(n) from n = j on

@@ -2,7 +2,7 @@ import time
 
 import pytest
 
-from radokit.cli import main
+from radokit.cli import _build_parser, main
 from radokit.linalg import format_matrix, parse_matrix
 from radokit.systems import (
     CoefficientSchedule,
@@ -115,6 +115,25 @@ class TestBuilders:
         assert main(["build-system", "--alpha", "1", "--depth", "2",
                      "--schedule", "fancy"]) == 2
 
+    @pytest.mark.parametrize("command", ["build-system", "build-iab"])
+    def test_denominator_too_long_to_print(self, command, capsys):
+        # D(49) = (2*3*...*227)^49 has 4358 digits, D(48) 4156
+        start = time.perf_counter()
+        assert main([command, "--alpha", "1", "--depth", "49",
+                     "--schedule", "allprimes"]) == 2
+        assert time.perf_counter() - start < 0.5
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: schedule allprimes: D(49) has more than 4300 "
+                       "digits, too many to print\n")
+
+    def test_longest_printable_denominator(self, capsys):
+        assert main(["build-system", "--alpha", "1", "--depth", "48",
+                     "--schedule", "allprimes"]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        (d,) = [x for x in last.split() if "/" in x]
+        assert len(d) == len("1/") + 4156
+
 
 class TestMembership:
     def test_member(self, capsys):
@@ -174,6 +193,13 @@ class TestPigeonhole:
         assert main(["pigeonhole", "--m", "3", "--primes", "",
                      "--values", "1,2"]) == 2
 
+    def test_sum_too_long_to_print(self, capsys):
+        nines = "9" * 4300
+        assert main(["pigeonhole", "--m", "2", "--primes", "",
+                     "--values", f"{nines},{nines}"]) == 2
+        assert capsys.readouterr().err == (
+            "error: cannot print a number of more than 4300 digits\n")
+
 
 class TestRefute:
     def test_obstruction(self, capsys):
@@ -196,6 +222,37 @@ class TestRefute:
         assert main(["refute", "--alpha", "1", "--depth", "2",
                      "--schedule", "qpow:2", "--primes", "",
                      "--y", "1/3", "--nmax", "5"]) == 2
+
+    @pytest.mark.parametrize("excluded,nmax,n", [
+        ("229", "100", 50),  # 229 is the 50th prime
+        ("104729", "100000", 10000),  # and 104729 the 10000th
+    ])
+    def test_combination_too_long_to_print(self, excluded, nmax, n, capsys):
+        start = time.perf_counter()
+        assert main(["refute", "--alpha", "1", "--depth", "2",
+                     "--schedule", "allprimes", f"--primes=all-except:{excluded}",
+                     "--y=1", "--nmax", nmax]) == 2
+        assert time.perf_counter() - start < 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: the d-combination at n={n} has more than 4300 "
+                       "digits, too many to print\n")
+
+    def test_long_denominator_that_cancels_still_prints(self, capsys):
+        # D(14285) = 2^14285 has 4301 digits, but y_2 = 2^14283 cancels it
+        assert main(["refute", "--alpha", "2", "--depth", "2",
+                     "--schedule", "qpowpair:2", "--primes", "",
+                     f"--y=0,{2**14283}", "--nmax", "20000"]) == 0
+        assert capsys.readouterr().out == (
+            "obstruction at n=14285: d-combination 1/2 is outside the subring\n")
+
+    def test_negative_nmax(self, capsys):
+        assert main(["refute", "--alpha", "1", "--depth", "2",
+                     "--schedule", "qpow:2", "--primes", "",
+                     "--y", "1", "--nmax", "-4"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --nmax must be nonnegative, got -4\n"
 
 
 class TestNatWitness:
@@ -344,3 +401,56 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["cc-check"])
         assert exc.value.code == 2
+
+
+class TestRepeatedCalls:
+    """main builds its parser once per process; no call may see another's
+    arguments or defaults."""
+
+    def test_flag_does_not_stick(self, tmp_path, capsys):
+        matrix = write(tmp_path, "m.txt", "1 0\n0 2\n")
+        entries = ("row 1: first entry 1 at column 1\n"
+                   "row 2: first entry 2 at column 2\n")
+        assert main(["fe-check", "--matrix", matrix, "--strict"]) == 1
+        assert capsys.readouterr().out == (
+            entries + "strict first entries condition: fails\n")
+        assert main(["fe-check", "--matrix", matrix]) == 0
+        assert capsys.readouterr().out == (
+            entries + "weak first entries condition: holds\n")
+
+    def test_default_restored_after_explicit_value(self, tmp_path, capsys):
+        argv = ["mono-search", "--matrix", write(tmp_path, "m.txt", "1 -2\n"),
+                "--colouring", "log2parity", "--ground", "1000000000"]
+        assert main(argv + ["--budget", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: search space exceeds budget of 1 candidate tuples\n")
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: search space exceeds budget of 100000000 candidate tuples\n")
+
+    def test_usage_error_then_valid_command(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["cc-check"])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --matrix" in \
+            capsys.readouterr().err
+        matrix = write(tmp_path, "m.txt", "1 1 -1\n")
+        assert main(["cc-check", "--matrix", matrix]) == 0
+        assert capsys.readouterr() == (
+            "certificate:\nblock 1: 1 3\nblock 2: 2\nwitness 2: 1 0\n", "")
+
+    def test_help_twice(self, capsys):
+        helps = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["--help"])
+            assert exc.value.code == 0
+            helps.append(capsys.readouterr().out)
+        assert helps[0] == helps[1] == _build_parser.__wrapped__().format_help()
+        assert "cc-check" in helps[0]
+
+    def test_parser_built_once(self, tmp_path, capsys):
+        matrix = write(tmp_path, "m.txt", "1 1 -3\n")
+        for _ in range(3):
+            assert main(["cc-check", "--matrix", matrix]) == 1
+        assert _build_parser.cache_info().misses == 1

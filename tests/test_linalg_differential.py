@@ -1,0 +1,85 @@
+"""Differential test of the integer-elimination rref, rank and in_span
+against the Fraction versions they replaced (tests/linalg_reference.py).
+
+The reduced row echelon form is unique, so every output must be equal,
+entry for entry, on every input.
+"""
+
+import random
+from fractions import Fraction as F
+
+import linalg_reference as ref
+from radokit.linalg import RatMatrix, in_span, rank, rref
+
+
+def random_entry(rng: random.Random) -> F:
+    kind = rng.random()
+    if kind < 0.35:
+        return F(0)
+    if kind < 0.7:
+        return F(rng.randint(-4, 4))
+    if kind < 0.95:
+        return F(rng.randint(-9, 9), rng.randint(1, 12))
+    return F(rng.randint(-10**12, 10**12), rng.randint(1, 10**6))
+
+
+def random_rows(rng: random.Random, u: int, v: int) -> list[list[F]]:
+    """u x v rows with zero rows, zero columns and dependent rows mixed in."""
+    rows = [[random_entry(rng) for _ in range(v)] for _ in range(u)]
+    for j in range(v):
+        if rng.random() < 0.15:
+            for row in rows:
+                row[j] = F(0)
+    for i in range(u):
+        roll = rng.random()
+        if roll < 0.1:
+            rows[i] = [F(0)] * v
+        elif roll < 0.35 and i >= 2:
+            a, b = rng.sample(range(i), 2)
+            s, t = random_entry(rng), random_entry(rng)
+            rows[i] = [s * x + t * y for x, y in zip(rows[a], rows[b])]
+    return rows
+
+
+def test_rref_and_rank_match_the_fraction_reference():
+    rng = random.Random(20261018)
+    for _ in range(1000):
+        u, v = rng.randint(0, 6), rng.randint(0, 7)
+        M = RatMatrix.from_rows(random_rows(rng, u, v)) if u else RatMatrix(0, v, ())
+        expected = ref.rref(M)
+        assert rref(M) == expected, M
+        assert rank(M) == len(expected[1])
+
+
+def test_in_span_matches_the_fraction_reference():
+    rng = random.Random(18102026)
+    outcomes = {"inside": 0, "outside": 0, "empty": 0}
+    for _ in range(1500):
+        dim, k = rng.randint(0, 6), rng.randint(0, 6)
+        columns = random_rows(rng, k, dim)
+        roll = rng.random()
+        if roll < 0.45 and k:
+            coeffs = [random_entry(rng) for _ in range(k)]
+            target = [sum((c * col[i] for c, col in zip(coeffs, columns)), F(0))
+                      for i in range(dim)]
+        elif roll < 0.55:
+            target = [F(0)] * dim
+        else:
+            target = [random_entry(rng) for _ in range(dim)]
+        got = in_span(columns, target)
+        assert got == ref.in_span(columns, target), (columns, target)
+        if dim == 0:
+            outcomes["empty"] += 1
+        else:
+            outcomes["inside" if got is not None else "outside"] += 1
+        if got is not None:
+            assert all(type(x) is F for x in got)
+            for i in range(dim):
+                assert sum(c * col[i] for c, col in zip(got, columns)) == target[i]
+    assert min(outcomes.values()) >= 100, outcomes
+
+
+def test_integer_inputs_are_accepted():
+    assert in_span([(1, 0), (2, 0), (0, 1)], (3, 4)) == ref.in_span(
+        [(1, 0), (2, 0), (0, 1)], (3, 4))
+    assert in_span([(2, 4)], (1, 3)) is None

@@ -12,7 +12,6 @@ from rings_reference import FACTOR_LIMIT, factorize, trial_is_prime
 from radokit.rings import (
     PRIMALITY_LIMIT,
     PrimeSet,
-    finite_sums,
     format_rat,
     in_scaled_subring,
     in_subring,
@@ -37,6 +36,18 @@ class TestTextualForm:
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_rat(bad)
+
+    def test_digit_limit(self):
+        assert parse_rat("9" * 4300 + "/" + "7" * 4300) == F(int("9" * 4300),
+                                                              int("7" * 4300))
+        for text in ("1" * 4301, "1/" + "3" * 4301):
+            with pytest.raises(ValueError, match="^cannot read a number of "
+                                                 "more than 4300 digits$"):
+                parse_rat(text)
+        with pytest.raises(ValueError, match="^cannot print a number of more "
+                                             "than 4300 digits$"):
+            format_rat(F(10**4300))
+        assert len(format_rat(F(1, 10**4300 - 1))) == 2 + 4300
 
     def test_format_omits_unit_denominator(self):
         assert format_rat(F(5)) == "5"
@@ -269,29 +280,3 @@ class TestPigeonholeSubset:
             assert H
             assert in_scaled_subring(sum(xs[i] for i in H), m, ps)
 
-
-class TestFiniteSums:
-    def test_singleton(self):
-        assert finite_sums([F(1)]) == {F(1)}
-
-    def test_pair(self):
-        assert finite_sums([F(1), F(2)]) == {F(1), F(2), F(3)}
-
-    def test_dedupes(self):
-        assert finite_sums([F(1, 2), F(1, 2), F(1)]) == {F(1, 2), F(1), F(3, 2), F(2)}
-
-    def test_guards_length(self):
-        with pytest.raises(ValueError):
-            finite_sums([])
-        with pytest.raises(ValueError):
-            finite_sums([F(1)] * 21)
-
-    @given(st.lists(st.fractions(min_value=F(-5), max_value=F(5)),
-                    min_size=1, max_size=6))
-    def test_matches_recursion(self, xs):
-        sums = finite_sums(xs)
-        assert len(sums) <= 2 ** len(xs) - 1
-        if len(xs) > 1:
-            rest = finite_sums(xs[:-1])
-            x = xs[-1]
-            assert sums == rest | {x} | {s + x for s in rest}

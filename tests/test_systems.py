@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -63,6 +64,27 @@ class TestScheduleValue:
             for n in range(2, 8):
                 combo = schedule_value(s, n, 1) * 2 + schedule_value(s, n, 2) * 1
                 assert combo == 0
+
+
+class TestDenominatorExceeds:
+    @pytest.mark.parametrize("schedule,ns", [
+        (CoefficientSchedule.allprimes(), range(2, 60)),
+        (CoefficientSchedule.qpowpair(3), range(2, 60)),
+        # 2^14284 has 4300 digits, 2^14285 has 4301
+        (CoefficientSchedule.qpow(2), range(14280, 14290)),
+    ])
+    def test_agrees_with_the_built_denominator(self, schedule, ns):
+        for n in ns:
+            D = schedule.denominator(n)
+            for digits in (1, 40, 4299, 4300):
+                assert schedule.denominator_exceeds(n, digits) == (D >= 10**digits)
+
+    def test_decides_huge_n_without_building(self):
+        start = time.perf_counter()
+        assert CoefficientSchedule.allprimes().denominator_exceeds(10**9, 4300)
+        assert not CoefficientSchedule.qpow(7).denominator_exceeds(5088, 4300)
+        assert CoefficientSchedule.qpow(7).denominator_exceeds(10**12, 4300)
+        assert time.perf_counter() - start < 0.1
 
 
 class TestScheduleValidation:
