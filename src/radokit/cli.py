@@ -10,15 +10,19 @@ inputs give byte-identical output.  Indices in reports are 1-based.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import math
 import sys
+from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .linalg import RatMatrix, format_matrix, parse_matrix
+from .linalg import RatMatrix, parse_matrix
 from .rado import columns_condition, first_entries, weak_first_entries_condition
 from .rings import (
     DIGIT_LIMIT,
+    Rat,
     format_rat,
     in_scaled_subring,
     parse_prime_set,
@@ -34,25 +38,45 @@ from .search import (
 )
 from .systems import (
     SystemSpec,
-    build_stacked_matrix,
-    build_truncated_system,
     d_combination,
     natural_solution_witness,
     parse_schedule,
     refute_over_subring,
+    stacked_rows,
+    truncated_residuals,
+    truncated_rows,
 )
+
+# The most entries (rows x columns) that build-system and build-iab print,
+# and the most values that nat-witness prints.
+ENTRY_LIMIT = 4_500_000
 
 
 def _read_matrix(path: str) -> RatMatrix:
     return parse_matrix(Path(path).read_text())
 
 
-def _emit_matrix(M: RatMatrix, header: list[str], out: str | None) -> None:
-    text = "\n".join(f"# {line}" for line in header) + "\n" + format_matrix(M) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
+def _write_matrix(header: list[str], rows: Iterable[dict[int, Rat]], cols: int,
+                  out: str | None) -> None:
+    """Write the header as '#' lines, then each sparse row as it arrives:
+    a reused list of "0" cells with the row's entries put in their columns."""
+    with (contextlib.nullcontext(sys.stdout) if out is None
+          else open(out, "w")) as f:
+        f.write("".join(f"# {line}\n" for line in header))
+        cells = ["0"] * cols
+        for row in rows:
+            for j, x in row.items():
+                cells[j] = format_rat(x)
+            f.write(" ".join(cells) + "\n")
+            for j in row:
+                cells[j] = "0"
+
+
+def _check_entries(count: int) -> None:
+    """Refuse, before any work, an output of more than ENTRY_LIMIT entries."""
+    if count > ENTRY_LIMIT:
+        raise ValueError(f"the output would hold {count} entries, more than "
+                         f"the limit of {ENTRY_LIMIT}")
 
 
 def _system_spec(args: argparse.Namespace) -> SystemSpec:
@@ -131,23 +155,25 @@ def _cmd_fe_check(args: argparse.Namespace) -> int:
 
 def _cmd_build_system(args: argparse.Namespace) -> int:
     spec = _printable_system_spec(args)
-    M = build_truncated_system(spec)
+    _check_entries((spec.depth - 1) * spec.var_count)
     header = [
         f"truncated system: depth {spec.depth}, alpha {spec.alpha}",
-        "columns: " + " ".join(spec.variable_names()),
+        "columns: " + " ".join(spec.iter_variable_names()),
     ]
-    _emit_matrix(M, header, args.out)
+    _write_matrix(header, truncated_rows(spec), spec.var_count, args.out)
     return 0
 
 
 def _cmd_build_iab(args: argparse.Namespace) -> int:
     spec = _printable_system_spec(args)
-    M = build_stacked_matrix(spec)
+    # I, then k-1 rows of A, then one row of B per pair of y columns
+    cols = spec.x_count + spec.alpha
+    _check_entries((cols + spec.depth - 1 + math.comb(spec.alpha, 2)) * cols)
     header = [
         f"stacked (I; A; B) matrix: depth {spec.depth}, alpha {spec.alpha}",
-        "columns: " + " ".join(spec.variable_names()[: M.cols]),
+        "columns: " + " ".join(islice(spec.iter_variable_names(), cols)),
     ]
-    _emit_matrix(M, header, args.out)
+    _write_matrix(header, stacked_rows(spec), cols, args.out)
     return 0
 
 
@@ -190,15 +216,21 @@ def _cmd_refute(args: argparse.Namespace) -> int:
 
 def _cmd_nat_witness(args: argparse.Namespace) -> int:
     spec = _system_spec(args)
+    _check_entries(spec.var_count)
     witness = natural_solution_witness(spec)
-    for name, value in zip(spec.variable_names(), witness.values):
-        print(f"{name} = {format_rat(value)}")
-    ok = witness.solves(build_truncated_system(spec))
+    # the lines "name = value\n" as a stream of parts, written in chunks
+    parts = chain.from_iterable(zip(spec.iter_variable_names(), repeat(" = "),
+                                    map(format_rat, witness.values), repeat("\n")))
+    while chunk := "".join(islice(parts, 16384)):
+        sys.stdout.write(chunk)
+    ok = all(r == 0 for r in truncated_residuals(spec, witness.values))
     print("verified: all residuals zero" if ok else "verification failed")
     return 0 if ok else 2
 
 
 def _cmd_mono_search(args: argparse.Namespace) -> int:
+    if args.budget < 1:
+        raise ValueError(f"--budget must be positive, got {args.budget}")
     M = _read_matrix(args.matrix)
     colouring = _parse_colouring(args.colouring)
     ground = _parse_ground(args.ground)

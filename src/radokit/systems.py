@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, count, islice
+from itertools import chain, combinations, count, islice, repeat
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -223,70 +223,75 @@ class SystemSpec:
     def z_index(self, n: int) -> int:
         return self.x_count + self.alpha + (n - 2)
 
+    def iter_variable_names(self) -> Iterator[str]:
+        """The column names in column order, one at a time."""
+        js = [str(j) for j in range(1, self.depth + 1)]
+        for n in range(2, self.depth + 1):
+            yield from map(f"x_{n}_".__add__, js[:n])
+        for i in range(1, self.alpha + 1):
+            yield f"y_{i}"
+        for n in range(2, self.depth + 1):
+            yield f"z_{n}"
+
     def variable_names(self) -> list[str]:
-        names = [
-            f"x_{n}_{j}"
-            for n in range(2, self.depth + 1)
-            for j in range(1, n + 1)
-        ]
-        names += [f"y_{i}" for i in range(1, self.alpha + 1)]
-        names += [f"z_{n}" for n in range(2, self.depth + 1)]
-        return names
+        return list(self.iter_variable_names())
+
+
+def truncated_rows(spec: SystemSpec) -> Iterator[dict[int, Rat]]:
+    """The rows of the truncation, one at a time: row n-2 encodes
+    x_{n,1}+...+x_{n,n} + sum_i d_{n,i} y_i - z_n = 0, as {column: entry}
+    over its nonzero columns, in column order."""
+    for n in range(2, spec.depth + 1):
+        first = spec.x_index(n, 1)
+        row = dict.fromkeys(range(first, first + n), _ONE)
+        for i in range(1, spec.alpha + 1):
+            d = schedule_value(spec.schedule, n, i)
+            if d:
+                row[spec.y_index(i)] = d
+        row[spec.z_index(n)] = _MINUS_ONE
+        yield row
+
+
+def _dense(rows: Iterator[dict[int, Rat]], cols: int) -> RatMatrix:
+    dense = []
+    for sparse in rows:
+        row = [_ZERO] * cols
+        for j, x in sparse.items():
+            row[j] = x
+        dense.append(row)
+    return RatMatrix.from_rows(dense)
 
 
 def build_truncated_system(spec: SystemSpec) -> RatMatrix:
-    """The (k-1) x V homogeneous coefficient matrix of the truncation: row
-    n-2 encodes x_{n,1}+...+x_{n,n} + sum_i d_{n,i} y_i - z_n = 0."""
-    rows = []
-    for n in range(2, spec.depth + 1):
-        row = [_ZERO] * spec.var_count
-        for j in range(1, n + 1):
-            row[spec.x_index(n, j)] = _ONE
-        for i in range(1, spec.alpha + 1):
-            row[spec.y_index(i)] = schedule_value(spec.schedule, n, i)
-        row[spec.z_index(n)] = _MINUS_ONE
-        rows.append(row)
-    return RatMatrix.from_rows(rows)
+    """The (k-1) x V homogeneous coefficient matrix of the truncation, the
+    rows of `truncated_rows`."""
+    return _dense(truncated_rows(spec), spec.var_count)
 
 
-def block_offsets(k: int) -> list[int]:
-    """Offsets b_1..b_k with b_1 = 0 and b_j = b_{j-1} + j, as a list
-    indexed 1..k (slot 0 unused)."""
-    b = [0, 0]
-    for j in range(2, k + 1):
-        b.append(b[-1] + j)
-    return b
-
-
-def build_stacked_matrix(spec: SystemSpec) -> RatMatrix:
-    """The (I; A; B) stack over v = b_k + alpha columns.
+def stacked_rows(spec: SystemSpec) -> Iterator[dict[int, Rat]]:
+    """The rows of the (I; A; B) stack over v = b_k + alpha columns, one at
+    a time, as {column: entry} over their nonzero columns.  The offsets are
+    b_1 = 0 and b_j = b_{j-1} + j, so b_k is the x count.
 
     I is the v x v identity.  A has k-1 rows: row i carries ones on columns
-    b_i+1 .. b_{i+1} (1-based) and d_{i+1,t} on column b_k + t.  B carries
-    one difference row per pair b_k < i < j <= v, a 1 at i and a -1 at j,
+    b_i+1 .. b_{i+1} (1-based) and d_{i+1,t} on column b_k + t, which is
+    row i of the truncated system without its z column.  B carries one
+    difference row per pair b_k < i < j <= v, a 1 at i and a -1 at j,
     pairs in lexicographic order; alpha = 1 means no B rows.  Columns read
     as x_{2,1}..x_{k,k} then y_1..y_alpha.
     """
-    k, alpha = spec.depth, spec.alpha
-    b = block_offsets(k)
-    v = b[k] + alpha
-    rows = []
+    v = spec.x_count + spec.alpha
     for r in range(v):
-        row = [_ZERO] * v
-        row[r] = _ONE
-        rows.append(row)
-    for i in range(1, k):
-        row = [_ZERO] * v
-        row[b[i]:b[i + 1]] = [_ONE] * (b[i + 1] - b[i])
-        for t in range(1, alpha + 1):
-            row[b[k] + t - 1] = schedule_value(spec.schedule, i + 1, t)
-        rows.append(row)
-    for i, j in combinations(range(b[k], v), 2):
-        row = [_ZERO] * v
-        row[i] = _ONE
-        row[j] = _MINUS_ONE
-        rows.append(row)
-    return RatMatrix.from_rows(rows)
+        yield {r: _ONE}
+    for row in truncated_rows(spec):
+        yield {j: x for j, x in row.items() if j < v}
+    for i, j in combinations(range(spec.x_count, v), 2):
+        yield {i: _ONE, j: _MINUS_ONE}
+
+
+def build_stacked_matrix(spec: SystemSpec) -> RatMatrix:
+    """The (I; A; B) stack, the rows of `stacked_rows`."""
+    return _dense(stacked_rows(spec), spec.x_count + spec.alpha)
 
 
 def natural_solution_witness(spec: SystemSpec) -> SolutionAssignment:
@@ -299,14 +304,10 @@ def natural_solution_witness(spec: SystemSpec) -> SolutionAssignment:
         raise ValueError(
             f"integer witness needs a pair schedule, got {spec.schedule.kind!r}"
         )
-    values = [_ZERO] * spec.var_count
-    for n in range(2, spec.depth + 1):
-        for j in range(1, n + 1):
-            values[spec.x_index(n, j)] = _ONE
-        values[spec.z_index(n)] = Fraction(n)
-    for i, y in enumerate(kernel, start=1):
-        values[spec.y_index(i)] = Fraction(y)
-    return SolutionAssignment(tuple(values))
+    # the columns are x_{2,1}..x_{k,k}, then y, then z_2..z_k
+    return SolutionAssignment(tuple(chain(
+        repeat(_ONE, spec.x_count), map(Fraction, kernel),
+        map(Fraction, range(2, spec.depth + 1)))))
 
 
 def d_combination(s: CoefficientSchedule, n: int, y: Sequence[Rat]) -> Rat:
@@ -329,6 +330,31 @@ def d_combination(s: CoefficientSchedule, n: int, y: Sequence[Rat]) -> Rat:
         raise ValueError(f"the d-combination at n={n} has more than "
                          f"{DIGIT_LIMIT} digits, too many to print")
     return total / s.denominator(n)
+
+
+def truncated_residuals(spec: SystemSpec, values: Sequence[Rat]) -> Iterator[Rat]:
+    """The residual of each equation n = 2..depth at the given values, in
+    row order: sum_j x_{n,j} - z_n + the d-combination of the y values.
+
+    Only the row's own terms are read, so the whole check is O(k^2), and
+    D(n) is built only when the d-combination is nonzero (never for a pair
+    schedule's kernel y).
+    """
+    if len(values) != spec.var_count:
+        raise ValueError(f"expected {spec.var_count} values, got {len(values)}")
+    y = values[spec.y_index(1):spec.y_index(spec.alpha) + 1]
+    for n in range(2, spec.depth + 1):
+        first = spec.x_index(n, 1)
+        yield (_exact_sum(values[first:first + n]) - values[spec.z_index(n)]
+               + d_combination(spec.schedule, n, y))
+
+
+def _exact_sum(values: Sequence[Rat]) -> Rat:
+    """The sum of the values, added as integers over their common
+    denominator rather than one Fraction at a time."""
+    dens = [x.denominator for x in values]
+    den = math.lcm(*dens)
+    return Fraction(sum([x.numerator * (den // d) for x, d in zip(values, dens)]), den)
 
 
 def _dot(c: Sequence[int], y: Sequence[Rat]) -> Rat:

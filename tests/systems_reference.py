@@ -1,7 +1,8 @@
 """The denominator-obstruction scan that `refute_over_subring` replaced:
 for n = 2, 3, ..., n_max it builds every coefficient d_{n,i} by branching on
 the schedule kind and tests the d-combination for subring membership.  It
-is the reference for the closed form."""
+is the reference for the closed form.  The dense builders that the sparse
+row generators replaced are kept here too, as their reference."""
 
 from __future__ import annotations
 
@@ -51,3 +52,45 @@ def scan_refute(spec, primes, y, n_max: int) -> int | None:
         if not in_subring(combo, primes):
             return n
     return None
+
+
+# The dense builders that `truncated_rows` and `stacked_rows` replaced:
+# every entry of every row, zeros included, filled in place.
+
+def dense_truncated_system(spec) -> list[list[Fraction]]:
+    rows = []
+    for n in range(2, spec.depth + 1):
+        row = [Fraction(0)] * spec.var_count
+        for j in range(1, n + 1):
+            row[spec.x_index(n, j)] = Fraction(1)
+        for i in range(1, spec.alpha + 1):
+            row[spec.y_index(i)] = scan_schedule_value(spec.schedule, n, i)
+        row[spec.z_index(n)] = Fraction(-1)
+        rows.append(row)
+    return rows
+
+
+def dense_stacked_matrix(spec) -> list[list[Fraction]]:
+    k, alpha = spec.depth, spec.alpha
+    b = [0, 0]
+    for j in range(2, k + 1):
+        b.append(b[-1] + j)
+    v = b[k] + alpha
+    rows = []
+    for r in range(v):
+        row = [Fraction(0)] * v
+        row[r] = Fraction(1)
+        rows.append(row)
+    for i in range(1, k):
+        row = [Fraction(0)] * v
+        row[b[i]:b[i + 1]] = [Fraction(1)] * (b[i + 1] - b[i])
+        for t in range(1, alpha + 1):
+            row[b[k] + t - 1] = scan_schedule_value(spec.schedule, i + 1, t)
+        rows.append(row)
+    for i in range(b[k], v):
+        for j in range(i + 1, v):
+            row = [Fraction(0)] * v
+            row[i] = Fraction(1)
+            row[j] = Fraction(-1)
+            rows.append(row)
+    return rows

@@ -1,13 +1,19 @@
 import time
+import tracemalloc
 
 import pytest
 
-from radokit.cli import _build_parser, main
+import radokit.cli
+from radokit.cli import ENTRY_LIMIT, _build_parser, main
 from radokit.linalg import format_matrix, parse_matrix
+from radokit.search import SolutionAssignment
 from radokit.systems import (
     CoefficientSchedule,
     SystemSpec,
+    build_stacked_matrix,
     build_truncated_system,
+    natural_solution_witness,
+    parse_schedule,
 )
 
 
@@ -133,6 +139,102 @@ class TestBuilders:
         last = capsys.readouterr().out.splitlines()[-1]
         (d,) = [x for x in last.split() if "/" in x]
         assert len(d) == len("1/") + 4156
+
+
+def expected_matrix_output(command, alpha, depth, schedule):
+    """The header and format_matrix of the dense builder's matrix."""
+    spec = SystemSpec(alpha, depth, parse_schedule(schedule))
+    if command == "build-system":
+        M, label = build_truncated_system(spec), "truncated system"
+    else:
+        M, label = build_stacked_matrix(spec), "stacked (I; A; B) matrix"
+    names = spec.variable_names()[:M.cols]
+    return (f"# {label}: depth {depth}, alpha {alpha}\n"
+            f"# columns: {' '.join(names)}\n" + format_matrix(M) + "\n")
+
+
+class TestStreamedBuilders:
+    """build-system and build-iab write one sparse row at a time; the bytes
+    are those of the dense matrix, on stdout and in the --out file alike."""
+
+    @pytest.mark.parametrize("command,alpha,depth,schedule", [
+        ("build-iab", 1, 30, "qpow:5"),
+        ("build-iab", 2, 25, "qpowpair:2"),
+        ("build-system", 2, 40, "qpowpair:5"),
+        ("build-system", 1, 48, "allprimes"),
+    ])
+    def test_same_bytes_as_the_dense_matrix(self, command, alpha, depth,
+                                            schedule, tmp_path, capsys):
+        argv = [command, "--alpha", str(alpha), "--depth", str(depth),
+                "--schedule", schedule]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out == expected_matrix_output(command, alpha, depth, schedule)
+        out_file = tmp_path / "m.txt"
+        assert main(argv + ["--out", str(out_file)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert out_file.read_bytes() == out.encode()
+
+    @pytest.mark.parametrize("command", ["build-system", "build-iab"])
+    def test_schedule_file_of_zeros(self, command, tmp_path, capsys):
+        schedule = "file:" + write(tmp_path, "d.txt", "0 0\n" * 6)
+        argv = [command, "--alpha", "2", "--depth", "7", "--schedule", schedule]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out == expected_matrix_output(command, 2, 7, schedule)
+        assert main(argv + ["--out", str(tmp_path / "m.txt")]) == 0
+        assert (tmp_path / "m.txt").read_bytes() == out.encode()
+
+    def test_memory_for_one_row(self, tmp_path):
+        # 199 rows x 20299 columns, 4.0 million entries
+        out_file = tmp_path / "m.txt"
+        argv = ["build-system", "--alpha", "1", "--depth", "200",
+                "--schedule", "qpow:2", "--out", str(out_file)]
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            assert main(argv) == 0
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 2
+        assert peak < 8 * 2**20
+        with out_file.open() as f:
+            assert sum(1 for _ in f) == 2 + 199
+
+    @pytest.mark.parametrize("command,alpha,schedule", [
+        ("build-system", 1, "qpow:2"),
+        ("build-iab", 1, "qpow:2"),
+        ("nat-witness", 2, "qpowpair:2"),
+    ])
+    def test_entry_limit(self, command, alpha, schedule, tmp_path, capsys):
+        spec = SystemSpec(alpha, 3000, parse_schedule(schedule))
+        cols = spec.x_count + alpha
+        entries = {"build-system": (spec.depth - 1) * spec.var_count,
+                   "build-iab": (cols + spec.depth - 1) * cols,
+                   "nat-witness": spec.var_count}[command]
+        assert entries > ENTRY_LIMIT
+        refusal = ("", f"error: the output would hold {entries} entries, more "
+                       f"than the limit of {ENTRY_LIMIT}\n")
+        argv = [command, "--alpha", str(alpha), "--depth", "3000",
+                "--schedule", schedule]
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 0.5
+        assert capsys.readouterr() == refusal
+        if command != "nat-witness":
+            out_file = tmp_path / "m.txt"
+            assert main(argv + ["--out", str(out_file)]) == 2
+            assert capsys.readouterr() == refusal
+            assert not out_file.exists()
+
+    def test_digit_limit_checked_first(self, capsys):
+        assert main(["build-iab", "--alpha", "1", "--depth", "3000",
+                     "--schedule", "allprimes"]) == 2
+        assert capsys.readouterr().err == (
+            "error: schedule allprimes: D(3000) has more than 4300 digits, "
+            "too many to print\n")
 
 
 class TestMembership:
@@ -268,6 +370,39 @@ class TestNatWitness:
         assert main(["nat-witness", "--alpha", "1", "--depth", "2",
                      "--schedule", "qpow:2"]) == 2
 
+    @pytest.mark.parametrize("name,line", [
+        ("x_3_2", "x_3_2 = 2\n"), ("y_2", "y_2 = 2\n"), ("z_4", "z_4 = 5\n"),
+    ])
+    def test_a_wrong_value_fails(self, name, line, monkeypatch, capsys):
+        def off_by_one(spec):
+            values = list(natural_solution_witness(spec).values)
+            values[spec.variable_names().index(name)] += 1
+            return SolutionAssignment(tuple(values))
+
+        monkeypatch.setattr(radokit.cli, "natural_solution_witness", off_by_one)
+        assert main(["nat-witness", "--alpha", "2", "--depth", "5",
+                     "--schedule", "qpowpair:3"]) == 2
+        out = capsys.readouterr().out
+        assert line in out
+        assert out.endswith("\nverification failed\n")
+
+    def test_deep_witness_checked_row_by_row(self, monkeypatch, capsys):
+        # 500 thousand values, checked without building any D(n)
+        def no_denominator(schedule, n):
+            raise AssertionError(f"D({n}) built")
+
+        monkeypatch.setattr(CoefficientSchedule, "denominator", no_denominator)
+        start = time.perf_counter()
+        assert main(["nat-witness", "--alpha", "2", "--depth", "1000",
+                     "--schedule", "allprimespair"]) == 0
+        assert time.perf_counter() - start < 3
+        out = capsys.readouterr().out
+        assert out.startswith("x_2_1 = 1\nx_2_2 = 1\n")
+        assert "\nx_1000_1000 = 1\ny_1 = 2\ny_2 = 1\nz_2 = 2\n" in out
+        assert out.endswith("\nz_1000 = 1000\nverified: all residuals zero\n")
+        assert out.count("\n") == SystemSpec(
+            2, 1000, CoefficientSchedule.allprimespair()).var_count + 1
+
 
 class TestMonoSearch:
     def test_finds_solution(self, tmp_path, capsys):
@@ -341,6 +476,15 @@ class TestMonoSearch:
         assert time.perf_counter() - start < 1
         assert code == (0 if out.startswith("solution") else 1)
         assert capsys.readouterr().out == out
+
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_budget_below_one(self, budget, tmp_path, capsys):
+        # checked before the matrix file is read
+        assert main(["mono-search", "--matrix", str(tmp_path / "missing.txt"),
+                     "--colouring", "log2parity", "--ground", "4",
+                     f"--budget={budget}"]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: --budget must be positive, got {budget}\n")
 
     def test_malformed_colouring_file(self, tmp_path, capsys):
         matrix = write(tmp_path, "m.txt", "1 1 -1\n")

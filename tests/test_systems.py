@@ -7,17 +7,34 @@ import pytest
 from radokit.linalg import RatMatrix
 from radokit.rado import first_entries, weak_first_entries_condition
 from radokit.rings import PrimeSet, padic_valuation
+from radokit.search import SolutionAssignment
 from radokit.systems import (
     CoefficientSchedule,
     SystemSpec,
-    block_offsets,
     build_stacked_matrix,
     build_truncated_system,
     natural_solution_witness,
     parse_schedule,
     refute_over_subring,
     schedule_value,
+    stacked_rows,
+    truncated_residuals,
+    truncated_rows,
 )
+from systems_reference import dense_stacked_matrix, dense_truncated_system
+
+
+def every_kind(rng, depth):
+    """One schedule of each kind, with (alpha, schedule) pairs; the explicit
+    tables hold zeros, negatives and fractions, one to three columns wide."""
+    yield 1, CoefficientSchedule.qpow(rng.choice((2, 3, 5, 7)))
+    yield 1, CoefficientSchedule.allprimes()
+    yield 2, CoefficientSchedule.qpowpair(rng.choice((2, 3, 5)))
+    yield 2, CoefficientSchedule.allprimespair()
+    for alpha in (1, 2, 3):
+        yield alpha, CoefficientSchedule.explicit(
+            [[F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(alpha)]
+             for _ in range(depth - 1)])
 
 
 class TestScheduleValue:
@@ -163,9 +180,6 @@ class TestBuildTruncatedSystem:
 
 
 class TestBuildStackedMatrix:
-    def test_offsets(self):
-        assert block_offsets(4)[1:] == [0, 2, 5, 9]
-
     def test_minimal(self):
         M = build_stacked_matrix(SystemSpec(1, 2, CoefficientSchedule.qpow(2)))
         assert M.to_lists() == [
@@ -226,6 +240,45 @@ class TestBuildStackedMatrix:
                 == sum(a * x for a, x in zip(system.row(i), embedded))
 
 
+class TestSparseRows:
+    """truncated_rows and stacked_rows against the dense builders they
+    replaced (tests/systems_reference.py)."""
+
+    @pytest.mark.parametrize("rows,reference", [
+        (truncated_rows, dense_truncated_system),
+        (stacked_rows, dense_stacked_matrix),
+    ])
+    def test_against_the_dense_builders(self, rows, reference):
+        rng = random.Random(7)
+        for depth in range(2, 13):
+            for alpha, schedule in every_kind(rng, depth):
+                spec = SystemSpec(alpha, depth, schedule)
+                want = reference(spec)
+                got = list(rows(spec))
+                assert len(got) == len(want)
+                for sparse, dense in zip(got, want):
+                    # the nonzero columns, in column order, and nothing else
+                    assert list(sparse) == [j for j, x in enumerate(dense) if x]
+                    assert all(sparse[j] == dense[j] for j in sparse)
+
+    def test_dense_wrappers(self):
+        rng = random.Random(8)
+        for depth in (2, 5, 12):
+            for alpha, schedule in every_kind(rng, depth):
+                spec = SystemSpec(alpha, depth, schedule)
+                assert build_truncated_system(spec).to_lists() \
+                    == dense_truncated_system(spec)
+                assert build_stacked_matrix(spec).to_lists() \
+                    == dense_stacked_matrix(spec)
+
+    def test_rows_are_produced_lazily(self):
+        # the first row of a truncation far past any printable size
+        spec = SystemSpec(1, 10**6, CoefficientSchedule.qpow(2))
+        assert next(truncated_rows(spec)) == {0: 1, 1: 1, spec.y_index(1): F(1, 4),
+                                              spec.z_index(2): -1}
+        assert next(stacked_rows(spec)) == {0: 1}
+
+
 class TestNaturalSolutionWitness:
     def test_minimal_pair(self):
         spec = SystemSpec(2, 2, CoefficientSchedule.qpowpair(2))
@@ -255,6 +308,29 @@ class TestNaturalSolutionWitness:
     def test_rejects_single_schedules(self):
         with pytest.raises(ValueError):
             natural_solution_witness(SystemSpec(1, 2, CoefficientSchedule.qpow(2)))
+
+
+class TestTruncatedResiduals:
+    def test_agree_with_the_matrix(self):
+        rng = random.Random(9)
+        for depth in range(2, 9):
+            for alpha, schedule in every_kind(rng, depth):
+                spec = SystemSpec(alpha, depth, schedule)
+                values = [F(rng.randint(-4, 4), rng.randint(1, 3))
+                          for _ in range(spec.var_count)]
+                want = SolutionAssignment(tuple(values)).residuals(
+                    build_truncated_system(spec))
+                assert tuple(truncated_residuals(spec, values)) == want
+
+    def test_witness_residuals_vanish(self):
+        spec = SystemSpec(2, 30, CoefficientSchedule.allprimespair())
+        w = natural_solution_witness(spec)
+        assert set(truncated_residuals(spec, w.values)) == {0}
+
+    def test_wrong_length(self):
+        spec = SystemSpec(2, 3, CoefficientSchedule.qpowpair(2))
+        with pytest.raises(ValueError):
+            next(truncated_residuals(spec, [F(1)] * 3))
 
 
 class TestRefuteOverSubring:
