@@ -17,12 +17,23 @@ are assigned.
 `monochromatic_solution` runs the kernel once per colour class on the
 columns up to the last nonzero one, then fills the all-zero columns after
 it in candidate order, so its first witness is the one a search over every
-variable would find first.  `min_rado_number` colours 1, 2, ... in turn and
-pins the newest value t at each column, since only tuples containing t can
-be new.  It colours with restricted growth (colour c only once colour c-1
-is used): renaming colours in order of first use turns any colouring into
-one that is no larger lexicographically and has the same solutions, so the
-least solution-free colourings it finds are the least of all.
+variable would find first.  Its budget counts the tuples of the enumerated
+columns.  A class whose span the pivot row cannot reach is skipped, and
+a large log2parity class stays a list of ranges, the innermost column's
+candidates coming from arithmetic on the ranges.
+
+`min_rado_number` colours 1, 2, ... in turn and pins the newest value t at
+each column, since only tuples containing t can be new.  It colours with
+restricted growth (colour c only once colour c-1 is used): renaming
+colours in order of first use turns any colouring into one that is no
+larger lexicographically and has the same solutions, so the least
+solution-free colourings it finds are the least of all.  It also checks
+forward: once t takes colour c, each uncoloured u that would complete a
+solution in class c with t, u filling one column, is marked against c, and
+a branch is cut when some u at most one past the longest colouring found
+has every colour marked.  Past that horizon a cut could lose the least
+witness.  The marks are sound but not complete, so the kernel still
+decides every value.
 """
 
 from __future__ import annotations
@@ -30,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple, Sequence
 
 from .linalg import RatMatrix
@@ -184,14 +195,15 @@ class GroundSet:
         return cls(span=(num_bound, denominator))
 
 
-def _colour_classes(c: Colouring, g: GroundSet) -> tuple[int, list[list[Sequence[int]]]]:
+def _colour_classes(c: Colouring, g: GroundSet) -> tuple[int, list[list[int] | _Runs]]:
     """The non-empty colour classes of g under c, in colour order, as
-    integer numerators over one common denominator; each class is a list of
-    runs whose concatenation is in ground-set order.
+    integer numerators over one common denominator, each in ground-set
+    order.
 
     Only an explicit ground set is walked.  A slice under a table colouring
     takes the table's values that lie in it; under log2parity it splits
-    into one range per dyadic interval [2^e, 2^(e+1)), of colour e mod 2.
+    into one range per dyadic interval [2^e, 2^(e+1)), of colour e mod 2,
+    and each class is a `_Runs` of them.
     """
     if g.span is None:
         covered = [x for x in g if c.covers(x)]
@@ -200,23 +212,24 @@ def _colour_classes(c: Colouring, g: GroundSet) -> tuple[int, list[list[Sequence
                  for x in covered]
     elif c.kind == "table":
         n, den = g.span
-        pairs = sorted(((x * den).numerator, colour)
-                       for x, colour in c.assignments
-                       if (x * den).denominator == 1 and 1 <= x * den <= n)
+        # x * den is an integer exactly when x's reduced denominator divides den
+        pairs = sorted((a, colour) for x, colour in c.assignments
+                       if not den % x.denominator
+                       and 1 <= (a := x.numerator * (den // x.denominator)) <= n)
     else:
         n, den = g.span
-        runs: list[list[Sequence[int]]] = [[], []]
+        runs: list[list[range]] = [[], []]
         e, lo = _floor_log2(1, den), 1
         while lo <= n:
             # the numerators a with a/den < 2^(e+1)
             hi = (den << e + 1) - 1 if e >= -1 else (den - 1) >> -(e + 1)
             runs[e & 1].append(range(lo, min(hi, n) + 1))
             e, lo = e + 1, hi + 1
-        return den, [cls for cls in runs if cls]
+        return den, [_Runs(cls) for cls in runs if cls]
     members: list[list[int]] = [[] for _ in range(c.r)]
     for a, colour in pairs:
         members[colour].append(a)
-    return den, [[m] for m in members if m]
+    return den, [m for m in members if m]
 
 
 def _integer_rows(A: RatMatrix) -> list[tuple[int, ...]]:
@@ -275,12 +288,30 @@ def _plan(rows: list[tuple[int, ...]], columns: Sequence[int]) -> _Plan:
     )
 
 
+def _solved_interval(plan: _Plan, r: int, lo: int, hi: int) -> tuple[int, int]:
+    """Integer bounds on the plan's solved value from its pivot row alone,
+    when that row's sum over the columns assigned beforehand is r and every
+    enumerated column takes a value in [lo, hi]."""
+    low = high = -r         # bounds on b * (solved value); lo <= hi
+    for coeffs in plan.heads:
+        a = coeffs[plan.pivot]
+        if a > 0:
+            low, high = low - a * hi, high - a * lo
+        else:
+            low, high = low - a * lo, high - a * hi
+    b = plan.solved[plan.pivot]
+    if b < 0:
+        low, high, b = -high, -low, -b
+    return -(-low // b), high // b
+
+
 def _first_solution(plan: _Plan, res: list[int], members: list[int],
                     inclass: set[int], distinct: bool) -> list[int] | None:
     """The first assignment of the plan's columns, in candidate order, that
-    zeroes every row: enumerated values come from `members`, and the solved
-    value must lie in `inclass`.  res[i] is row i's sum over the columns
-    assigned beforehand.  Returns the values in plan order, or None."""
+    zeroes every row: enumerated values come from `members` (a list, or the
+    `_Runs` that is also `inclass`), and the solved value must lie in
+    `inclass`.  res[i] is row i's sum over the columns assigned beforehand.
+    Returns the values in plan order, or None."""
     if any(res[i] for i in plan.fixed):
         return None
     chosen: list[int] = []
@@ -312,11 +343,13 @@ def _extend(plan: _Plan, res: list[int], chosen: list[int], members: list[int],
     coeffs, checks = plan.heads[k], plan.checks[k]
     innermost = k + 1 == len(plan.heads)
     a, b, r = coeffs[plan.pivot], plan.solved[plan.pivot], res[plan.pivot]
-    for x in members:
-        # innermost, the pivot row alone must give an integral value in the
-        # class: a cheap test that rejects most candidates before any list
-        # is built
-        if innermost:
+    # innermost, the pivot row alone must give an integral value in the
+    # class: a cheap test that rejects most candidates before any list is
+    # built, and that a class of runs answers for whole runs at once
+    runs = innermost and isinstance(members, _Runs)
+    test = innermost and not runs
+    for x in members.solving(a, b, r) if runs else members:
+        if test:
             y, rest = divmod(-r - a * x, b)
             if rest or y not in inclass:
                 continue
@@ -337,14 +370,62 @@ def _extend(plan: _Plan, res: list[int], chosen: list[int], members: list[int],
     return False
 
 
-class _InRuns:
-    """Membership in a colour class given as runs (ranges or lists)."""
+# The most values of a log2parity class that a search lists: listing costs
+# time and memory in the class size, whereas searching the runs costs, per
+# innermost column, the square of their number.
+_LISTED = 4096
 
-    def __init__(self, runs: list[Sequence[int]]) -> None:
+
+class _Runs:
+    """A colour class held as increasing, disjoint ranges and never listed:
+    a dyadic slice under log2parity, whose classes can be far larger than
+    anything the search touches."""
+
+    def __init__(self, runs: list[range]) -> None:
         self.runs = runs
+
+    def __iter__(self):
+        return chain.from_iterable(self.runs)
+
+    def __len__(self) -> int:
+        return sum(map(len, self.runs))
 
     def __contains__(self, x: int) -> bool:
         return any(x in run for run in self.runs)
+
+    def span(self) -> tuple[int, int]:
+        return self.runs[0].start, self.runs[-1].stop - 1
+
+    def solving(self, a: int, b: int, r: int):
+        """The x in the class, in order, for which y = (-r - a*x) / b is an
+        integer in the class.  The x with an integral y form one residue
+        class mod |b| / gcd(a, b), and those with y in a given run one
+        interval, so each run yields a few arithmetic progressions."""
+        if a == 0:
+            y, rest = divmod(-r, b)
+            return iter(self) if not rest and y in self else iter(())
+        g = gcd(a, b)
+        if r % g:
+            return iter(())
+        step = abs(b) // g
+        first = (-r // g) * pow(a // g, -1, step) % step if step > 1 else 0
+        spans = []
+        for run in self.runs:
+            found = []
+            for target in self.runs:
+                # y in target  <=>  a*x in [low, high]
+                low = high = -r
+                low -= max(b * target.start, b * (target.stop - 1))
+                high -= min(b * target.start, b * (target.stop - 1))
+                if a > 0:
+                    start, stop = -(-low // a), high // a + 1
+                else:
+                    start, stop = -(-high // a), low // a + 1
+                start, stop = max(start, run.start), min(stop, run.stop)
+                if start < stop:
+                    found.append(range(start + (first - start) % step, stop, step))
+            spans += sorted(found, key=lambda span: span.start)
+        return chain.from_iterable(spans)
 
 
 def monochromatic_solution(
@@ -360,37 +441,43 @@ def monochromatic_solution(
     Deterministic: colour classes in colour order, candidates in ground-set
     order, first witness wins.  Raises BudgetExceededError, before any
     search and before a slice is listed, when the sum over colour classes
-    of |class|^v, for v the number of columns, exceeds `budget`.
+    of |class|^k, for k the number of columns before the last nonzero one
+    (the columns the kernel enumerates), exceeds `budget`.
     """
     v = A.cols
     if v == 0:
         raise ValueError("matrix has no columns to solve for")
+    rows = _integer_rows(A)
+    last = max((j for row in rows for j in range(v) if row[j]), default=-1)
     den, classes = _colour_classes(c, g)
-    sizes = [sum(map(len, runs)) for runs in classes]
-    if sum(size ** v for size in sizes) > budget:
+    sizes = [len(cls) for cls in classes]
+    # the columns before the last nonzero one are enumerated; the last is
+    # solved for, and the all-zero ones after it are filled without a search
+    if sum(size ** max(last, 0) for size in sizes) > budget:
         raise BudgetExceededError(
             f"search space exceeds budget of {budget} candidate tuples"
         )
-    rows = _integer_rows(A)
-    last = max((j for row in rows for j in range(v) if row[j]), default=-1)
     plan = _plan(rows, range(last + 1))
-    for runs, size in zip(classes, sizes):
+    for cls, size in zip(classes, sizes):
         if distinct and size < v:
             continue
         if plan.heads:
-            members = [x for run in runs for x in run]
-            found = _first_solution(plan, [0] * len(rows), members, set(members),
-                                    distinct)
+            # a class is passed over at once when the pivot row alone keeps
+            # the solved value out of its span
+            lo, hi = cls.span() if isinstance(cls, _Runs) else (min(cls), max(cls))
+            low, high = _solved_interval(plan, 0, lo, hi)
+            if high < lo or low > hi:
+                continue
+        if size <= _LISTED or not isinstance(cls, _Runs):
+            cls = list(cls)
+            inclass = set(cls)
         else:
-            # nothing is enumerated, so the class is never listed: the
-            # solved value is looked up in the runs themselves
-            found = _first_solution(plan, [0] * len(rows), [], _InRuns(runs),
-                                    distinct)
+            inclass = cls
+        found = _first_solution(plan, [0] * len(rows), cls, inclass, distinct)
         if found is not None:
             # all-zero columns after the solved one take the first allowed candidates
             for _ in range(last + 1, v):
-                found.append(next(x for x in chain.from_iterable(runs)
-                                  if not (distinct and x in found)))
+                found.append(next(x for x in cls if not (distinct and x in found)))
             return SolutionAssignment(tuple(Fraction(x, den) for x in found))
     return None
 
@@ -410,15 +497,68 @@ class RadoNumberResult:
     witness: tuple[int, ...]
 
 
+def _solved_values(plan: _Plan, res: list[int], members: list[int], lo: int,
+                   hi: int) -> set[int]:
+    """Every value in (lo, hi] that the plan's solved column takes in an
+    assignment zeroing every row, the enumerated columns drawn from
+    `members` and res as in `_first_solution`.
+
+    The kernel's enumeration without its early exit, one column at a time:
+    assignments that leave equal row sums are merged, except at the last
+    enumerated column, where each candidate is solved for directly.
+    """
+    if any(res[i] for i in plan.fixed):
+        return set()
+    if plan.heads:
+        *outer, (coeffs, checks) = zip(plan.heads, plan.checks)
+    else:   # nothing is enumerated: one pass with a zero column
+        outer, coeffs, checks, members = [], (0,) * len(res), (), (0,)
+    states = {tuple(res)}
+    for head, head_checks in outer:
+        states = {new for state in states for x in members
+                  for new in (tuple(r + a * x for r, a in zip(state, head)),)
+                  if not any(new[i] for i in head_checks)}
+    pivot, solved, others = plan.pivot, plan.solved, plan.others
+    a, b = coeffs[pivot], solved[pivot]
+    values = set()
+    for state in states:
+        r = state[pivot]
+        for x in members:
+            y, rest = divmod(-r - a * x, b)
+            if rest or not lo < y <= hi:
+                continue
+            if checks or others:
+                new = [ri + ai * x for ri, ai in zip(state, coeffs)]
+                if any(new[i] for i in checks) or any(
+                        new[i] + solved[i] * y for i in others):
+                    continue
+            values.add(y)
+    return values
+
+
 def min_rado_number(A: RatMatrix, r: int, n_max: int) -> RadoNumberResult:
     """Least N <= n_max forcing a monochromatic solution under every
-    r-colouring of {1..N}, by backtracking with solution pruning.
+    r-colouring of {1..N}, by backtracking with solution pruning and
+    forward checking.
 
     Colourings are tried in lexicographic order with restricted growth:
     colour c is used only once colour c-1 has been used, so of the
     colourings that differ only by a renaming of colours only the least is
-    tried.  The search is exhaustive at desk scale only; hence the caps
-    r <= 4 and n_max <= 64.
+    tried.
+
+    Forward checking: once t takes colour c and passes the exact check,
+    every uncoloured u in (t, n_max] that would complete a solution in class
+    c with t and u, u filling one column, gets a mark against colour c,
+    undone when the search backtracks past t.  A marked colour is rejected
+    without the exact check.  A branch is cut when some u <= len(best) + 1
+    has every colour marked (a wipe-out): no extension of it can colour u,
+    so none can beat the best colouring found.  Wipe-outs past that horizon
+    are not tested, since cutting there could cut the least witness.  The
+    marks are sound but not complete (a solution with u in two or more
+    columns marks nothing), so the exact check still decides every value.
+
+    The search is exhaustive at desk scale only; hence the caps r <= 4 and
+    n_max <= 64.
     """
     if not 1 <= r <= 4:
         raise ValueError(f"colour count must be 1..4, got {r}")
@@ -433,40 +573,83 @@ def min_rado_number(A: RatMatrix, r: int, n_max: int) -> RadoNumberResult:
     nonzero = [j for j in range(v) if any(columns[j])]
     # swapping two columns with equal coefficients maps solutions to
     # solutions, so t is pinned only at the first column of each kind
+    kinds = [p for p in range(v) if columns.index(columns[p]) == p]
     plans = [(columns[p], _plan(rows, [j for j in nonzero if j != p]))
-             for p in range(v) if columns.index(columns[p]) == p]
+             for p in kinds]
+    # the forward step pins t at a nonzero column p and solves for u at the
+    # first column of each kind among the other nonzero columns
+    ahead = []
+    for p in kinds:
+        if p not in nonzero:
+            continue
+        rest = [j for j in nonzero if j != p]
+        left = [columns[j] for j in rest]
+        ahead += [(columns[p], _plan(rows, [j for j in rest if j != f] + [f]))
+                  for k, f in enumerate(rest) if left.index(columns[f]) == k]
 
     members: list[list[int]] = [[] for _ in range(r)]
     inclass: list[set[int]] = [set() for _ in range(r)]
+    forbid = [0] * ((n_max + 1) * r)    # forbid[u*r + c]: marks against c at u
+    trails: list[list[int]] = []        # the marks each coloured value made
     colours: list[int] = []
     used = [0]          # used[t]: colours used on 1..t
     best: tuple[int, ...] = ()
+
+    def forward(t: int, colour: int) -> list[int] | None:
+        """Mark `colour` at each u in (t, n_max] that would complete a
+        solution in its class with t; the marks made, or None with them
+        undone on a wipe-out at or below the horizon."""
+        trail: list[int] = []
+        horizon = len(best) + 1
+        for pinned, plan in ahead:
+            res = [a * t for a in pinned]
+            low, high = _solved_interval(plan, res[plan.pivot], 1, t)
+            if high <= t or low > n_max:
+                continue
+            for u in _solved_values(plan, res, members[colour], t, n_max):
+                i = u * r + colour
+                forbid[i] += 1
+                trail.append(i)
+                if forbid[i] == 1 and u <= horizon and all(forbid[u * r:u * r + r]):
+                    for i in trail:
+                        forbid[i] -= 1
+                    return None
+        return trail
+
     colour = 0
     while True:
         t = len(colours) + 1
         if colour < min(r, used[-1] + 1):
-            members[colour].append(t)
-            inclass[colour].add(t)
-            # only solutions that contain t are new
-            if not any(_first_solution(plan, [a * t for a in pinned],
-                                       members[colour], inclass[colour], False)
-                       is not None for pinned, plan in plans):
-                colours.append(colour)
-                used.append(max(used[-1], colour + 1))
-                if t > len(best):
-                    best = tuple(colours)
-                if t == n_max:
-                    return RadoNumberResult(None, best)
-                colour = 0
-                continue
-            members[colour].pop()
-            inclass[colour].discard(t)
+            if not forbid[t * r + colour]:
+                members[colour].append(t)
+                inclass[colour].add(t)
+                # only solutions that contain t are new
+                if not any(_first_solution(plan, [a * t for a in pinned],
+                                           members[colour], inclass[colour], False)
+                           is not None for pinned, plan in plans):
+                    colours.append(colour)
+                    used.append(max(used[-1], colour + 1))
+                    if t > len(best):
+                        best = tuple(colours)
+                    if t == n_max:
+                        return RadoNumberResult(None, best)
+                    trail = forward(t, colour)
+                    if trail is not None:
+                        trails.append(trail)
+                        colour = 0
+                        continue
+                    colours.pop()
+                    used.pop()
+                members[colour].pop()
+                inclass[colour].discard(t)
             colour += 1
         elif colours:
             colour = colours.pop()
             used.pop()
             members[colour].pop()
             inclass[colour].discard(t - 1)
+            for i in trails.pop():
+                forbid[i] -= 1
             colour += 1
         else:
             return RadoNumberResult(len(best) + 1, best)

@@ -141,6 +141,39 @@ class TestMonochromaticSolution:
         with pytest.raises(BudgetExceededError):
             monochromatic_solution(SCHUR, c, GroundSet.integers(10), budget=10)
 
+    def test_budget_counts_enumerated_columns(self):
+        # x = 2y enumerates x alone: the two classes of 1..14000 count 14000
+        M = RatMatrix.from_rows([[1, -2]])
+        g = GroundSet.slice(14000)
+        with pytest.raises(BudgetExceededError):
+            monochromatic_solution(M, Colouring.log2_parity(), g, budget=13999)
+        assert monochromatic_solution(M, Colouring.log2_parity(), g,
+                                      budget=14000) is None
+
+    @pytest.mark.parametrize("row", [[1, -2], [3, -5], [1, -8]])
+    def test_huge_log2_slice_searched_by_runs(self, row):
+        # one enumerated column over classes of ~5 * 10^7 values: each run
+        # of the class is matched against the others arithmetically
+        M = RatMatrix.from_rows([row])
+        start = time.perf_counter()
+        found = monochromatic_solution(M, Colouring.log2_parity(),
+                                       GroundSet.slice(10**8, 3))
+        assert time.perf_counter() - start < 1
+        if row == [3, -5]:
+            # 3x = 5y first at x = 5/3, y = 1 (the class [4/3, 2) of colour 0)
+            assert found.values == (F(5, 3), F(1))
+        else:
+            assert found is None
+
+    def test_interval_prune(self):
+        # x + y + z = 0 has no positive solution; the pivot row shows it
+        # without enumerating 10^12 pairs
+        M = RatMatrix.from_rows([[1, 1, 1]])
+        start = time.perf_counter()
+        assert monochromatic_solution(M, Colouring.log2_parity(),
+                                      GroundSet.slice(10**6), budget=10**12) is None
+        assert time.perf_counter() - start < 1
+
     def test_no_columns_rejected(self):
         with pytest.raises(ValueError):
             monochromatic_solution(
@@ -247,6 +280,16 @@ class TestMinRadoNumber:
         assert len(result.witness) == 28 and set(result.witness) == {0, 1, 2, 3}
         c = Colouring.table(list(range(1, 29)), list(result.witness), r=4)
         assert monochromatic_solution(SCHUR, c, GroundSet.integers(28)) is None
+
+    def test_four_colour_schur_survivor_of_43_in_time(self):
+        # forward checking: 132,987 exact checks without it, 4,322 with it
+        start = time.perf_counter()
+        result = min_rado_number(SCHUR, 4, 43)
+        assert time.perf_counter() - start < 1.5
+        assert result.number is None
+        assert len(result.witness) == 43 and set(result.witness) == {0, 1, 2, 3}
+        c = Colouring.table(list(range(1, 44)), list(result.witness), r=4)
+        assert monochromatic_solution(SCHUR, c, GroundSet.integers(43)) is None
 
     def test_bounds_rejected(self):
         with pytest.raises(ValueError):

@@ -6,12 +6,16 @@ BudgetExceededError on exactly the same inputs."""
 import random
 from fractions import Fraction as F
 
+import pytest
+
 import search_reference as ref
+from radokit import search
 from radokit.linalg import RatMatrix
 from radokit.search import (
     BudgetExceededError,
     Colouring,
     GroundSet,
+    _Runs,
     min_rado_number,
     monochromatic_solution,
 )
@@ -66,7 +70,22 @@ def random_ground_and_colouring(rng: random.Random, size: int):
     return ground, Colouring.table(coloured, [rng.randrange(r) for _ in coloured], r=r)
 
 
+def enumerated_tuples(A: RatMatrix, c: Colouring, g: GroundSet) -> int:
+    """The budget's count: the sum over colour classes of |class|^k, for k
+    the columns before the last nonzero one (the columns the search
+    enumerates)."""
+    last = max((j for i in range(A.rows) for j in range(A.cols) if A.at(i, j)),
+               default=0)
+    sizes = [0] * c.r
+    for x in g:
+        if c.covers(x):
+            sizes[c.colour_of(x)] += 1
+    return sum(size ** last for size in sizes if size)
+
+
 def test_monochromatic_solution_matches_reference():
+    """Refused exactly when the enumerated tuples exceed the budget, and
+    otherwise the reference's answer with no budget."""
     rng = random.Random(20260301)
     found = budget = 0
     for case in range(1000):
@@ -76,13 +95,37 @@ def test_monochromatic_solution_matches_reference():
         g, c = random_ground_and_colouring(rng, size)
         distinct = rng.random() < 0.5
         b = rng.choice(BUDGETS)
-        want = outcome(ref.monochromatic_solution, A, c, g, distinct, b)
         got = outcome(monochromatic_solution, A, c, g, distinct, b)
+        if enumerated_tuples(A, c, g) > b:
+            assert got == "budget exceeded", (case, A.to_lists(), c, g, distinct, b)
+            budget += 1
+            continue
+        want = ref.monochromatic_solution(A, c, g, distinct, budget=10**100)
         assert got == want, (case, A.to_lists(), c, g, distinct, b)
-        found += want not in (None, "budget exceeded")
-        budget += want == "budget exceeded"
+        found += want is not None
     # the draw exercises all three outcomes
-    assert found > 80 and budget > 100 and 1000 - found - budget > 300
+    assert found > 80 and budget > 100 and 1000 - found - budget > 300, (found, budget)
+
+
+def test_monochromatic_solution_matches_reference_as_runs(monkeypatch):
+    """The same draw with every log2parity class searched as its ranges, as
+    a class of more than search._LISTED values is."""
+    monkeypatch.setattr(search, "_LISTED", 0)
+    test_monochromatic_solution_matches_reference()
+
+
+def test_runs_solving_matches_filter():
+    """A class of runs yields, by arithmetic, exactly the candidates the
+    kernel's per-value test keeps, in the same order."""
+    rng = random.Random(20260304)
+    for case in range(2000):
+        cuts = sorted(rng.sample(range(-60, 200), 2 * rng.randint(1, 5)))
+        cls = _Runs([range(lo, hi) for lo, hi in zip(cuts[::2], cuts[1::2])])
+        a = rng.choice((0, 1, 2, 3, 6, 8)) * rng.choice((-1, 1))
+        b = rng.choice((1, 2, 3, 4, 9)) * rng.choice((-1, 1))
+        r = rng.randint(-300, 300)
+        want = [x for x in cls if (-r - a * x) % b == 0 and (-r - a * x) // b in cls]
+        assert list(cls.solving(a, b, r)) == want, (case, cls.runs, a, b, r)
 
 
 def test_min_rado_number_matches_reference():
@@ -114,3 +157,26 @@ def test_min_rado_number_matches_reference_on_equations():
         assert min_rado_number(A, r, n_max) == want, (case, row, r, n_max)
         numbers += want.number is not None
     assert 15 < numbers < 45
+
+
+# Equations in which the newest value can fill two columns (u + u = 3z), so
+# the forward step marks only some of the solutions an exact check finds.
+# The first three have coefficients summing to 0 and constant solutions.
+REPEATING = {
+    "x+y=z+w": ([1, 1, -1, -1], 20),
+    "2x=y+z": ([2, -1, -1], 20),
+    "x+y+z=3w": ([1, 1, 1, -3], 20),
+    "x+y=3z": ([1, 1, -3], 20),
+    "x+y+z=4w": ([1, 1, 1, -4], 20),
+    "2x+y=5z": ([2, 1, -5], 20),
+    "x+y=2z+w": ([1, 1, -2, -1], 15),
+}
+
+
+@pytest.mark.parametrize("name", REPEATING)
+def test_min_rado_number_matches_reference_on_repeating_equations(name):
+    row, n_max = REPEATING[name]
+    A = RatMatrix.from_rows([row])
+    for r in range(1, 5):
+        want = ref.min_rado_number(A, r, n_max)
+        assert min_rado_number(A, r, n_max) == want, (r, want)
