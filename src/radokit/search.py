@@ -19,8 +19,8 @@ columns up to the last nonzero one, then fills the all-zero columns after
 it in candidate order, so its first witness is the one a search over every
 variable would find first.  Its budget counts the tuples of the enumerated
 columns.  A class whose span the pivot row cannot reach is skipped, and
-a large log2parity class stays a list of ranges, the innermost column's
-candidates coming from arithmetic on the ranges.
+a log2parity class, of any size, stays a list of ranges, the innermost
+column's candidates coming from arithmetic on the ranges.
 
 `min_rado_number` colours 1, 2, ... in turn and pins the newest value t at
 each column, since only tuples containing t can be new.  It colours with
@@ -38,6 +38,7 @@ decides every value.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
@@ -370,12 +371,6 @@ def _extend(plan: _Plan, res: list[int], chosen: list[int], members: list[int],
     return False
 
 
-# The most values of a log2parity class that a search lists: listing costs
-# time and memory in the class size, whereas searching the runs costs, per
-# innermost column, the square of their number.
-_LISTED = 4096
-
-
 class _Runs:
     """A colour class held as increasing, disjoint ranges and never listed:
     a dyadic slice under log2parity, whose classes can be far larger than
@@ -383,6 +378,7 @@ class _Runs:
 
     def __init__(self, runs: list[range]) -> None:
         self.runs = runs
+        self.starts = [run.start for run in runs]
 
     def __iter__(self):
         return chain.from_iterable(self.runs)
@@ -391,7 +387,8 @@ class _Runs:
         return sum(map(len, self.runs))
 
     def __contains__(self, x: int) -> bool:
-        return any(x in run for run in self.runs)
+        i = bisect_right(self.starts, x)
+        return i > 0 and x < self.runs[i - 1].stop
 
     def span(self) -> tuple[int, int]:
         return self.runs[0].start, self.runs[-1].stop - 1
@@ -400,32 +397,45 @@ class _Runs:
         """The x in the class, in order, for which y = (-r - a*x) / b is an
         integer in the class.  The x with an integral y form one residue
         class mod |b| / gcd(a, b), and those with y in a given run one
-        interval, so each run yields a few arithmetic progressions."""
+        interval; y is monotone in x, so these intervals are disjoint and
+        ordered like the runs or reversed, and one lazy merge with the runs
+        yields the candidates as arithmetic progressions."""
         if a == 0:
             y, rest = divmod(-r, b)
-            return iter(self) if not rest and y in self else iter(())
+            if not rest and y in self:
+                yield from self
+            return
         g = gcd(a, b)
         if r % g:
-            return iter(())
+            return
         step = abs(b) // g
         first = (-r // g) * pow(a // g, -1, step) % step if step > 1 else 0
-        spans = []
-        for run in self.runs:
-            found = []
-            for target in self.runs:
-                # y in target  <=>  a*x in [low, high]
-                low = high = -r
-                low -= max(b * target.start, b * (target.stop - 1))
-                high -= min(b * target.start, b * (target.stop - 1))
-                if a > 0:
-                    start, stop = -(-low // a), high // a + 1
-                else:
-                    start, stop = -(-high // a), low // a + 1
-                start, stop = max(start, run.start), min(stop, run.stop)
-                if start < stop:
-                    found.append(range(start + (first - start) % step, stop, step))
-            spans += sorted(found, key=lambda span: span.start)
-        return chain.from_iterable(spans)
+        if b < 0:
+            a, b, r = -a, -b, -r
+        runs = self.runs
+        n = len(runs)
+        i = j = 0
+        while i < n and j < n:
+            run = runs[i]
+            # the x whose y lies in the j-th target run, in x order; with
+            # b > 0, y in [s, e]  <=>  a*x in [-r - b*e, -r - b*s]
+            if a > 0:
+                target = runs[n - 1 - j]
+                start = -((r + b * (target.stop - 1)) // a)
+                stop = (-r - b * target.start) // a + 1
+            else:
+                target = runs[j]
+                start = -((r + b * target.start) // a)
+                stop = (-r - b * (target.stop - 1)) // a + 1
+            if run.stop < stop:
+                i += 1
+                stop = run.stop
+            else:
+                j += 1
+            if start < run.start:
+                start = run.start
+            if start < stop:
+                yield from range(start + (first - start) % step, stop, step)
 
 
 def monochromatic_solution(
@@ -468,11 +478,7 @@ def monochromatic_solution(
             low, high = _solved_interval(plan, 0, lo, hi)
             if high < lo or low > hi:
                 continue
-        if size <= _LISTED or not isinstance(cls, _Runs):
-            cls = list(cls)
-            inclass = set(cls)
-        else:
-            inclass = cls
+        inclass = cls if isinstance(cls, _Runs) else set(cls)
         found = _first_solution(plan, [0] * len(rows), cls, inclass, distinct)
         if found is not None:
             # all-zero columns after the solved one take the first allowed candidates

@@ -9,7 +9,6 @@ from fractions import Fraction as F
 import pytest
 
 import search_reference as ref
-from radokit import search
 from radokit.linalg import RatMatrix
 from radokit.search import (
     BudgetExceededError,
@@ -105,13 +104,6 @@ def test_monochromatic_solution_matches_reference():
         found += want is not None
     # the draw exercises all three outcomes
     assert found > 80 and budget > 100 and 1000 - found - budget > 300, (found, budget)
-
-
-def test_monochromatic_solution_matches_reference_as_runs(monkeypatch):
-    """The same draw with every log2parity class searched as its ranges, as
-    a class of more than search._LISTED values is."""
-    monkeypatch.setattr(search, "_LISTED", 0)
-    test_monochromatic_solution_matches_reference()
 
 
 def test_runs_solving_matches_filter():
