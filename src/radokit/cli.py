@@ -16,7 +16,7 @@ import math
 import sys
 from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .linalg import RatMatrix, parse_matrix
 from .rado import columns_condition, first_entries, weak_first_entries_condition
@@ -70,6 +70,17 @@ def _write_matrix(header: list[str], rows: Iterable[dict[int, Rat]], cols: int,
             f.write(" ".join(cells) + "\n")
             for j in row:
                 cells[j] = "0"
+
+
+def _texts(values: Iterable[Rat]) -> Iterator[str]:
+    """format_rat of each value, run again only when a value is not the
+    object before it: a witness repeats one object for most of its values,
+    and hashing a Fraction costs more than formatting it."""
+    last = text = None
+    for x in values:
+        if x is not last:
+            last, text = x, format_rat(x)
+        yield text
 
 
 def _check_entries(count: int) -> None:
@@ -220,7 +231,7 @@ def _cmd_nat_witness(args: argparse.Namespace) -> int:
     witness = natural_solution_witness(spec)
     # the lines "name = value\n" as a stream of parts, written in chunks
     parts = chain.from_iterable(zip(spec.iter_variable_names(), repeat(" = "),
-                                    map(format_rat, witness.values), repeat("\n")))
+                                    _texts(witness.values), repeat("\n")))
     while chunk := "".join(islice(parts, 16384)):
         sys.stdout.write(chunk)
     ok = all(r == 0 for r in truncated_residuals(spec, witness.values))

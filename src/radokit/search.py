@@ -12,15 +12,18 @@ denominator.  The kernel enumerates, in candidate order, every column it
 assigns but the last, and solves for that last column, whose value is then
 unique: it must be integral, in the colour class and, when values must be
 distinct, not chosen already.  A row is checked as soon as all its columns
-are assigned.
+are assigned.  At every level the pivot row bounds the next column
+(`_head_range`): with its sum so far, the later columns in the class's
+span and the solved value in its target, the column's value lies in an
+interval, and candidates outside it are passed over.  They are filtered,
+not cut off, as an explicit ground set need not be sorted.
 
 `monochromatic_solution` runs the kernel once per colour class on the
 columns up to the last nonzero one, then fills the all-zero columns after
 it in candidate order, so its first witness is the one a search over every
 variable would find first.  Its budget counts the tuples of the enumerated
-columns.  A class whose span the pivot row cannot reach is skipped, and
-a log2parity class, of any size, stays a list of ranges, the innermost
-column's candidates coming from arithmetic on the ranges.
+columns.  A log2parity class, of any size, stays a list of ranges, the
+innermost column's candidates coming from arithmetic on the ranges.
 
 `min_rado_number` colours 1, 2, ... in turn and pins the newest value t at
 each column, since only tuples containing t can be new.  It colours with
@@ -252,7 +255,10 @@ class _Plan(NamedTuple):
     and checks[k] the rows that column completes.  `solved` holds the last
     column's coefficients and `others` the rows besides the pivot that it
     completes.  `fixed` rows involve none of the columns.  pivot is -1 when
-    there are no columns.
+    there are no columns.  spread[k] holds, from the pivot row, the k-th
+    enumerated column's coefficient, the sums of the positive and of the
+    negative coefficients of the enumerated columns after it, and the
+    solved column's coefficient.
     """
 
     heads: tuple[tuple[int, ...], ...]
@@ -261,12 +267,13 @@ class _Plan(NamedTuple):
     pivot: int
     others: tuple[int, ...]
     fixed: tuple[int, ...]
+    spread: tuple[tuple[int, int, int, int], ...]
 
 
 def _plan(rows: list[tuple[int, ...]], columns: Sequence[int]) -> _Plan:
     """The plan for `columns`, whose last member must be nonzero in some row."""
     if not columns:
-        return _Plan((), (), (), -1, (), tuple(range(len(rows))))
+        return _Plan((), (), (), -1, (), tuple(range(len(rows))), ())
     *head, last = columns
     checks: list[list[int]] = [[] for _ in head]
     solving: list[int] = []
@@ -279,6 +286,7 @@ def _plan(rows: list[tuple[int, ...]], columns: Sequence[int]) -> _Plan:
             checks[involved[-1]].append(i)
         else:
             fixed.append(i)
+    pivot = [rows[solving[0]][j] for j in columns]   # the heads, then the solved
     return _Plan(
         tuple(tuple(row[j] for row in rows) for j in head),
         tuple(map(tuple, checks)),
@@ -286,42 +294,52 @@ def _plan(rows: list[tuple[int, ...]], columns: Sequence[int]) -> _Plan:
         solving[0],
         tuple(solving[1:]),
         tuple(fixed),
+        tuple((a, sum(x for x in pivot[k + 1:-1] if x > 0),
+               sum(x for x in pivot[k + 1:-1] if x < 0), pivot[-1])
+              for k, a in enumerate(pivot[:-1])),
     )
 
 
-def _solved_interval(plan: _Plan, r: int, lo: int, hi: int) -> tuple[int, int]:
-    """Integer bounds on the plan's solved value from its pivot row alone,
-    when that row's sum over the columns assigned beforehand is r and every
-    enumerated column takes a value in [lo, hi]."""
-    low = high = -r         # bounds on b * (solved value); lo <= hi
-    for coeffs in plan.heads:
-        a = coeffs[plan.pivot]
-        if a > 0:
-            low, high = low - a * hi, high - a * lo
-        else:
-            low, high = low - a * lo, high - a * hi
-    b = plan.solved[plan.pivot]
+def _head_range(plan: _Plan, k: int, r: int, lo: int, hi: int, ylo: int,
+                yhi: int) -> tuple[int, int]:
+    """The least and the greatest value in [lo, hi] that the plan's k-th
+    enumerated column can take by its pivot row alone, when that row's sum
+    over the columns assigned before it is r, every later enumerated column
+    lies in [lo, hi] and the solved value in [ylo, yhi].  The least exceeds
+    the greatest when there is none."""
+    a, pos, neg, b = plan.spread[k]
     if b < 0:
-        low, high, b = -high, -low, -b
-    return -(-low // b), high // b
+        ylo, yhi = yhi, ylo
+    # a * x lies in [low, high], the row's other terms at their extremes
+    high = -r - pos * lo - neg * hi - b * ylo
+    low = -r - pos * hi - neg * lo - b * yhi
+    if a < 0:
+        a, low, high = -a, -high, -low
+    if a:
+        xlo, xhi = -(-low // a), high // a
+        return (xlo if xlo > lo else lo), (xhi if xhi < hi else hi)
+    return (lo, hi) if low <= 0 <= high else (hi + 1, hi)
 
 
 def _first_solution(plan: _Plan, res: list[int], members: list[int],
-                    inclass: set[int], distinct: bool) -> list[int] | None:
+                    inclass: set[int], distinct: bool, lo: int,
+                    hi: int) -> list[int] | None:
     """The first assignment of the plan's columns, in candidate order, that
     zeroes every row: enumerated values come from `members` (a list, or the
     `_Runs` that is also `inclass`), and the solved value must lie in
-    `inclass`.  res[i] is row i's sum over the columns assigned beforehand.
-    Returns the values in plan order, or None."""
-    if any(res[i] for i in plan.fixed):
-        return None
+    `inclass`; [lo, hi] spans the class.  res[i] is row i's sum over the
+    columns assigned beforehand.  Returns the values in plan order, or None."""
+    for i in plan.fixed:
+        if res[i]:
+            return None
     chosen: list[int] = []
     if plan.pivot < 0:
         return chosen
     if not plan.heads:
         y = _solve(plan, res, chosen, inclass, distinct)
         return None if y is None else [y]
-    return chosen if _extend(plan, res, chosen, members, inclass, distinct) else None
+    found = _extend(plan, res, chosen, members, inclass, distinct, lo, hi)
+    return chosen if found else None
 
 
 def _solve(plan: _Plan, res: list[int], chosen: list[int], inclass: set[int],
@@ -337,19 +355,24 @@ def _solve(plan: _Plan, res: list[int], chosen: list[int], inclass: set[int],
 
 
 def _extend(plan: _Plan, res: list[int], chosen: list[int], members: list[int],
-            inclass: set[int], distinct: bool) -> bool:
+            inclass: set[int], distinct: bool, lo: int, hi: int) -> bool:
     """Extend `chosen` by the enumerated columns it lacks, then by the
     solved column; res holds the row sums over the columns in `chosen`."""
-    k = len(chosen)
+    k, r = len(chosen), res[plan.pivot]
+    xlo, xhi = _head_range(plan, k, r, lo, hi, lo, hi)
+    if xlo > xhi:
+        return False
     coeffs, checks = plan.heads[k], plan.checks[k]
     innermost = k + 1 == len(plan.heads)
-    a, b, r = coeffs[plan.pivot], plan.solved[plan.pivot], res[plan.pivot]
+    a, b = coeffs[plan.pivot], plan.solved[plan.pivot]
     # innermost, the pivot row alone must give an integral value in the
     # class: a cheap test that rejects most candidates before any list is
     # built, and that a class of runs answers for whole runs at once
     runs = innermost and isinstance(members, _Runs)
     test = innermost and not runs
     for x in members.solving(a, b, r) if runs else members:
+        if not xlo <= x <= xhi:
+            continue
         if test:
             y, rest = divmod(-r - a * x, b)
             if rest or y not in inclass:
@@ -365,7 +388,7 @@ def _extend(plan: _Plan, res: list[int], chosen: list[int], members: list[int],
             if y is not None:
                 chosen.append(y)
                 return True
-        elif _extend(plan, new, chosen, members, inclass, distinct):
+        elif _extend(plan, new, chosen, members, inclass, distinct, lo, hi):
             return True
         chosen.pop()
     return False
@@ -471,15 +494,10 @@ def monochromatic_solution(
     for cls, size in zip(classes, sizes):
         if distinct and size < v:
             continue
-        if plan.heads:
-            # a class is passed over at once when the pivot row alone keeps
-            # the solved value out of its span
-            lo, hi = cls.span() if isinstance(cls, _Runs) else (min(cls), max(cls))
-            low, high = _solved_interval(plan, 0, lo, hi)
-            if high < lo or low > hi:
-                continue
         inclass = cls if isinstance(cls, _Runs) else set(cls)
-        found = _first_solution(plan, [0] * len(rows), cls, inclass, distinct)
+        lo, hi = cls.span() if isinstance(cls, _Runs) else (min(cls), max(cls))
+        found = _first_solution(plan, [0] * len(rows), cls, inclass, distinct,
+                               lo, hi)
         if found is not None:
             # all-zero columns after the solved one take the first allowed candidates
             for _ in range(last + 1, v):
@@ -504,34 +522,47 @@ class RadoNumberResult:
 
 
 def _solved_values(plan: _Plan, res: list[int], members: list[int], lo: int,
-                   hi: int) -> set[int]:
-    """Every value in (lo, hi] that the plan's solved column takes in an
+                   hi: int, ylo: int, yhi: int) -> set[int]:
+    """Every value in [ylo, yhi] that the plan's solved column takes in an
     assignment zeroing every row, the enumerated columns drawn from
-    `members` and res as in `_first_solution`.
+    `members`, spanned by [lo, hi], and res as in `_first_solution`.
 
-    The kernel's enumeration without its early exit, one column at a time:
-    assignments that leave equal row sums are merged, except at the last
-    enumerated column, where each candidate is solved for directly.
+    The kernel's enumeration without its early exit, one column at a time
+    within `_head_range`: assignments that leave equal row sums are merged,
+    except at the last enumerated column, where each candidate is solved
+    for directly.
     """
-    if any(res[i] for i in plan.fixed):
-        return set()
-    if plan.heads:
-        *outer, (coeffs, checks) = zip(plan.heads, plan.checks)
-    else:   # nothing is enumerated: one pass with a zero column
-        outer, coeffs, checks, members = [], (0,) * len(res), (), (0,)
-    states = {tuple(res)}
-    for head, head_checks in outer:
-        states = {new for state in states for x in members
-                  for new in (tuple(r + a * x for r, a in zip(state, head)),)
-                  if not any(new[i] for i in head_checks)}
+    for i in plan.fixed:
+        if res[i]:
+            return set()
+    if not plan.heads:
+        y = _solve(plan, res, [], range(ylo, yhi + 1), False)
+        return set() if y is None else {y}
     pivot, solved, others = plan.pivot, plan.solved, plan.others
+    last = len(plan.heads) - 1
+    states = [res]
+    for k in range(last):
+        head, checks = plan.heads[k], plan.checks[k]
+        states = {new for state in states
+                  for xlo, xhi in (_head_range(plan, k, state[pivot], lo, hi,
+                                               ylo, yhi),)
+                  for x in members if xlo <= x <= xhi
+                  for new in (tuple(r + a * x for r, a in zip(state, head)),)
+                  if not any(new[i] for i in checks)}
+    coeffs, checks = plan.heads[last], plan.checks[last]
     a, b = coeffs[pivot], solved[pivot]
     values = set()
     for state in states:
         r = state[pivot]
+        xlo, xhi = _head_range(plan, last, r, lo, hi, ylo, yhi)
+        if xlo > xhi:
+            continue
         for x in members:
+            if not xlo <= x <= xhi:
+                continue
+            # an integral y lies in [ylo, yhi]
             y, rest = divmod(-r - a * x, b)
-            if rest or not lo < y <= hi:
+            if rest:
                 continue
             if checks or others:
                 new = [ri + ai * x for ri, ai in zip(state, coeffs)]
@@ -607,12 +638,10 @@ def min_rado_number(A: RatMatrix, r: int, n_max: int) -> RadoNumberResult:
         undone on a wipe-out at or below the horizon."""
         trail: list[int] = []
         horizon = len(best) + 1
+        cls = members[colour]
         for pinned, plan in ahead:
-            res = [a * t for a in pinned]
-            low, high = _solved_interval(plan, res[plan.pivot], 1, t)
-            if high <= t or low > n_max:
-                continue
-            for u in _solved_values(plan, res, members[colour], t, n_max):
+            for u in _solved_values(plan, [a * t for a in pinned], cls, cls[0],
+                                    t, t + 1, n_max):
                 i = u * r + colour
                 forbid[i] += 1
                 trail.append(i)
@@ -627,12 +656,15 @@ def min_rado_number(A: RatMatrix, r: int, n_max: int) -> RadoNumberResult:
         t = len(colours) + 1
         if colour < min(r, used[-1] + 1):
             if not forbid[t * r + colour]:
-                members[colour].append(t)
+                cls = members[colour]
+                cls.append(t)
                 inclass[colour].add(t)
                 # only solutions that contain t are new
-                if not any(_first_solution(plan, [a * t for a in pinned],
-                                           members[colour], inclass[colour], False)
-                           is not None for pinned, plan in plans):
+                for pinned, plan in plans:
+                    if _first_solution(plan, [a * t for a in pinned], cls,
+                                       inclass[colour], False, cls[0], t) is not None:
+                        break
+                else:
                     colours.append(colour)
                     used.append(max(used[-1], colour + 1))
                     if t > len(best):
@@ -646,7 +678,7 @@ def min_rado_number(A: RatMatrix, r: int, n_max: int) -> RadoNumberResult:
                         continue
                     colours.pop()
                     used.pop()
-                members[colour].pop()
+                cls.pop()
                 inclass[colour].discard(t)
             colour += 1
         elif colours:

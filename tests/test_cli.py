@@ -534,6 +534,27 @@ class TestRadoNumber:
         assert main(["rado-number", "--matrix", matrix,
                      "--colours", "9", "--nmax", "10"]) == 2
 
+    @pytest.mark.parametrize("m, number", [(6, 29), (7, 41)])
+    def test_sum_equation_number_and_witness(self, tmp_path, capsys, m, number):
+        # x_1 + ... + x_{m-1} = x_m has 2-colour Rado number m^2 - m - 1
+        # (Beutelspacher-Brestovansky)
+        matrix = write(tmp_path, "m.txt", "1 " * (m - 1) + "-1\n")
+        start = time.perf_counter()
+        code = main(["rado-number", "--matrix", matrix,
+                     "--colours", "2", "--nmax", str(number)])
+        assert time.perf_counter() - start < 2
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert lines[:2] == [f"rado number: {number}",
+                             f"witness colouring of 1..{number - 1}:"]
+        assert len(lines) == number + 1
+        colouring = write(tmp_path, "w.txt", "\n".join(lines[2:]) + "\n")
+        # the default budget, 10^8 tuples of |class|^(m-1), refuses m = 7
+        assert main(["mono-search", "--matrix", matrix,
+                     "--colouring", f"file:{colouring}", "--ground", str(number - 1),
+                     "--budget", str(10**10)]) == 1
+        assert capsys.readouterr().out == "no monochromatic solution\n"
+
 
 class TestUsageErrors:
     def test_unknown_command(self):

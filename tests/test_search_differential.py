@@ -4,6 +4,7 @@ the same witness or None, the same Rado number and witness colouring, and
 BudgetExceededError on exactly the same inputs."""
 
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -14,6 +15,8 @@ from radokit.search import (
     BudgetExceededError,
     Colouring,
     GroundSet,
+    _head_range,
+    _plan,
     _Runs,
     min_rado_number,
     monochromatic_solution,
@@ -120,6 +123,42 @@ def test_runs_solving_matches_filter():
         assert list(cls.solving(a, b, r)) == want, (case, cls.runs, a, b, r)
 
 
+def test_head_range_is_sound():
+    """No value in [lo, hi] outside the k-th column's interval has a
+    completion: later enumerated columns in [lo, hi] and an integral solved
+    value in [ylo, yhi] that zero the pivot row.  Plans of 1-3 rows and 2-5
+    columns, spans reaching below zero."""
+    rng = random.Random(20261018)
+    signs = Counter()
+    for case in range(800):
+        v = rng.randint(2, 5)
+        rows = [tuple(rng.choice((-3, -2, -1, 0, 0, 1, 2, 3)) for _ in range(v))
+                for _ in range(rng.randint(1, 3))]
+        if not any(row[-1] for row in rows):
+            continue
+        plan = _plan(rows, range(v))
+        *heads, b = rows[plan.pivot]
+        lo = rng.randint(-6, 6)
+        hi = lo + rng.randint(0, 4)
+        ylo = rng.randint(-15, 15)
+        yhi = ylo + rng.randint(0, 10)
+        for k, a in enumerate(heads):
+            # every sum the later enumerated columns can give
+            later = {0}
+            for c in heads[k + 1:]:
+                later = {s + c * x for s in later for x in range(lo, hi + 1)}
+            r = rng.randint(-25, 25)
+            xlo, xhi = _head_range(plan, k, r, lo, hi, ylo, yhi)
+            assert lo <= xlo and xhi <= hi, (case, rows, k, r, lo, hi, ylo, yhi)
+            for x in range(lo, hi + 1):
+                if any((r + a * x + s) % b == 0 and ylo <= -(r + a * x + s) // b <= yhi
+                       for s in later):
+                    assert xlo <= x <= xhi, (case, rows, k, r, lo, hi, ylo, yhi, x)
+            signs[(a > 0) - (a < 0), b > 0] += 1
+    # every sign of a (zero included) with every sign of b
+    assert len(signs) == 6 and min(signs.values()) > 30, signs
+
+
 def test_min_rado_number_matches_reference():
     rng = random.Random(20260302)
     numbers = 0
@@ -149,6 +188,21 @@ def test_min_rado_number_matches_reference_on_equations():
         assert min_rado_number(A, r, n_max) == want, (case, row, r, n_max)
         numbers += want.number is not None
     assert 15 < numbers < 45
+    # five and six columns, where the per-level bound cuts deepest; the
+    # reference enumerates |class|^(v-1) tuples per value, hence small n_max
+    numbers = 0
+    for case in range(40):
+        v = rng.randint(5, 6)
+        row = ([F(rng.choice((1, 1, 1, 2, 3, -1))) for _ in range(v - 1)]
+               + [F(-rng.randint(1, 3))])
+        rng.shuffle(row)
+        A = RatMatrix.from_rows([row])
+        r = rng.randint(1, 2)
+        n_max = rng.randint(5, 11 if v == 5 else 9)
+        want = ref.min_rado_number(A, r, n_max)
+        assert min_rado_number(A, r, n_max) == want, (case, row, r, n_max)
+        numbers += want.number is not None
+    assert 10 < numbers < 35, numbers
 
 
 # Equations in which the newest value can fill two columns (u + u = 3z), so
