@@ -2,7 +2,7 @@
 certificates, localized subrings of the rationals, truncated system
 builders, and colouring searches."""
 
-from .linalg import RatMatrix, format_matrix, in_span, parse_matrix, rank, rref
+from .linalg import RatMatrix, format_matrix, in_span, parse_matrix
 from .rado import (
     CCCertificate,
     FirstEntryReport,
@@ -79,9 +79,7 @@ __all__ = [
     "parse_rat",
     "parse_schedule",
     "pigeonhole_subset",
-    "rank",
     "refute_over_subring",
-    "rref",
     "schedule_value",
     "verify_cc_certificate",
     "weak_first_entries_condition",

@@ -262,15 +262,13 @@ def _cmd_rado_number(args: argparse.Namespace) -> int:
     if result.number is None:
         print(f"no rado number up to {args.nmax}")
         print(f"surviving colouring of 1..{len(result.witness)}:")
-        for value, colour in enumerate(result.witness, start=1):
-            print(f"{value} {colour}")
-        return 1
-    print(f"rado number: {result.number}")
-    if result.witness:
-        print(f"witness colouring of 1..{len(result.witness)}:")
-        for value, colour in enumerate(result.witness, start=1):
-            print(f"{value} {colour}")
-    return 0
+    else:
+        print(f"rado number: {result.number}")
+        if result.witness:
+            print(f"witness colouring of 1..{len(result.witness)}:")
+    for value, colour in enumerate(result.witness, start=1):
+        print(f"{value} {colour}")
+    return 1 if result.number is None else 0
 
 
 @functools.cache

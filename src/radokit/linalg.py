@@ -1,10 +1,9 @@
 """Dense exact linear algebra over the rationals.
 
-Reduced row echelon form, span membership with witness coefficients, and
-rank, by fraction-free elimination on integer rows; Fractions are built
-only for the entries returned.  No pivoting heuristics are needed or
-wanted: exact arithmetic has no conditioning, so the pivot is always the
-first nonzero entry.
+Span membership with witness coefficients, by fraction-free elimination on
+integer rows; Fractions are built only for the entries returned.  No
+pivoting heuristics are needed or wanted: exact arithmetic has no
+conditioning, so the pivot is always the first nonzero entry.
 """
 
 from __future__ import annotations
@@ -66,26 +65,14 @@ class RatMatrix:
     def to_lists(self) -> list[list[Rat]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def transpose(self) -> "RatMatrix":
-        flat = tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows))
-        return RatMatrix(self.cols, self.rows, flat)
-
-    def scale_row(self, i: int, c: Rat) -> "RatMatrix":
-        """New matrix with row i multiplied by c."""
-        rows = self.to_lists()
-        rows[i] = [c * x for x in rows[i]]
-        return RatMatrix.from_rows(rows)
-
-    def permute_columns(self, perm: Sequence[int]) -> "RatMatrix":
-        """New matrix whose column j is this matrix's column perm[j]."""
-        if sorted(perm) != list(range(self.cols)):
-            raise ValueError("not a permutation of the column indices")
-        rows = [[self.at(i, p) for p in perm] for i in range(self.rows)]
-        return RatMatrix.from_rows(rows)
-
 
 def _integer_rows(rows: Iterable[Sequence[Rat]]) -> list[list[int]]:
-    """Each row times the lcm of its denominators: a list of ints."""
+    """Each row times the lcm of its denominators: a list of ints.
+
+    The package's one row normalizer.  Scaling a row by a positive constant
+    keeps the vectors it annihilates and the row space, so neither a
+    zero-sum test nor an elimination can tell the scaled rows apart.
+    """
     out = []
     for row in rows:
         m = lcm(*(x.denominator for x in row))
@@ -126,21 +113,6 @@ def _eliminate(rows: list[list[int]], cols: int) -> list[int]:
         if r == len(rows):
             break
     return pivots
-
-
-def rref(M: RatMatrix) -> tuple[RatMatrix, list[int]]:
-    """Reduced row echelon form and the (0-based) pivot column list."""
-    if M.rows == 0:
-        return M, []
-    rows = _integer_rows(M.row(i) for i in range(M.rows))
-    pivots = _eliminate(rows, M.cols)
-    out = [[Fraction(x, row[c]) for x in row] for row, c in zip(rows, pivots)]
-    out += [[_ZERO] * M.cols for _ in range(M.rows - len(pivots))]
-    return RatMatrix.from_rows(out), pivots
-
-
-def rank(M: RatMatrix) -> int:
-    return len(_eliminate(_integer_rows(M.row(i) for i in range(M.rows)), M.cols))
 
 
 def in_span(

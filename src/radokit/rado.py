@@ -13,9 +13,9 @@ Column indices are 0-based throughout the API (the CLI renders them
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 
-from .linalg import RatMatrix, in_span
+from .linalg import RatMatrix, _integer_rows, in_span
 from .rings import Rat
 
 # Hard cap on column count: each step of the search is exponential in v/2.
@@ -168,8 +168,8 @@ def columns_condition(A: RatMatrix) -> CCCertificate | None:
     if A.cols == 0:
         return None
     cols = [A.column(j) for j in range(A.cols)]
-    den = lcm(*(x.denominator for x in A.entries))
-    residuals = {j: [int(x * den) for x in col] for j, col in enumerate(cols)}
+    rows = _integer_rows(map(A.row, range(A.rows)))
+    residuals = {j: [row[j] for row in rows] for j in range(A.cols)}
     used: list[int] = []
     blocks: list[tuple[int, ...]] = []
     witnesses: list[tuple[Rat, ...]] = []

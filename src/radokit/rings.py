@@ -93,59 +93,40 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class PrimeSet:
-    """Decidable set of primes: empty, all, a finite set, or a cofinite one.
+    """Decidable set of primes: a finite set of primes, or its complement.
 
-    ``primes`` holds the listed primes for the finite kind and the excluded
-    primes for the cofinite kind (empty otherwise).  Membership is a
-    predicate, never an enumeration, so infinite sets are first-class.
+    ``primes`` holds the listed primes, or the excluded ones when
+    ``complement`` is set.  Membership is a predicate, never an
+    enumeration, so infinite sets are first-class.
     """
 
-    kind: str
     primes: frozenset[int] = frozenset()
+    complement: bool = False
 
     def __post_init__(self) -> None:
-        if self.kind not in ("empty", "all", "finite", "cofinite"):
-            raise ValueError(f"unknown prime-set kind: {self.kind!r}")
-        if self.kind in ("empty", "all") and self.primes:
-            raise ValueError(f"a prime list makes no sense for kind {self.kind!r}")
         for p in self.primes:
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
 
     @classmethod
     def empty(cls) -> "PrimeSet":
-        return cls("empty")
+        return cls()
 
     @classmethod
     def all_primes(cls) -> "PrimeSet":
-        return cls("all")
+        return cls(complement=True)
 
     @classmethod
     def finite(cls, primes: Iterable[int]) -> "PrimeSet":
-        return cls("finite", frozenset(primes))
+        return cls(frozenset(primes))
 
     @classmethod
     def cofinite(cls, excluded: Iterable[int]) -> "PrimeSet":
-        return cls("cofinite", frozenset(excluded))
+        return cls(frozenset(excluded), complement=True)
 
     def __contains__(self, p: int) -> bool:
         """Membership of the prime p (the argument is assumed prime)."""
-        if self.kind == "empty":
-            return False
-        if self.kind == "all":
-            return True
-        if self.kind == "finite":
-            return p in self.primes
-        return p not in self.primes
-
-    def describe(self) -> str:
-        """Inverse of :func:`parse_prime_set`."""
-        if self.kind == "empty":
-            return ""
-        if self.kind == "all":
-            return "all"
-        listed = ",".join(str(p) for p in sorted(self.primes))
-        return listed if self.kind == "finite" else f"all-except:{listed}"
+        return (p in self.primes) != self.complement
 
 
 def parse_prime_set(text: str) -> PrimeSet:
@@ -174,17 +155,15 @@ def in_subring(x: Rat, primes: PrimeSet) -> bool:
     the set.  Integers belong to every such subring.
     """
     den = x.denominator
-    if den == 1 or primes.kind == "all":
+    if den == 1:
         return True
-    if primes.kind == "empty":
-        return False
-    if primes.kind == "finite":
-        for p in sorted(primes.primes):
-            while den % p == 0:
-                den //= p
-        return den == 1
-    # cofinite: membership fails only if an excluded prime divides den
-    return all(den % p != 0 for p in primes.primes)
+    if primes.complement:
+        # membership fails only if an excluded prime divides den
+        return all(den % p != 0 for p in primes.primes)
+    for p in primes.primes:
+        while den % p == 0:
+            den //= p
+    return den == 1
 
 
 def in_scaled_subring(x: Rat, m: int, primes: PrimeSet) -> bool:

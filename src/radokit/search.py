@@ -48,7 +48,7 @@ from itertools import chain
 from math import gcd, lcm
 from typing import NamedTuple, Sequence
 
-from .linalg import RatMatrix
+from .linalg import RatMatrix, _integer_rows
 from .rings import Rat
 
 
@@ -188,11 +188,6 @@ class GroundSet:
         return len(self.elements) if self.span is None else self.span[0]
 
     @classmethod
-    def integers(cls, n: int) -> "GroundSet":
-        """The ground set {1, ..., n}."""
-        return cls(tuple(Fraction(i) for i in range(1, n + 1)))
-
-    @classmethod
     def slice(cls, num_bound: int, denominator: int = 1) -> "GroundSet":
         """{a/s : 1 <= a <= num_bound} for a fixed denominator s: a finite
         slice of the subring whose primes cover s."""
@@ -236,17 +231,6 @@ def _colour_classes(c: Colouring, g: GroundSet) -> tuple[int, list[list[int] | _
     return den, [m for m in members if m]
 
 
-def _integer_rows(A: RatMatrix) -> list[tuple[int, ...]]:
-    """The nonzero rows of A, each scaled by the lcm of its denominators."""
-    rows = []
-    for i in range(A.rows):
-        row = A.row(i)
-        if any(row):
-            s = lcm(*(x.denominator for x in row))
-            rows.append(tuple(x.numerator * (s // x.denominator) for x in row))
-    return rows
-
-
 class _Plan(NamedTuple):
     """How `_first_solution` assigns a list of columns: each column but the
     last is enumerated, and the last is solved for from row `pivot`.
@@ -270,7 +254,7 @@ class _Plan(NamedTuple):
     spread: tuple[tuple[int, int, int, int], ...]
 
 
-def _plan(rows: list[tuple[int, ...]], columns: Sequence[int]) -> _Plan:
+def _plan(rows: list[list[int]], columns: Sequence[int]) -> _Plan:
     """The plan for `columns`, whose last member must be nonzero in some row."""
     if not columns:
         return _Plan((), (), (), -1, (), tuple(range(len(rows))), ())
@@ -480,7 +464,7 @@ def monochromatic_solution(
     v = A.cols
     if v == 0:
         raise ValueError("matrix has no columns to solve for")
-    rows = _integer_rows(A)
+    rows = [row for row in _integer_rows(map(A.row, range(A.rows))) if any(row)]
     last = max((j for row in rows for j in range(v) if row[j]), default=-1)
     den, classes = _colour_classes(c, g)
     sizes = [len(cls) for cls in classes]
@@ -605,7 +589,7 @@ def min_rado_number(A: RatMatrix, r: int, n_max: int) -> RadoNumberResult:
     if v == 0:
         raise ValueError("matrix has no columns to solve for")
 
-    rows = _integer_rows(A)
+    rows = [row for row in _integer_rows(map(A.row, range(A.rows))) if any(row)]
     columns = [tuple(row[j] for row in rows) for j in range(v)]
     nonzero = [j for j in range(v) if any(columns[j])]
     # swapping two columns with equal coefficients maps solutions to

@@ -233,9 +233,6 @@ class SystemSpec:
         for n in range(2, self.depth + 1):
             yield f"z_{n}"
 
-    def variable_names(self) -> list[str]:
-        return list(self.iter_variable_names())
-
 
 def truncated_rows(spec: SystemSpec) -> Iterator[dict[int, Rat]]:
     """The rows of the truncation, one at a time: row n-2 encodes
@@ -399,7 +396,7 @@ def refute_over_subring(
     indexed = enumerate(_primes(), start=1) if s.over_all_primes else [(1, s.q)]
     # a set holding all but finitely many primes has none outside it past
     # the largest one it excludes
-    last = max(primes.primes, default=0) if primes.kind in ("all", "cofinite") else None
+    last = max(primes.primes, default=0) if primes.complement else None
     best = None
     for j, p in indexed:
         # from here on, no prime gives a smaller n within n_max

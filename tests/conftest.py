@@ -6,7 +6,8 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from radokit.linalg import RatMatrix, rank
+from linalg_reference import rank
+from radokit.linalg import RatMatrix
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
 
@@ -36,14 +37,10 @@ def random_prime_set(rng: random.Random):
 
 def random_subring_element(rng: random.Random, primes) -> Fraction:
     """A rational guaranteed to lie in the subring for the given prime set."""
-    if primes.kind == "empty":
-        allowed = []
-    elif primes.kind == "finite":
-        allowed = sorted(primes.primes)
-    elif primes.kind == "cofinite":
+    if primes.complement:
         allowed = [p for p in SMALL_PRIMES if p not in primes.primes]
     else:
-        allowed = SMALL_PRIMES
+        allowed = sorted(primes.primes)
     den = 1
     for _ in range(rng.randint(0, 2)):
         if allowed:
@@ -53,8 +50,10 @@ def random_subring_element(rng: random.Random, primes) -> Fraction:
 
 def oracle_columns_condition(M: RatMatrix) -> bool:
     """Naive reference decision: enumerate ordered set partitions outright,
-    testing admissibility by rank comparison.  No memoization, no witness
-    bookkeeping; deliberately a different route from the production search.
+    testing admissibility by rank comparison, with ranks from the Fraction
+    rref of tests/linalg_reference.py.  No memoization, no witness
+    bookkeeping, no integer elimination; deliberately a different route
+    from the production search.
     """
     cols = [M.column(j) for j in range(M.cols)]
     zero = tuple(Fraction(0) for _ in range(M.rows))

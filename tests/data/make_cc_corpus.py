@@ -76,9 +76,8 @@ def no_certificate(rng: random.Random, family: str, v: int) -> RatMatrix:
 
 
 def row_scaled(rng: random.Random, M: RatMatrix) -> RatMatrix:
-    for i in range(M.rows):
-        M = M.scale_row(i, rng.choice(SCALES))
-    return M
+    scales = [rng.choice(SCALES) for _ in range(M.rows)]
+    return RatMatrix.from_rows([c * x for x in M.row(i)] for i, c in enumerate(scales))
 
 
 def cc_check(M: RatMatrix, work: Path) -> tuple[int, str]:

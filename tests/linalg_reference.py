@@ -1,5 +1,6 @@
 """The Fraction-arithmetic rref and in_span that radokit.linalg's integer
-elimination replaced, kept verbatim as the differential test's reference."""
+elimination replaced, kept verbatim as the differential test's reference,
+and the rank they give, which the naive columns-condition oracle uses."""
 
 from __future__ import annotations
 
@@ -31,6 +32,10 @@ def rref(M: RatMatrix) -> tuple[RatMatrix, list[int]]:
         if r == M.rows:
             break
     return RatMatrix.from_rows(rows) if rows else M, pivots
+
+
+def rank(M: RatMatrix) -> int:
+    return len(rref(M)[1])
 
 
 def in_span(

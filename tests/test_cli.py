@@ -148,7 +148,7 @@ def expected_matrix_output(command, alpha, depth, schedule):
         M, label = build_truncated_system(spec), "truncated system"
     else:
         M, label = build_stacked_matrix(spec), "stacked (I; A; B) matrix"
-    names = spec.variable_names()[:M.cols]
+    names = list(spec.iter_variable_names())[:M.cols]
     return (f"# {label}: depth {depth}, alpha {alpha}\n"
             f"# columns: {' '.join(names)}\n" + format_matrix(M) + "\n")
 
@@ -376,7 +376,7 @@ class TestNatWitness:
     def test_a_wrong_value_fails(self, name, line, monkeypatch, capsys):
         def off_by_one(spec):
             values = list(natural_solution_witness(spec).values)
-            values[spec.variable_names().index(name)] += 1
+            values[list(spec.iter_variable_names()).index(name)] += 1
             return SolutionAssignment(tuple(values))
 
         monkeypatch.setattr(radokit.cli, "natural_solution_witness", off_by_one)

@@ -1,15 +1,16 @@
-"""Differential test of the integer-elimination rref, rank and in_span
-against the Fraction versions they replaced (tests/linalg_reference.py).
+"""Differential test of the integer elimination and in_span against the
+Fraction rref and in_span they replaced (tests/linalg_reference.py).
 
-The reduced row echelon form is unique, so every output must be equal,
-entry for entry, on every input.
+The reduced row echelon form is unique, so the elimination's rows, each
+divided by its pivot, must equal the reference's entry for entry, and
+every in_span output must be equal on every input.
 """
 
 import random
 from fractions import Fraction as F
 
 import linalg_reference as ref
-from radokit.linalg import RatMatrix, in_span, rank, rref
+from radokit.linalg import RatMatrix, _eliminate, _integer_rows, in_span
 
 
 def random_entry(rng: random.Random) -> F:
@@ -46,9 +47,12 @@ def test_rref_and_rank_match_the_fraction_reference():
     for _ in range(1000):
         u, v = rng.randint(0, 6), rng.randint(0, 7)
         M = RatMatrix.from_rows(random_rows(rng, u, v)) if u else RatMatrix(0, v, ())
-        expected = ref.rref(M)
-        assert rref(M) == expected, M
-        assert rank(M) == len(expected[1])
+        R, pivots = ref.rref(M)
+        rows = _integer_rows(map(M.row, range(M.rows)))
+        assert _eliminate(rows, M.cols) == pivots, M
+        assert [[F(x, row[c]) for x in row] for row, c in zip(rows, pivots)] \
+            == R.to_lists()[:len(pivots)], M
+        assert not any(map(any, rows[len(pivots):])), M
 
 
 def test_in_span_matches_the_fraction_reference():

@@ -78,9 +78,15 @@ class TestColumnsCondition:
             i = rng.randrange(M.rows)
             c = F(rng.choice([x for x in range(-3, 4) if x]),
                   rng.randint(1, 3))
-            scaled = M.scale_row(i, c)
-            assert (columns_condition(M) is None) \
-                == (columns_condition(scaled) is None)
+            scaled = RatMatrix.from_rows(
+                [c * x for x in M.row(k)] if k == i else M.row(k)
+                for k in range(M.rows))
+            assert columns_condition(scaled) == columns_condition(M)
+
+    def test_no_rows(self):
+        cert = columns_condition(RatMatrix(0, 3, ()))
+        assert cert.blocks == ((0,), (1,), (2,))
+        assert cert.witnesses == ((F(0),), (F(0), F(0)))
 
     def test_column_permutation_equivariance(self):
         from radokit.linalg import in_span
@@ -90,7 +96,8 @@ class TestColumnsCondition:
             M = random_matrix(rng)
             perm = list(range(M.cols))
             rng.shuffle(perm)
-            P = M.permute_columns(perm)
+            P = RatMatrix.from_rows([M.at(i, p) for p in perm]
+                                    for i in range(M.rows))
             cert_p = columns_condition(P)
             assert (columns_condition(M) is None) == (cert_p is None)
             if cert_p is None:

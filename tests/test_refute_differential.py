@@ -45,13 +45,9 @@ def random_primes(rng, schedule):
 
 
 def allowed_denominators(primes):
-    if primes.kind == "all":
-        return SMALL
-    if primes.kind == "finite":
-        return sorted(primes.primes)
-    if primes.kind == "cofinite":
+    if primes.complement:
         return [p for p in SMALL if p not in primes.primes]
-    return []
+    return sorted(primes.primes)
 
 
 def random_y(rng, schedule, primes):
@@ -93,7 +89,7 @@ def test_closed_form_matches_scan():
         seen["obstructed" if star is not None else "unobstructed"] += 1
         seen["zero"] += sum(a * b for a, b in zip(spec.schedule.c, y)) == 0
         seen["large"] += star is not None and star > 20
-        seen["cofinite-large"] += primes.kind == "cofinite" and any(
+        seen["cofinite-large"] += primes.complement and any(
             p > 10**4 for p in primes.primes)
     assert min(seen.values()) >= 20, seen
 

@@ -135,22 +135,18 @@ class TestPrimeSet:
         with pytest.raises(ValueError):
             PrimeSet.finite([4])
 
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            PrimeSet("most")
-
-    def test_rejects_primes_on_unparametrized_kinds(self):
-        with pytest.raises(ValueError):
-            PrimeSet("all", frozenset([2]))
+    def test_empty_lists_give_empty_and_all(self):
+        assert PrimeSet.finite([]) == PrimeSet.empty()
+        assert PrimeSet.cofinite([]) == PrimeSet.all_primes()
 
     @pytest.mark.parametrize(
-        "text,kind", [("", "empty"), ("all", "all"), ("2,3,7", "finite"),
-                      ("all-except:2", "cofinite")]
+        "text,expected", [("", PrimeSet.empty()), ("all", PrimeSet.all_primes()),
+                          ("2,3,7", PrimeSet.finite([2, 3, 7])),
+                          ("all-except:2", PrimeSet.cofinite([2]))],
+        ids=["empty", "all", "finite", "cofinite"]
     )
-    def test_parse_describe_round_trip(self, text, kind):
-        ps = parse_prime_set(text)
-        assert ps.kind == kind
-        assert parse_prime_set(ps.describe()) == ps
+    def test_parse(self, text, expected):
+        assert parse_prime_set(text) == expected
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):

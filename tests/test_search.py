@@ -92,7 +92,7 @@ class TestColouring:
 
 class TestGroundSet:
     def test_integers(self):
-        assert list(GroundSet.integers(3)) == [F(1), F(2), F(3)]
+        assert list(GroundSet.slice(3)) == [F(1), F(2), F(3)]
 
     def test_slice(self):
         assert list(GroundSet.slice(4, 2)) == [F(1, 2), F(1), F(3, 2), F(2)]
@@ -109,37 +109,37 @@ class TestGroundSet:
 class TestMonochromaticSolution:
     def test_single_class_finds_schur_triple(self):
         c = Colouring.table([1, 2, 3, 4], [0, 0, 0, 0])
-        found = monochromatic_solution(SCHUR, c, GroundSet.integers(4))
+        found = monochromatic_solution(SCHUR, c, GroundSet.slice(4))
         assert found.values == (F(1), F(1), F(2))
         assert found.solves(SCHUR)
 
     def test_good_colouring_blocks_all(self):
         c = Colouring.table([1, 2, 3, 4], [0, 1, 1, 0])
-        assert monochromatic_solution(SCHUR, c, GroundSet.integers(4)) is None
+        assert monochromatic_solution(SCHUR, c, GroundSet.slice(4)) is None
 
     def test_distinct_mode(self):
         c = Colouring.table([1, 2, 3], [0, 0, 0])
         found = monochromatic_solution(
-            SCHUR, c, GroundSet.integers(3), distinct=True
+            SCHUR, c, GroundSet.slice(3), distinct=True
         )
         assert found.values == (F(1), F(2), F(3))
 
     def test_distinct_mode_excludes_repeats(self):
         c = Colouring.table([1, 2], [0, 0])
         assert monochromatic_solution(
-            SCHUR, c, GroundSet.integers(2), distinct=True
+            SCHUR, c, GroundSet.slice(2), distinct=True
         ) is None
 
     def test_log2_parity_classes(self):
         # {1,4} vs {2,3}: both classes Schur-free within {1..4}
         assert monochromatic_solution(
-            SCHUR, Colouring.log2_parity(), GroundSet.integers(4)
+            SCHUR, Colouring.log2_parity(), GroundSet.slice(4)
         ) is None
 
     def test_budget_guard(self):
         c = Colouring.table(list(range(1, 11)), [0] * 10)
         with pytest.raises(BudgetExceededError):
-            monochromatic_solution(SCHUR, c, GroundSet.integers(10), budget=10)
+            monochromatic_solution(SCHUR, c, GroundSet.slice(10), budget=10)
 
     def test_budget_counts_enumerated_columns(self):
         # x = 2y enumerates x alone: the two classes of 1..14000 count 14000
@@ -178,7 +178,7 @@ class TestMonochromaticSolution:
         with pytest.raises(ValueError):
             monochromatic_solution(
                 RatMatrix.from_rows([]), Colouring.log2_parity(),
-                GroundSet.integers(2)
+                GroundSet.slice(2)
             )
 
     def test_soundness_on_random_colourings(self):
@@ -187,7 +187,7 @@ class TestMonochromaticSolution:
             n = rng.randint(3, 8)
             colours = [rng.randint(0, 1) for _ in range(n)]
             c = Colouring.table(list(range(1, n + 1)), colours, r=2)
-            g = GroundSet.integers(n)
+            g = GroundSet.slice(n)
             found = monochromatic_solution(SCHUR, c, g, distinct=rng.random() < 0.5)
             if found is not None:
                 assert found.solves(SCHUR)
@@ -214,7 +214,7 @@ class TestMinRadoNumber:
     def test_schur_witness_is_solution_free(self):
         result = min_rado_number(SCHUR, 2, 10)
         c = Colouring.table([1, 2, 3, 4], list(result.witness), r=2)
-        assert monochromatic_solution(SCHUR, c, GroundSet.integers(4)) is None
+        assert monochromatic_solution(SCHUR, c, GroundSet.slice(4)) is None
 
     def test_single_colour(self):
         result = min_rado_number(SCHUR, 1, 10)
@@ -230,7 +230,7 @@ class TestMinRadoNumber:
         assert result.number == 9
         assert result.witness == (0, 1, 0, 0, 1, 1, 0, 1)
         c = Colouring.table(list(range(1, 9)), list(result.witness), r=2)
-        assert monochromatic_solution(M, c, GroundSet.integers(8)) is None
+        assert monochromatic_solution(M, c, GroundSet.slice(8)) is None
 
     def test_survivor_when_no_positive_solutions(self):
         M = RatMatrix.from_rows([[1, 1, 1]])
@@ -243,7 +243,7 @@ class TestMinRadoNumber:
         result = min_rado_number(M, 2, 64)
         assert result.number is None
         c = Colouring.table(list(range(1, 65)), list(result.witness), r=2)
-        assert monochromatic_solution(M, c, GroundSet.integers(64)) is None
+        assert monochromatic_solution(M, c, GroundSet.slice(64)) is None
 
     def test_regular_matrices_reach_a_number(self):
         for rows, expected in [
@@ -269,7 +269,7 @@ class TestMinRadoNumber:
         assert len(result.witness) == 18
         c = Colouring.table(list(range(1, 19)), list(result.witness), r=2)
         start = time.perf_counter()
-        assert monochromatic_solution(M, c, GroundSet.integers(18)) is None
+        assert monochromatic_solution(M, c, GroundSet.slice(18)) is None
         assert time.perf_counter() - start < 1.5
 
     def test_four_colour_schur_survivor_in_time(self):
@@ -279,7 +279,7 @@ class TestMinRadoNumber:
         assert result.number is None
         assert len(result.witness) == 28 and set(result.witness) == {0, 1, 2, 3}
         c = Colouring.table(list(range(1, 29)), list(result.witness), r=4)
-        assert monochromatic_solution(SCHUR, c, GroundSet.integers(28)) is None
+        assert monochromatic_solution(SCHUR, c, GroundSet.slice(28)) is None
 
     def test_four_colour_schur_survivor_of_43_in_time(self):
         # forward checking: 132,987 exact checks without it, 4,322 with it
@@ -289,7 +289,7 @@ class TestMinRadoNumber:
         assert result.number is None
         assert len(result.witness) == 43 and set(result.witness) == {0, 1, 2, 3}
         c = Colouring.table(list(range(1, 44)), list(result.witness), r=4)
-        assert monochromatic_solution(SCHUR, c, GroundSet.integers(43)) is None
+        assert monochromatic_solution(SCHUR, c, GroundSet.slice(43)) is None
 
     def test_bounds_rejected(self):
         with pytest.raises(ValueError):

@@ -137,7 +137,7 @@ class TestSystemSpec:
     def test_variable_bookkeeping(self):
         spec = SystemSpec(1, 3, CoefficientSchedule.qpow(2))
         assert spec.var_count == 2 + 3 + 1 + 2
-        assert spec.variable_names() == [
+        assert list(spec.iter_variable_names()) == [
             "x_2_1", "x_2_2", "x_3_1", "x_3_2", "x_3_3", "y_1", "z_2", "z_3",
         ]
 
@@ -289,7 +289,7 @@ class TestNaturalSolutionWitness:
     def test_depth_three(self):
         spec = SystemSpec(2, 3, CoefficientSchedule.qpowpair(3))
         w = natural_solution_witness(spec)
-        names = spec.variable_names()
+        names = list(spec.iter_variable_names())
         byname = dict(zip(names, w.values))
         assert byname["y_1"] == 2 and byname["y_2"] == 1
         assert byname["z_3"] == 3
