@@ -59,17 +59,20 @@ def _read_matrix(path: str) -> RatMatrix:
 def _write_matrix(header: list[str], rows: Iterable[dict[int, Rat]], cols: int,
                   out: str | None) -> None:
     """Write the header as '#' lines, then each sparse row as it arrives:
-    a reused list of "0" cells with the row's entries put in their columns."""
+    its entries, formatted in column order, and between them its runs of
+    zeros as slices of one "0 " * cols string."""
     with (contextlib.nullcontext(sys.stdout) if out is None
           else open(out, "w")) as f:
         f.write("".join(f"# {line}\n" for line in header))
-        cells = ["0"] * cols
+        zeros = "0 " * cols
         for row in rows:
-            for j, x in row.items():
-                cells[j] = format_rat(x)
-            f.write(" ".join(cells) + "\n")
-            for j in row:
-                cells[j] = "0"
+            parts = []
+            done = 0
+            for j in sorted(row):
+                parts += zeros[: 2 * (j - done)], format_rat(row[j]), " "
+                done = j + 1
+            parts.append(zeros[: 2 * (cols - done)])
+            f.write("".join(parts)[:-1] + "\n")
 
 
 def _texts(values: Iterable[Rat]) -> Iterator[str]:

@@ -59,24 +59,27 @@ class RatMatrix:
     def row(self, i: int) -> tuple[Rat, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def column(self, j: int) -> tuple[Rat, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
     def to_lists(self) -> list[list[Rat]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
 
-def _integer_rows(rows: Iterable[Sequence[Rat]]) -> list[list[int]]:
+def _integer_rows(rows: Iterable[Sequence[Rat | int]]) -> list[list[int]]:
     """Each row times the lcm of its denominators: a list of ints.
 
     The package's one row normalizer.  Scaling a row by a positive constant
     keeps the vectors it annihilates and the row space, so neither a
-    zero-sum test nor an elimination can tell the scaled rows apart.
+    zero-sum test nor an elimination can tell the scaled rows apart.  Each
+    denominator is read once, and an integral row (lcm 1), such as a row of
+    ints, is returned as its numerators.
     """
     out = []
     for row in rows:
-        m = lcm(*(x.denominator for x in row))
-        out.append([x.numerator * (m // x.denominator) for x in row])
+        dens = [x.denominator for x in row]
+        m = lcm(*dens)
+        if m == 1:
+            out.append([x.numerator for x in row])
+        else:
+            out.append([x.numerator * (m // d) for x, d in zip(row, dens)])
     return out
 
 
@@ -116,14 +119,17 @@ def _eliminate(rows: list[list[int]], cols: int) -> list[int]:
 
 
 def in_span(
-    vectors: Sequence[Sequence[Rat]], target: Sequence[Rat]
+    vectors: Sequence[Sequence[Rat | int]], target: Sequence[Rat | int]
 ) -> list[Rat] | None:
     """Coefficients writing target as a combination of the given column
     vectors, or None when target lies outside their span.
 
-    The witness is deterministic: the unique solution with every free
-    variable set to zero.  It is read off the integer elimination of the
-    augmented matrix, one Fraction per coefficient.
+    Entries may be ints or Fractions.  The witness is deterministic: the
+    unique solution with every free variable set to zero, a Fraction per
+    coefficient.  It is read off the integer elimination of the augmented
+    matrix, whose rows are scaled to integers; scaling row i of every vector
+    and of the target by one nonzero constant changes neither the pivots
+    nor the witness.
     """
     dim = len(target)
     k = len(vectors)
@@ -133,8 +139,7 @@ def in_span(
     coeffs = [_ZERO] * k
     if dim == 0:
         return coeffs
-    rows = _integer_rows([vec[i] for vec in vectors] + [target[i]]
-                         for i in range(dim))
+    rows = _integer_rows(zip(*vectors, target))
     pivots = _eliminate(rows, k + 1)
     if pivots and pivots[-1] == k:
         return None

@@ -159,7 +159,10 @@ def columns_condition(A: RatMatrix) -> CCCertificate | None:
     zero-sum submask, solved by meet in the middle: a step builds at most
     2^floor(v/2) + 2^ceil(v/2) subset sums, and there are at most v steps,
     so a call costs O(v * 2^(v/2)).  Each later block costs one in_span
-    call, for its witness.
+    call, for its witness, solved on the integer columns: row i of the
+    integer matrix is row i of A times a positive constant, so the used
+    columns and the block's sum there have the same pivots and the same
+    Fraction witness as A's own columns.
     """
     if A.cols > MAX_COLUMNS:
         raise ValueError(
@@ -167,9 +170,11 @@ def columns_condition(A: RatMatrix) -> CCCertificate | None:
         )
     if A.cols == 0:
         return None
-    cols = [A.column(j) for j in range(A.cols)]
     rows = _integer_rows(map(A.row, range(A.rows)))
-    residuals = {j: [row[j] for row in rows] for j in range(A.cols)}
+    cols = [[row[j] for row in rows] for j in range(A.cols)]
+    # _quotient replaces residual lists and never edits one, so cols stay
+    # the integer columns
+    residuals = dict(enumerate(cols))
     used: list[int] = []
     blocks: list[tuple[int, ...]] = []
     witnesses: list[tuple[Rat, ...]] = []
@@ -180,7 +185,7 @@ def columns_condition(A: RatMatrix) -> CCCertificate | None:
             return None
         block = tuple(unused[i] for i in _mask_bits(local))
         if blocks:
-            target = tuple(sum(cols[j][i] for j in block) for i in range(A.rows))
+            target = [sum(x) for x in zip(*(cols[j] for j in block))]
             witnesses.append(tuple(in_span([cols[j] for j in used], target)))
         blocks.append(block)
         used = sorted(used + list(block))

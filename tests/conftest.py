@@ -48,6 +48,10 @@ def random_subring_element(rng: random.Random, primes) -> Fraction:
     return Fraction(rng.randint(-30, 30), den)
 
 
+def column(M: RatMatrix, j: int) -> tuple[Fraction, ...]:
+    return tuple(M.at(i, j) for i in range(M.rows))
+
+
 def oracle_columns_condition(M: RatMatrix) -> bool:
     """Naive reference decision: enumerate ordered set partitions outright,
     testing admissibility by rank comparison, with ranks from the Fraction
@@ -55,7 +59,7 @@ def oracle_columns_condition(M: RatMatrix) -> bool:
     bookkeeping, no integer elimination; deliberately a different route
     from the production search.
     """
-    cols = [M.column(j) for j in range(M.cols)]
+    cols = [column(M, j) for j in range(M.cols)]
     zero = tuple(Fraction(0) for _ in range(M.rows))
 
     def colsum(idx):
@@ -97,7 +101,7 @@ def oracle_extends(M: RatMatrix, used) -> bool:
     enumeration and rank test as oracle_columns_condition's inner search,
     started from a given used set instead of from each zero-sum first block.
     """
-    cols = [M.column(j) for j in range(M.cols)]
+    cols = [column(M, j) for j in range(M.cols)]
 
     def colsum(idx):
         return tuple(sum(cols[j][i] for j in idx) for i in range(M.rows))

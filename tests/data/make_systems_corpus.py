@@ -130,4 +130,11 @@ def write() -> None:
 
 
 if __name__ == "__main__":
-    write()
+    if sys.argv[1:] in (["-h"], ["--help"]):
+        print(__doc__)
+    elif sys.argv[1:]:
+        print(f"usage: {Path(sys.argv[0]).name} takes no arguments "
+              "(-h prints its description)", file=sys.stderr)
+        sys.exit(2)
+    else:
+        write()

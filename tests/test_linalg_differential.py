@@ -8,6 +8,7 @@ every in_span output must be equal on every input.
 
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import linalg_reference as ref
 from radokit.linalg import RatMatrix, _eliminate, _integer_rows, in_span
@@ -81,6 +82,57 @@ def test_in_span_matches_the_fraction_reference():
             for i in range(dim):
                 assert sum(c * col[i] for c, col in zip(got, columns)) == target[i]
     assert min(outcomes.values()) >= 100, outcomes
+
+
+def old_integer_rows(rows):
+    """The normalizer before it read each denominator once."""
+    out = []
+    for row in rows:
+        m = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (m // x.denominator) for x in row])
+    return out
+
+
+def test_integer_rows_match_the_old_formula():
+    rng = random.Random(19102026)
+    cases = [[], [0, -3, 7], [F(4), F(-6, 3), F(0)], [3, F(1, 2), -1, F(-5, 6)],
+             [F(10**12, 7), 10**12, F(0)]]
+    for _ in range(500):
+        v = rng.randint(0, 7)
+        kind = rng.choice(("int", "integral", "mixed"))
+        if kind == "int":
+            row = [rng.randint(-10**12, 10**12) for _ in range(v)]
+        elif kind == "integral":
+            row = [F(rng.randint(-9, 9)) for _ in range(v)]
+        else:
+            row = [rng.choice((rng.randint(-9, 9), random_entry(rng)))
+                   for _ in range(v)]
+        cases.append(row)
+    got = _integer_rows(cases)
+    assert got == old_integer_rows(cases)
+    assert all(type(x) is int for row in got for x in row)
+
+
+def test_in_span_ignores_entry_type_and_row_scaling():
+    """Fraction vectors, the same vectors as ints, and every row of the
+    vectors and target times one nonzero integer give one answer."""
+    rng = random.Random(20102026)
+    for _ in range(500):
+        dim, k = rng.randint(1, 5), rng.randint(0, 5)
+        ints = [[rng.randint(-4, 4) for _ in range(dim)] for _ in range(k)]
+        target = [rng.randint(-4, 4) for _ in range(dim)]
+        if k and rng.random() < 0.5:
+            coeffs = [rng.randint(-2, 2) for _ in range(k)]
+            target = [sum(c * col[i] for c, col in zip(coeffs, ints))
+                      for i in range(dim)]
+        expected = ref.in_span([[F(x) for x in col] for col in ints],
+                               [F(x) for x in target])
+        assert in_span([[F(x) for x in col] for col in ints],
+                       [F(x) for x in target]) == expected
+        assert in_span(ints, target) == expected
+        scale = [rng.choice((-10**12, -3, -1, 1, 2, 7)) for _ in range(dim)]
+        assert in_span([[s * x for s, x in zip(scale, col)] for col in ints],
+                       [s * x for s, x in zip(scale, target)]) == expected
 
 
 def test_integer_inputs_are_accepted():

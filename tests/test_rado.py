@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import oracle_columns_condition, oracle_extends, random_matrix
+from conftest import column, oracle_columns_condition, oracle_extends, random_matrix
 from radokit.linalg import RatMatrix
 from radokit.rado import (
     CCCertificate,
@@ -112,7 +112,7 @@ class TestColumnsCondition:
             for block in blocks[1:]:
                 target = tuple(sum(M.at(i, j) for j in block)
                                for i in range(M.rows))
-                assert in_span([M.column(j) for j in used], target) is not None
+                assert in_span([column(M, j) for j in used], target) is not None
                 used += block
 
 
@@ -170,7 +170,7 @@ class TestExtensionLemma:
                 ]
                 admissible = [
                     b for b in blocks
-                    if in_span([M.column(j) for j in used],
+                    if in_span([column(M, j) for j in used],
                                [sum(M.at(i, j) for j in b) for i in range(M.rows)])
                     is not None
                 ]
