@@ -25,18 +25,19 @@ variable would find first.  Its budget counts the tuples of the enumerated
 columns.  A log2parity class, of any size, stays a list of ranges, the
 innermost column's candidates coming from arithmetic on the ranges.
 
-`min_rado_number` colours 1, 2, ... in turn and pins the newest value t at
-each column, since only tuples containing t can be new.  It colours with
-restricted growth (colour c only once colour c-1 is used): renaming
-colours in order of first use turns any colouring into one that is no
-larger lexicographically and has the same solutions, so the least
-solution-free colourings it finds are the least of all.  It also checks
-forward: once t takes colour c, each uncoloured u that would complete a
-solution in class c with t, u filling one column, is marked against c, and
-a branch is cut when some u at most one past the longest colouring found
-has every colour marked.  Past that horizon a cut could lose the least
-witness.  The marks are sound but not complete, so the kernel still
-decides every value.
+`min_rado_number` colours 1, 2, ... in turn; only solutions containing the
+newest value t can be new.  It colours with restricted growth (colour c
+only once colour c-1 is used): renaming colours in order of first use turns
+any colouring into one that is no larger lexicographically and has the same
+solutions, so the least solution-free colourings it finds are the least of
+all.  It also checks forward: once t takes colour c, each uncoloured u that
+would complete a solution in class c with t, u filling one column, is
+marked against c, and a branch is cut when some u at most one past the
+longest colouring found has every colour marked.  Past that horizon a cut
+could lose the least witness.  The marks are complete for the solutions in
+which t fills exactly one nonzero column: the greatest value in the other
+columns marked t when it was coloured.  So the kernel decides only the
+solutions with t in two nonzero columns, pinned there.
 """
 
 from __future__ import annotations
@@ -71,9 +72,6 @@ class SolutionAssignment:
                 start=Fraction(0))
             for i in range(M.rows)
         )
-
-    def solves(self, M: RatMatrix) -> bool:
-        return all(r == 0 for r in self.residuals(M))
 
 
 def _floor_log2(a: int, b: int) -> int:
@@ -557,6 +555,60 @@ def _solved_values(plan: _Plan, res: list[int], members: list[int], lo: int,
     return values
 
 
+_Pinned = list[tuple[tuple[int, ...], _Plan]]
+
+
+def _rado_plans(rows: list[list[int]], n_max: int) -> tuple[_Pinned, _Pinned]:
+    """The exact-check and the forward plans of `min_rado_number` for
+    nonzero integer rows, each with the coefficients of the columns it pins
+    t at.
+
+    Only the first columns of a kind are pinned or solved for.  An exact
+    check pins t at the first two columns of one kind or the first columns
+    of two kinds.  A forward plan pins t at the first column of a kind and
+    solves for u at the first column of each kind among the other nonzero
+    columns, and is kept only if u can exceed t for some t < n_max.
+    """
+    columns = list(zip(*rows))
+    nonzero = [j for j, col in enumerate(columns) if any(col)]
+    kinds = [p for p in nonzero if columns.index(columns[p]) == p]
+    plans: _Pinned = []
+    for i, p in enumerate(kinds):
+        twin = [j for j in nonzero if j > p and columns[j] == columns[p]][:1]
+        plans += [(tuple(a + b for a, b in zip(columns[p], columns[q])),
+                   _plan(rows, [j for j in nonzero if j not in (p, q)]))
+                  for q in twin + kinds[i + 1:]]
+    ahead: _Pinned = []
+    for p in kinds:
+        rest = [j for j in nonzero if j != p]
+        left = [columns[j] for j in rest]
+        for k, f in enumerate(rest):
+            if left.index(columns[f]) != k:
+                continue
+            plan = _plan(rows, [j for j in rest if j != f] + [f])
+            # the condition is linear in t, so it holds somewhere on
+            # [1, n_max - 1] exactly when it holds at an end
+            if any(_can_exceed(plan, columns[p][plan.pivot], t)
+                   for t in (1, n_max - 1)):
+                ahead.append((columns[p], plan))
+    return plans, ahead
+
+
+def _can_exceed(plan: _Plan, pin: int, t: int) -> bool:
+    """Whether the plan's pivot row admits a solved value above t when the
+    pinned columns add pin * t to it and each enumerated column lies in
+    [1, t]."""
+    heads = [coeffs[plan.pivot] for coeffs in plan.heads]
+    pos = sum(a for a in heads if a > 0)
+    neg = sum(a for a in heads if a < 0)
+    b = plan.solved[plan.pivot]
+    # b * u = -pin * t - (the heads' sum), which spans
+    # [-pin*t - pos*t - neg, -pin*t - pos - neg*t]
+    if b > 0:
+        return -pin * t - pos - neg * t >= b * (t + 1)
+    return -pin * t - pos * t - neg <= b * (t + 1)
+
+
 def min_rado_number(A: RatMatrix, r: int, n_max: int) -> RadoNumberResult:
     """Least N <= n_max forcing a monochromatic solution under every
     r-colouring of {1..N}, by backtracking with solution pruning and
@@ -574,9 +626,24 @@ def min_rado_number(A: RatMatrix, r: int, n_max: int) -> RadoNumberResult:
     without the exact check.  A branch is cut when some u <= len(best) + 1
     has every colour marked (a wipe-out): no extension of it can colour u,
     so none can beat the best colouring found.  Wipe-outs past that horizon
-    are not tested, since cutting there could cut the least witness.  The
-    marks are sound but not complete (a solution with u in two or more
-    columns marks nothing), so the exact check still decides every value.
+    are not tested, since cutting there could cut the least witness.
+
+    One-column lemma: a solution in which t fills exactly one nonzero
+    column is always marked.  Its other nonzero columns hold values below
+    t, in t's class, and when the greatest of them, t', took that colour,
+    the forward step solved for the column holding t and marked t.  Nor is
+    a solution with t in no nonzero column new: without t it was already a
+    solution.  So the exact check pins t at two nonzero columns only:
+    the first two columns of one kind, or the first columns of two kinds
+    (swapping columns with equal coefficients maps solutions to solutions),
+    and the kernel solves the other nonzero columns in t's class.  When no
+    column is nonzero, every assignment is a solution and the number is 1.
+
+    Forward plans that can never mark are not built.  A plan pins t at one
+    column and solves for u at another; its pivot row, with the enumerated
+    columns in [1, t], bounds u by a linear function of t, and the plan is
+    kept only if that bound exceeds t at t = 1 or at t = n_max - 1.  For
+    x + y = z this keeps t + y = u and drops u = z - t and u = t - y.
 
     The search is exhaustive at desk scale only; hence the caps r <= 4 and
     n_max <= 64.
@@ -590,23 +657,10 @@ def min_rado_number(A: RatMatrix, r: int, n_max: int) -> RadoNumberResult:
         raise ValueError("matrix has no columns to solve for")
 
     rows = [row for row in _integer_rows(map(A.row, range(A.rows))) if any(row)]
-    columns = [tuple(row[j] for row in rows) for j in range(v)]
-    nonzero = [j for j in range(v) if any(columns[j])]
-    # swapping two columns with equal coefficients maps solutions to
-    # solutions, so t is pinned only at the first column of each kind
-    kinds = [p for p in range(v) if columns.index(columns[p]) == p]
-    plans = [(columns[p], _plan(rows, [j for j in nonzero if j != p]))
-             for p in kinds]
-    # the forward step pins t at a nonzero column p and solves for u at the
-    # first column of each kind among the other nonzero columns
-    ahead = []
-    for p in kinds:
-        if p not in nonzero:
-            continue
-        rest = [j for j in nonzero if j != p]
-        left = [columns[j] for j in rest]
-        ahead += [(columns[p], _plan(rows, [j for j in rest if j != f] + [f]))
-                  for k, f in enumerate(rest) if left.index(columns[f]) == k]
+    if not rows:
+        # every assignment is a solution, so colouring 1 alone forces one
+        return RadoNumberResult(1, ())
+    plans, ahead = _rado_plans(rows, n_max)
 
     members: list[list[int]] = [[] for _ in range(r)]
     inclass: list[set[int]] = [set() for _ in range(r)]

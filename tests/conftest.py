@@ -48,6 +48,11 @@ def random_subring_element(rng: random.Random, primes) -> Fraction:
     return Fraction(rng.randint(-30, 30), den)
 
 
+def solves(assignment, M: RatMatrix) -> bool:
+    """Whether a SolutionAssignment zeroes every row of M."""
+    return all(r == 0 for r in assignment.residuals(M))
+
+
 def column(M: RatMatrix, j: int) -> tuple[Fraction, ...]:
     return tuple(M.at(i, j) for i in range(M.rows))
 

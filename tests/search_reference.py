@@ -3,7 +3,11 @@ the shared integer kernel, kept verbatim as the reference that
 tests/test_search_differential.py compares the current code against.
 
 Both enumerate every variable with Fraction or integer arithmetic and no
-symmetry breaking beyond colour(1) = 0.  Not collected by pytest.
+symmetry breaking beyond colour(1) = 0.
+
+`min_rado_number_one_pin` is the kernel-based Rado-number search as it was
+before its exact checks pinned t at two columns: t pinned at one column of
+each kind, and every forward plan built.  Not collected by pytest.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from radokit.linalg import RatMatrix
+from radokit.linalg import RatMatrix, _integer_rows
 from radokit.rings import Rat
 from radokit.search import (
     BudgetExceededError,
@@ -19,6 +23,9 @@ from radokit.search import (
     GroundSet,
     RadoNumberResult,
     SolutionAssignment,
+    _first_solution,
+    _plan,
+    _solved_values,
 )
 
 
@@ -161,3 +168,109 @@ def min_rado_number(A: RatMatrix, r: int, n_max: int) -> RadoNumberResult:
     if survivor is not None:
         return RadoNumberResult(None, survivor)
     return RadoNumberResult(best_depth + 1, best_witness)
+
+
+def one_pin_plans(rows: list[list[int]], v: int):
+    """The exact-check plans, t pinned at the first column of each kind, and
+    every forward plan, each with its pinned columns' coefficients."""
+    columns = [tuple(row[j] for row in rows) for j in range(v)]
+    nonzero = [j for j in range(v) if any(columns[j])]
+    # swapping two columns with equal coefficients maps solutions to
+    # solutions, so t is pinned only at the first column of each kind
+    kinds = [p for p in range(v) if columns.index(columns[p]) == p]
+    plans = [(columns[p], _plan(rows, [j for j in nonzero if j != p]))
+             for p in kinds]
+    # the forward step pins t at a nonzero column p and solves for u at the
+    # first column of each kind among the other nonzero columns
+    ahead = []
+    for p in kinds:
+        if p not in nonzero:
+            continue
+        rest = [j for j in nonzero if j != p]
+        left = [columns[j] for j in rest]
+        ahead += [(columns[p], _plan(rows, [j for j in rest if j != f] + [f]))
+                  for k, f in enumerate(rest) if left.index(columns[f]) == k]
+    return plans, ahead
+
+
+def min_rado_number_one_pin(A: RatMatrix, r: int, n_max: int) -> RadoNumberResult:
+    """min_rado_number with the plans of `one_pin_plans`: the exact check
+    decides every value the forward marks let through."""
+    if not 1 <= r <= 4:
+        raise ValueError(f"colour count must be 1..4, got {r}")
+    if not 1 <= n_max <= 64:
+        raise ValueError(f"n_max must be 1..64, got {n_max}")
+    v = A.cols
+    if v == 0:
+        raise ValueError("matrix has no columns to solve for")
+
+    rows = [row for row in _integer_rows(map(A.row, range(A.rows))) if any(row)]
+    plans, ahead = one_pin_plans(rows, v)
+
+    members: list[list[int]] = [[] for _ in range(r)]
+    inclass: list[set[int]] = [set() for _ in range(r)]
+    forbid = [0] * ((n_max + 1) * r)    # forbid[u*r + c]: marks against c at u
+    trails: list[list[int]] = []        # the marks each coloured value made
+    colours: list[int] = []
+    used = [0]          # used[t]: colours used on 1..t
+    best: tuple[int, ...] = ()
+
+    def forward(t: int, colour: int) -> list[int] | None:
+        """Mark `colour` at each u in (t, n_max] that would complete a
+        solution in its class with t; the marks made, or None with them
+        undone on a wipe-out at or below the horizon."""
+        trail: list[int] = []
+        horizon = len(best) + 1
+        cls = members[colour]
+        for pinned, plan in ahead:
+            for u in _solved_values(plan, [a * t for a in pinned], cls, cls[0],
+                                    t, t + 1, n_max):
+                i = u * r + colour
+                forbid[i] += 1
+                trail.append(i)
+                if forbid[i] == 1 and u <= horizon and all(forbid[u * r:u * r + r]):
+                    for i in trail:
+                        forbid[i] -= 1
+                    return None
+        return trail
+
+    colour = 0
+    while True:
+        t = len(colours) + 1
+        if colour < min(r, used[-1] + 1):
+            if not forbid[t * r + colour]:
+                cls = members[colour]
+                cls.append(t)
+                inclass[colour].add(t)
+                # only solutions that contain t are new
+                for pinned, plan in plans:
+                    if _first_solution(plan, [a * t for a in pinned], cls,
+                                       inclass[colour], False, cls[0], t) is not None:
+                        break
+                else:
+                    colours.append(colour)
+                    used.append(max(used[-1], colour + 1))
+                    if t > len(best):
+                        best = tuple(colours)
+                    if t == n_max:
+                        return RadoNumberResult(None, best)
+                    trail = forward(t, colour)
+                    if trail is not None:
+                        trails.append(trail)
+                        colour = 0
+                        continue
+                    colours.pop()
+                    used.pop()
+                cls.pop()
+                inclass[colour].discard(t)
+            colour += 1
+        elif colours:
+            colour = colours.pop()
+            used.pop()
+            members[colour].pop()
+            inclass[colour].discard(t - 1)
+            for i in trails.pop():
+                forbid[i] -= 1
+            colour += 1
+        else:
+            return RadoNumberResult(len(best) + 1, best)

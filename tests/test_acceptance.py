@@ -10,6 +10,7 @@ from conftest import (
     random_matrix,
     random_prime_set,
     random_subring_element,
+    solves,
 )
 from radokit.linalg import RatMatrix
 from radokit.rado import columns_condition, first_entries, weak_first_entries_condition
@@ -116,7 +117,7 @@ def test_criterion_5_obstruction_vs_witness():
     for k in range(2, 21):
         deep = SystemSpec(2, k, CoefficientSchedule.qpowpair(2))
         witness = natural_solution_witness(deep)
-        assert witness.solves(build_truncated_system(deep))
+        assert solves(witness, build_truncated_system(deep))
     report(5, time.perf_counter() - start, 5,
            "y=(2,1) passes 10^4 obstruction checks while y=(1,1) fails at "
            "n=2; integer witnesses verify for depths up to 20")

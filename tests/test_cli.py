@@ -534,7 +534,7 @@ class TestRadoNumber:
         assert main(["rado-number", "--matrix", matrix,
                      "--colours", "9", "--nmax", "10"]) == 2
 
-    @pytest.mark.parametrize("m, number", [(6, 29), (7, 41)])
+    @pytest.mark.parametrize("m, number", [(m, m * m - m - 1) for m in range(3, 9)])
     def test_sum_equation_number_and_witness(self, tmp_path, capsys, m, number):
         # x_1 + ... + x_{m-1} = x_m has 2-colour Rado number m^2 - m - 1
         # (Beutelspacher-Brestovansky)
@@ -549,10 +549,11 @@ class TestRadoNumber:
                              f"witness colouring of 1..{number - 1}:"]
         assert len(lines) == number + 1
         colouring = write(tmp_path, "w.txt", "\n".join(lines[2:]) + "\n")
-        # the default budget, 10^8 tuples of |class|^(m-1), refuses m = 7
+        # the default budget, 10^8 tuples of |class|^(m-1), refuses m = 7;
+        # the witness for m = 8 has a class of 42 values, and 42^7 < 10^12
         assert main(["mono-search", "--matrix", matrix,
                      "--colouring", f"file:{colouring}", "--ground", str(number - 1),
-                     "--budget", str(10**10)]) == 1
+                     "--budget", str(10**12)]) == 1
         assert capsys.readouterr().out == "no monochromatic solution\n"
 
 

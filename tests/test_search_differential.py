@@ -1,7 +1,9 @@
 """monochromatic_solution and min_rado_number against the searches they
 replaced (search_reference.py, next to this file) on seeded random inputs:
 the same witness or None, the same Rado number and witness colouring, and
-BudgetExceededError on exactly the same inputs."""
+BudgetExceededError on exactly the same inputs.  min_rado_number is also
+checked against its one-pin form, and its forward plans against every
+forward plan that form builds."""
 
 import random
 from collections import Counter
@@ -17,7 +19,9 @@ from radokit.search import (
     GroundSet,
     _head_range,
     _plan,
+    _rado_plans,
     _Runs,
+    _solved_values,
     min_rado_number,
     monochromatic_solution,
 )
@@ -226,3 +230,86 @@ def test_min_rado_number_matches_reference_on_repeating_equations(name):
     for r in range(1, 5):
         want = ref.min_rado_number(A, r, n_max)
         assert min_rado_number(A, r, n_max) == want, (r, want)
+
+
+# Systems with all-zero columns, and two-row systems whose columns repeat a
+# kind, so that the exact check pins t at two columns of one kind.
+PINNED_PAIRS = {
+    "x+y=z, w free": ([[1, 1, -1, 0]], 16),
+    "w free, x+y=z": ([[0, 1, 1, -1]], 16),
+    "x+y=z, w free, a zero row": ([[1, 1, -1, 0], [0, 0, 0, 0]], 16),
+    "every column zero": ([[0, 0], [0, 0]], 5),
+    "x+y=z, x+y=w": ([[1, 1, -1, 0], [1, 1, 0, -1]], 16),
+    "x+y=z, 2x+2y=w": ([[1, 1, -1, 0], [2, 2, 0, -1]], 16),
+    "x+y=3z, x+y=w+v": ([[1, 1, -3, 0, 0], [1, 1, 0, -1, -1]], 12),
+    "x+y+z=w, z=v": ([[1, 1, 1, -1, 0], [0, 0, 1, 0, -1]], 12),
+    "x+y=z+w, x+y=2v": ([[1, 1, -1, -1, 0], [1, 1, 0, 0, -2]], 10),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_PAIRS)
+def test_min_rado_number_matches_reference_on_pinned_pairs(name):
+    rows, n_max = PINNED_PAIRS[name]
+    A = RatMatrix.from_rows(rows)
+    for r in range(1, 5):
+        want = ref.min_rado_number(A, r, n_max)
+        assert min_rado_number(A, r, n_max) == want, (r, want)
+
+
+def random_system(rng: random.Random) -> list[list[int]]:
+    """1-2 rows of 2-5 columns, coefficients in {0, +-1, +-2, 3}."""
+    v = rng.randint(2, 5)
+    return [[rng.choice((0, 1, -1, 2, -2, 3)) for _ in range(v)]
+            for _ in range(rng.randint(1, 2))]
+
+
+def test_min_rado_number_matches_one_pin_plans():
+    """Pinning t at two columns and dropping the forward plans that cannot
+    mark leave every number and witness as they were with t pinned at one
+    column of each kind and every forward plan built."""
+    rng = random.Random(20261019)
+    seen = Counter()
+    for case in range(1000):
+        rows = random_system(rng)
+        A = RatMatrix.from_rows(rows)
+        r, n_max = rng.randint(1, 3), rng.randint(1, 14)
+        want = ref.min_rado_number_one_pin(A, r, n_max)
+        assert min_rado_number(A, r, n_max) == want, (case, rows, r, n_max)
+        columns = list(zip(*rows))
+        seen["number"] += want.number is not None
+        seen["zero column"] += (0,) * len(rows) in columns
+        seen["repeated kind"] += any(columns.count(c) > 1 for c in columns if any(c))
+    assert min(seen.values()) > 200, seen
+
+
+def test_dropped_forward_plans_cannot_mark():
+    """A forward plan is dropped only when no assignment of its enumerated
+    columns from [1, t] gives a solved value above t, for any t < n_max: it
+    could never mark.  The one-pin form's plans are the candidates."""
+    rng = random.Random(20261020)
+    dropped = kept = 0
+    for case in range(300):
+        rows = [row for row in random_system(rng) if any(row)]
+        if not rows:
+            continue
+        v, n_max = len(rows[0]), rng.randint(2, 20)
+        every = ref.one_pin_plans(rows, v)[1]
+        ahead = _rado_plans(rows, n_max)[1]
+        assert all(pair in every for pair in ahead), (case, rows)
+        for pinned, plan in every:
+            if (pinned, plan) in ahead:
+                kept += 1
+                continue
+            dropped += 1
+            for t in range(1, n_max):
+                values = _solved_values(plan, [a * t for a in pinned],
+                                        list(range(1, t + 1)), 1, t, t + 1, 10**6)
+                assert not values, (case, rows, pinned, plan, t, values)
+    assert dropped > 100 and kept > 100, (dropped, kept)
+
+
+def test_schur_keeps_one_forward_plan():
+    """For x + y = z only t + y = u can mark: u = z - t and u = t - y never
+    exceed t."""
+    assert len(ref.one_pin_plans([[1, 1, -1]], 3)[1]) == 3
+    assert len(_rado_plans([[1, 1, -1]], 42)[1]) == 1

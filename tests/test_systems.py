@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import solves
 from radokit.linalg import RatMatrix
 from radokit.rado import first_entries, weak_first_entries_condition
 from radokit.rings import PrimeSet, padic_valuation
@@ -284,7 +285,7 @@ class TestNaturalSolutionWitness:
         spec = SystemSpec(2, 2, CoefficientSchedule.qpowpair(2))
         w = natural_solution_witness(spec)
         assert w.values == (F(1), F(1), F(2), F(1), F(2))
-        assert w.solves(build_truncated_system(spec))
+        assert solves(w, build_truncated_system(spec))
 
     def test_depth_three(self):
         spec = SystemSpec(2, 3, CoefficientSchedule.qpowpair(3))
@@ -293,12 +294,12 @@ class TestNaturalSolutionWitness:
         byname = dict(zip(names, w.values))
         assert byname["y_1"] == 2 and byname["y_2"] == 1
         assert byname["z_3"] == 3
-        assert w.solves(build_truncated_system(spec))
+        assert solves(w, build_truncated_system(spec))
 
     def test_allprimespair(self):
         spec = SystemSpec(2, 2, CoefficientSchedule.allprimespair())
         w = natural_solution_witness(spec)
-        assert w.solves(build_truncated_system(spec))
+        assert solves(w, build_truncated_system(spec))
 
     def test_positive_integers_only(self):
         spec = SystemSpec(2, 6, CoefficientSchedule.qpowpair(5))
