@@ -148,7 +148,7 @@ def _cmd_cc_check(args: argparse.Namespace) -> int:
     for t, block in enumerate(cert.blocks, start=1):
         print(f"block {t}: " + " ".join(str(j + 1) for j in block))
     for t, witness in enumerate(cert.witnesses, start=2):
-        print(f"witness {t}: " + " ".join(format_rat(w) for w in witness))
+        print(f"witness {t}: " + " ".join(_texts(witness)))
     return 0
 
 

@@ -68,12 +68,16 @@ def _integer_rows(rows: Iterable[Sequence[Rat | int]]) -> list[list[int]]:
 
     The package's one row normalizer.  Scaling a row by a positive constant
     keeps the vectors it annihilates and the row space, so neither a
-    zero-sum test nor an elimination can tell the scaled rows apart.  Each
-    denominator is read once, and an integral row (lcm 1), such as a row of
-    ints, is returned as its numerators.
+    zero-sum test nor an elimination can tell the scaled rows apart.  A row
+    whose entries are all of type int is copied as it is, with one type test
+    per entry and no attribute read.  Any other row reads each denominator
+    once, and an integral row (lcm 1) is returned as its numerators.
     """
     out = []
     for row in rows:
+        if not set(map(type, row)) - {int}:
+            out.append(list(row))
+            continue
         dens = [x.denominator for x in row]
         m = lcm(*dens)
         if m == 1:
@@ -150,13 +154,23 @@ def in_span(
 
 def parse_matrix(text: str) -> RatMatrix:
     """Parse the matrix text format: one row per line, entries separated by
-    whitespace, blank lines and '#' comment lines ignored."""
+    whitespace, blank lines and '#' comment lines ignored.
+
+    parse_rat reads each distinct token once per matrix; every repeat of the
+    token is a dict lookup and shares that Fraction.  Tokens are still read
+    in text order, so the first bad one raises parse_rat's own error.
+    """
+    parsed: dict[str, Rat] = {}
     rows = []
     for line in text.splitlines():
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        rows.append([parse_rat(tok) for tok in stripped.split()])
+        toks = stripped.split()
+        for tok in toks:
+            if tok not in parsed:
+                parsed[tok] = parse_rat(tok)
+        rows.append(list(map(parsed.__getitem__, toks)))
     return RatMatrix.from_rows(rows)
 
 

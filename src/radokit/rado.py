@@ -100,11 +100,19 @@ def _pack(vectors: list[list[int]]) -> list[int]:
     subset of the vectors is zero exactly when the packed sum is zero.
 
     Every coordinate of such a sum lies strictly inside (-W/2, W/2), and
-    balanced base-W digits in that range determine the vector.
+    balanced base-W digits in that range determine the vector.  Each packed
+    int is built by Horner's rule, one multiply and one add per coordinate,
+    with no power of W computed.
     """
     bound = max((abs(x) for vec in vectors for x in vec), default=0)
     base = 2 * len(vectors) * bound + 1
-    return [sum(x * base**i for i, x in enumerate(vec)) for vec in vectors]
+    packed = []
+    for vec in vectors:
+        n = 0
+        for x in reversed(vec):
+            n = n * base + x
+        packed.append(n)
+    return packed
 
 
 def _quotient(residuals: dict[int, list[int]], block: tuple[int, ...]) -> None:

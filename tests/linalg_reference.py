@@ -1,6 +1,8 @@
 """The Fraction-arithmetic rref and in_span that radokit.linalg's integer
 elimination replaced, kept verbatim as the differential test's reference,
-and the rank they give, which the naive columns-condition oracle uses."""
+and the rank they give, which the naive columns-condition oracle uses.
+Also the parse_matrix that called parse_rat once per token, before
+radokit.linalg read each distinct token once per matrix."""
 
 from __future__ import annotations
 
@@ -8,7 +10,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from radokit.linalg import RatMatrix
-from radokit.rings import Rat
+from radokit.rings import Rat, parse_rat
 
 
 def rref(M: RatMatrix) -> tuple[RatMatrix, list[int]]:
@@ -63,3 +65,15 @@ def in_span(
     for r, c in enumerate(pivots):
         coeffs[c] = R.at(r, len(vectors))
     return coeffs
+
+
+def parse_matrix(text: str) -> RatMatrix:
+    """Parse the matrix text format: one row per line, entries separated by
+    whitespace, blank lines and '#' comment lines ignored."""
+    rows = []
+    for line in text.splitlines():
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        rows.append([parse_rat(tok) for tok in stripped.split()])
+    return RatMatrix.from_rows(rows)

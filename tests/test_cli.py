@@ -33,6 +33,35 @@ class TestCcCheck:
                        "block 2: 2\n"
                        "witness 2: 1 0\n")
 
+    def test_witnesses_mix_zero_runs_and_repeated_values(self, tmp_path,
+                                                         capsys):
+        # a truncated system with y's coefficients 1/2 (written twice, once
+        # as 2/4) and -3: witness 6 repeats 1/2 around runs of zeros
+        matrix = write(tmp_path, "m.txt",
+                       "# x_2_1 x_2_2 x_3_1 x_3_2 x_3_3 x_4_1 x_4_2 x_4_3 "
+                       "x_4_4 y z_2 z_3 z_4\n"
+                       "1 1 0 0 0 0 0 0 0 1/2 -1 0 0\n"
+                       "0 0 1 1 1 0 0 0 0 2/4 0 -1 0\n"
+                       "0\t0 0 0 0 1 1 1 1 -3 0 0 -1\n")
+        assert main(["cc-check", "--matrix", matrix]) == 0
+        assert capsys.readouterr() == (
+            "certificate:\n"
+            "block 1: 1 11\n"
+            "block 2: 2\n"
+            "block 3: 3 12\n"
+            "block 4: 4\n"
+            "block 5: 5\n"
+            "block 6: 6 7 8 10\n"
+            "block 7: 9\n"
+            "block 8: 13\n"
+            "witness 2: 1 0\n"
+            "witness 3: 0 0 0\n"
+            "witness 4: 0 0 1 0 0\n"
+            "witness 5: 0 0 1 0 0 0\n"
+            "witness 6: 1/2 0 1/2 0 0 0 0\n"
+            "witness 7: 0 0 0 0 0 1 0 0 0 0 0\n"
+            "witness 8: 0 0 0 0 0 -1 0 0 0 0 0 0\n", "")
+
     def test_no_certificate(self, tmp_path, capsys):
         matrix = write(tmp_path, "m.txt", "1 1 -3\n")
         assert main(["cc-check", "--matrix", matrix]) == 1
