@@ -2,7 +2,7 @@
 certificates, localized subrings of the rationals, truncated system
 builders, and colouring searches."""
 
-from .linalg import RatMatrix, format_matrix, in_span, parse_matrix
+from .linalg import RatMatrix, in_span, parse_matrix
 from .rado import (
     CCCertificate,
     FirstEntryReport,
@@ -28,7 +28,6 @@ from .search import (
     Colouring,
     GroundSet,
     RadoNumberResult,
-    SolutionAssignment,
     log2_parity_colour,
     min_rado_number,
     monochromatic_solution,
@@ -36,8 +35,6 @@ from .search import (
 from .systems import (
     CoefficientSchedule,
     SystemSpec,
-    build_stacked_matrix,
-    build_truncated_system,
     natural_solution_witness,
     parse_schedule,
     refute_over_subring,
@@ -57,13 +54,9 @@ __all__ = [
     "RadoNumberResult",
     "Rat",
     "RatMatrix",
-    "SolutionAssignment",
     "SystemSpec",
-    "build_stacked_matrix",
-    "build_truncated_system",
     "columns_condition",
     "first_entries",
-    "format_matrix",
     "format_rat",
     "in_scaled_subring",
     "in_span",

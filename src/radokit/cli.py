@@ -234,10 +234,10 @@ def _cmd_nat_witness(args: argparse.Namespace) -> int:
     witness = natural_solution_witness(spec)
     # the lines "name = value\n" as a stream of parts, written in chunks
     parts = chain.from_iterable(zip(spec.iter_variable_names(), repeat(" = "),
-                                    _texts(witness.values), repeat("\n")))
+                                    _texts(witness), repeat("\n")))
     while chunk := "".join(islice(parts, 16384)):
         sys.stdout.write(chunk)
-    ok = all(r == 0 for r in truncated_residuals(spec, witness.values))
+    ok = all(r == 0 for r in truncated_residuals(spec, witness))
     print("verified: all residuals zero" if ok else "verification failed")
     return 0 if ok else 2
 
@@ -254,8 +254,8 @@ def _cmd_mono_search(args: argparse.Namespace) -> int:
     if found is None:
         print("no monochromatic solution")
         return 1
-    print("solution: " + " ".join(format_rat(x) for x in found.values))
-    print(f"colour: {colouring.colour_of(found.values[0])}")
+    print("solution: " + " ".join(format_rat(x) for x in found))
+    print(f"colour: {colouring.colour_of(found[0])}")
     return 0
 
 

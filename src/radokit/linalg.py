@@ -14,7 +14,7 @@ from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .rings import TOO_LONG, Rat, parse_rat
+from .rings import Rat, parse_rat
 
 _ZERO = Fraction(0)
 
@@ -172,12 +172,3 @@ def parse_matrix(text: str) -> RatMatrix:
                 parsed[tok] = parse_rat(tok)
         rows.append(list(map(parsed.__getitem__, toks)))
     return RatMatrix.from_rows(rows)
-
-
-def format_matrix(M: RatMatrix) -> str:
-    """Inverse of parse_matrix; one line per row, single-space separated."""
-    # format_rat is str; mapping str itself saves a call per entry
-    try:
-        return "\n".join(" ".join(map(str, M.row(i))) for i in range(M.rows))
-    except ValueError:  # past the int-to-text digit limit
-        raise ValueError(TOO_LONG) from None

@@ -1,6 +1,6 @@
 """Finite colouring machinery: the log2-parity colouring, exhaustive
-monochromatic-solution search over finite ground sets, and Rado numbers by
-backtracking over colourings.
+monochromatic-solution search over finite slices {a/s : 1 <= a <= n} of
+the rationals, and Rado numbers by backtracking over colourings.
 
 A "solution" of a u x v matrix is an assignment to its v columns making
 every row's dot product exactly zero.  Searches are exhaustive within
@@ -16,7 +16,8 @@ are assigned.  At every level the pivot row bounds the next column
 (`_head_range`): with its sum so far, the later columns in the class's
 span and the solved value in its target, the column's value lies in an
 interval, and candidates outside it are passed over.  They are filtered,
-not cut off, as an explicit ground set need not be sorted.
+not cut off by bisection, which measured slower on classes of the sizes
+searched.
 
 `monochromatic_solution` runs the kernel once per colour class on the
 columns up to the last nonzero one, then fills the all-zero columns after
@@ -46,7 +47,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import gcd
 from typing import NamedTuple, Sequence
 
 from .linalg import RatMatrix, _integer_rows
@@ -55,23 +56,6 @@ from .rings import Rat
 
 class BudgetExceededError(RuntimeError):
     """Search space larger than the configured budget; no answer claimed."""
-
-
-@dataclass(frozen=True)
-class SolutionAssignment:
-    """Values for the columns of a coefficient matrix, in column order."""
-
-    values: tuple[Rat, ...]
-
-    def residuals(self, M: RatMatrix) -> tuple[Rat, ...]:
-        if len(self.values) != M.cols:
-            raise ValueError(f"expected {M.cols} values, got {len(self.values)}")
-        # only the nonzero coefficients of a row contribute
-        return tuple(
-            sum((a * x for a, x in zip(M.row(i), self.values) if a),
-                start=Fraction(0))
-            for i in range(M.rows)
-        )
 
 
 def _floor_log2(a: int, b: int) -> int:
@@ -137,11 +121,6 @@ class Colouring:
     def log2_parity(cls) -> "Colouring":
         return cls("log2parity", 2)
 
-    def covers(self, x: Rat) -> bool:
-        if self.kind == "table":
-            return x in self._map
-        return x != 0
-
     def colour_of(self, x: Rat) -> int:
         if self.kind == "log2parity":
             return log2_parity_colour(x)
@@ -153,80 +132,56 @@ class Colouring:
 
 @dataclass(frozen=True)
 class GroundSet:
-    """Finite set of distinct nonzero rationals, searched in listed order.
-
-    Either explicit `elements`, or the slice {a/s : 1 <= a <= n} held as
-    `span` = (n, s) and listed, in increasing order, only when iterated: a
-    search sizes a slice's colour classes before making any element.
-    `elements` is empty for a slice.
+    """The slice {a/s : 1 <= a <= n} of the subring whose primes cover s,
+    held as `span` = (n, s) and listed, in increasing order, only when
+    iterated: a search sizes its colour classes before making any element.
     """
 
-    elements: tuple[Rat, ...] = ()
-    span: tuple[int, int] | None = None
+    span: tuple[int, int]
 
     def __post_init__(self) -> None:
-        if self.span is not None:
-            n, s = self.span
-            if n < 1 or s < 1 or self.elements:
-                raise ValueError(
-                    "slice needs positive numerator bound and denominator")
-            return
-        if any(x == 0 for x in self.elements):
-            raise ValueError("ground sets exclude 0")
-        if len(set(self.elements)) != len(self.elements):
-            raise ValueError("ground-set elements must be distinct")
+        n, s = self.span
+        if n < 1 or s < 1:
+            raise ValueError("slice needs positive numerator bound and denominator")
 
     def __iter__(self):
-        if self.span is None:
-            return iter(self.elements)
         n, s = self.span
         return (Fraction(a, s) for a in range(1, n + 1))
 
-    def __len__(self) -> int:
-        return len(self.elements) if self.span is None else self.span[0]
-
     @classmethod
     def slice(cls, num_bound: int, denominator: int = 1) -> "GroundSet":
-        """{a/s : 1 <= a <= num_bound} for a fixed denominator s: a finite
-        slice of the subring whose primes cover s."""
-        return cls(span=(num_bound, denominator))
+        """{a/s : 1 <= a <= num_bound} for a fixed denominator s."""
+        return cls((num_bound, denominator))
 
 
 def _colour_classes(c: Colouring, g: GroundSet) -> tuple[int, list[list[int] | _Runs]]:
     """The non-empty colour classes of g under c, in colour order, as
-    integer numerators over one common denominator, each in ground-set
-    order.
+    ascending integer numerators over the slice's denominator.
 
-    Only an explicit ground set is walked.  A slice under a table colouring
-    takes the table's values that lie in it; under log2parity it splits
-    into one range per dyadic interval [2^e, 2^(e+1)), of colour e mod 2,
-    and each class is a `_Runs` of them.
+    Under a table colouring a class holds the table's values that lie in
+    the slice, grouped by colour, so the classes take memory for the
+    table's entries, whatever the colour labels.  Under log2parity the slice
+    splits into one range per dyadic interval [2^e, 2^(e+1)), of colour
+    e mod 2, and each class is a `_Runs` of them.
     """
-    if g.span is None:
-        covered = [x for x in g if c.covers(x)]
-        den = lcm(*(x.denominator for x in covered))
-        pairs = [(x.numerator * (den // x.denominator), c.colour_of(x))
-                 for x in covered]
-    elif c.kind == "table":
-        n, den = g.span
+    n, den = g.span
+    if c.kind == "table":
         # x * den is an integer exactly when x's reduced denominator divides den
         pairs = sorted((a, colour) for x, colour in c.assignments
                        if not den % x.denominator
                        and 1 <= (a := x.numerator * (den // x.denominator)) <= n)
-    else:
-        n, den = g.span
-        runs: list[list[range]] = [[], []]
-        e, lo = _floor_log2(1, den), 1
-        while lo <= n:
-            # the numerators a with a/den < 2^(e+1)
-            hi = (den << e + 1) - 1 if e >= -1 else (den - 1) >> -(e + 1)
-            runs[e & 1].append(range(lo, min(hi, n) + 1))
-            e, lo = e + 1, hi + 1
-        return den, [_Runs(cls) for cls in runs if cls]
-    members: list[list[int]] = [[] for _ in range(c.r)]
-    for a, colour in pairs:
-        members[colour].append(a)
-    return den, [m for m in members if m]
+        classes: dict[int, list[int]] = {}
+        for a, colour in pairs:
+            classes.setdefault(colour, []).append(a)
+        return den, [classes[colour] for colour in sorted(classes)]
+    runs: list[list[range]] = [[], []]
+    e, lo = _floor_log2(1, den), 1
+    while lo <= n:
+        # the numerators a with a/den < 2^(e+1)
+        hi = (den << e + 1) - 1 if e >= -1 else (den - 1) >> -(e + 1)
+        runs[e & 1].append(range(lo, min(hi, n) + 1))
+        e, lo = e + 1, hi + 1
+    return den, [_Runs(cls) for cls in runs if cls]
 
 
 class _Plan(NamedTuple):
@@ -449,9 +404,10 @@ def monochromatic_solution(
     g: GroundSet,
     distinct: bool = False,
     budget: int = 10**8,
-) -> SolutionAssignment | None:
+) -> tuple[Rat, ...] | None:
     """Exhaustive search for a one-colour-class solution of A with values
-    drawn from g; optionally all values pairwise distinct.
+    drawn from g; optionally all values pairwise distinct.  Returns the
+    values in column order, or None.
 
     Deterministic: colour classes in colour order, candidates in ground-set
     order, first witness wins.  Raises BudgetExceededError, before any
@@ -477,14 +433,14 @@ def monochromatic_solution(
         if distinct and size < v:
             continue
         inclass = cls if isinstance(cls, _Runs) else set(cls)
-        lo, hi = cls.span() if isinstance(cls, _Runs) else (min(cls), max(cls))
+        lo, hi = cls.span() if isinstance(cls, _Runs) else (cls[0], cls[-1])
         found = _first_solution(plan, [0] * len(rows), cls, inclass, distinct,
                                lo, hi)
         if found is not None:
             # all-zero columns after the solved one take the first allowed candidates
             for _ in range(last + 1, v):
                 found.append(next(x for x in cls if not (distinct and x in found)))
-            return SolutionAssignment(tuple(Fraction(x, den) for x in found))
+            return tuple(Fraction(x, den) for x in found)
     return None
 
 

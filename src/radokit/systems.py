@@ -2,10 +2,10 @@
 
     x_{n,1} + ... + x_{n,n} + d_{n,1} y_1 + ... + d_{n,alpha} y_alpha = z_n
 
-for 2 <= n <= k, together with the stacked (I; A; B) matrix whose
-first-entries structure drives the partition-regularity argument, the
-built-in coefficient schedules, and the denominator obstruction that
-refutes solvability over a localized subring.
+for 2 <= n <= k, one sparse row at a time, together with the rows of the
+stacked (I; A; B) matrix whose first-entries structure drives the
+partition-regularity argument, the built-in coefficient schedules, and the
+denominator obstruction that refutes solvability over a localized subring.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from itertools import chain, combinations, count, islice, repeat
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .linalg import RatMatrix, parse_matrix
+from .linalg import parse_matrix
 from .rings import (
     DIGIT_LIMIT,
     PrimeSet,
@@ -27,11 +27,8 @@ from .rings import (
     is_prime,
     padic_valuation,
 )
-from .search import SolutionAssignment
 
-_ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
-
-_SCHEDULE_KINDS = ("qpow", "allprimes", "qpowpair", "allprimespair", "explicit")
+_ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
 
 _primes_cache: list[int] = [2]
 
@@ -62,6 +59,8 @@ _BUILTIN_SCHEDULES = {
     "qpowpair": ((-1, 2), False, (2, 1)),
     "allprimespair": ((-1, 2), True, (2, 1)),
 }
+
+_SCHEDULE_KINDS = (*_BUILTIN_SCHEDULES, "explicit")
 
 
 @dataclass(frozen=True)
@@ -249,22 +248,6 @@ def truncated_rows(spec: SystemSpec) -> Iterator[dict[int, Rat]]:
         yield row
 
 
-def _dense(rows: Iterator[dict[int, Rat]], cols: int) -> RatMatrix:
-    dense = []
-    for sparse in rows:
-        row = [_ZERO] * cols
-        for j, x in sparse.items():
-            row[j] = x
-        dense.append(row)
-    return RatMatrix.from_rows(dense)
-
-
-def build_truncated_system(spec: SystemSpec) -> RatMatrix:
-    """The (k-1) x V homogeneous coefficient matrix of the truncation, the
-    rows of `truncated_rows`."""
-    return _dense(truncated_rows(spec), spec.var_count)
-
-
 def stacked_rows(spec: SystemSpec) -> Iterator[dict[int, Rat]]:
     """The rows of the (I; A; B) stack over v = b_k + alpha columns, one at
     a time, as {column: entry} over their nonzero columns.  The offsets are
@@ -286,25 +269,19 @@ def stacked_rows(spec: SystemSpec) -> Iterator[dict[int, Rat]]:
         yield {i: _ONE, j: _MINUS_ONE}
 
 
-def build_stacked_matrix(spec: SystemSpec) -> RatMatrix:
-    """The (I; A; B) stack, the rows of `stacked_rows`."""
-    return _dense(stacked_rows(spec), spec.x_count + spec.alpha)
-
-
-def natural_solution_witness(spec: SystemSpec) -> SolutionAssignment:
-    """A positive-integer solution of the truncated system for a schedule
-    with an integer kernel y (the pair kinds: y = (2, 1)), which kills every
-    d-combination; all x_{n,j} = 1 and z_n = n.  Other schedules are
-    rejected."""
+def natural_solution_witness(spec: SystemSpec) -> tuple[Rat, ...]:
+    """A positive-integer solution of the truncated system, its values in
+    column order, for a schedule with an integer kernel y (the pair kinds:
+    y = (2, 1)), which kills every d-combination; all x_{n,j} = 1 and
+    z_n = n.  Other schedules are rejected."""
     kernel = spec.schedule.kernel
     if kernel is None:
         raise ValueError(
             f"integer witness needs a pair schedule, got {spec.schedule.kind!r}"
         )
     # the columns are x_{2,1}..x_{k,k}, then y, then z_2..z_k
-    return SolutionAssignment(tuple(chain(
-        repeat(_ONE, spec.x_count), map(Fraction, kernel),
-        map(Fraction, range(2, spec.depth + 1)))))
+    return tuple(chain(repeat(_ONE, spec.x_count), map(Fraction, kernel),
+                       map(Fraction, range(2, spec.depth + 1))))
 
 
 def d_combination(s: CoefficientSchedule, n: int, y: Sequence[Rat]) -> Rat:

@@ -48,9 +48,21 @@ def random_subring_element(rng: random.Random, primes) -> Fraction:
     return Fraction(rng.randint(-30, 30), den)
 
 
-def solves(assignment, M: RatMatrix) -> bool:
-    """Whether a SolutionAssignment zeroes every row of M."""
-    return all(r == 0 for r in assignment.residuals(M))
+def dense(rows, cols: int) -> RatMatrix:
+    """The matrix of sparse rows ({column: entry}) over `cols` columns."""
+    return RatMatrix.from_rows([[row.get(j, 0) for j in range(cols)] for row in rows])
+
+
+def residuals(values, M: RatMatrix) -> tuple[Fraction, ...]:
+    """Each row of M times the values, given in column order."""
+    return tuple(sum((a * x for a, x in zip(M.row(i), values, strict=True)),
+                     Fraction(0))
+                 for i in range(M.rows))
+
+
+def solves(values, M: RatMatrix) -> bool:
+    """Whether the values, given in column order, zero every row of M."""
+    return all(r == 0 for r in residuals(values, M))
 
 
 def column(M: RatMatrix, j: int) -> tuple[Fraction, ...]:

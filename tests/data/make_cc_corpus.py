@@ -3,8 +3,10 @@
 The committed corpus was written by the backtracking depth-first search
 that `columns_condition` used before the greedy chain replaced it, so
 test_cc_corpus.py holds the current code to that search's certificates
-byte for byte.  Rerunning this script rewrites the file from whatever
-`columns_condition` is installed; do that only on purpose.
+byte for byte.  The truncations come from the dense builder and the
+matrix text from the formatter in the test references, one directory up.
+Rerunning this script rewrites the file from whatever `columns_condition`
+is installed; do that only on purpose.
 
     PYTHONPATH=src python tests/data/make_cc_corpus.py
 """
@@ -20,9 +22,13 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
-from radokit.cli import main
-from radokit.linalg import RatMatrix, format_matrix
-from radokit.systems import SystemSpec, build_truncated_system, parse_schedule
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
+from linalg_reference import format_matrix  # noqa: E402
+from radokit.cli import main  # noqa: E402
+from radokit.linalg import RatMatrix  # noqa: E402
+from radokit.systems import SystemSpec, parse_schedule  # noqa: E402
+from systems_reference import dense_truncated_system  # noqa: E402
 
 OUT = Path(__file__).with_name("cc_corpus.json")
 SCALES = [Fraction(s) for s in (1, -1, 2, -2, 3, -3)] + [Fraction(1, 2), Fraction(-2, 3)]
@@ -103,8 +109,8 @@ def corpus() -> list[tuple[str, RatMatrix]]:
         alpha = parse_schedule(schedule).arity
         for depth in range(2, 6):
             spec = SystemSpec(alpha, depth, parse_schedule(schedule))
-            cases.append((f"{schedule} depth {depth}",
-                           row_scaled(rng, build_truncated_system(spec))))
+            M = RatMatrix.from_rows(dense_truncated_system(spec))
+            cases.append((f"{schedule} depth {depth}", row_scaled(rng, M)))
     return cases
 
 

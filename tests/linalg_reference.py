@@ -2,7 +2,8 @@
 elimination replaced, kept verbatim as the differential test's reference,
 and the rank they give, which the naive columns-condition oracle uses.
 Also the parse_matrix that called parse_rat once per token, before
-radokit.linalg read each distinct token once per matrix."""
+radokit.linalg read each distinct token once per matrix, and the matrix
+text it inverts, which is the oracle for the CLI's matrix writer."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from radokit.linalg import RatMatrix
-from radokit.rings import Rat, parse_rat
+from radokit.rings import Rat, format_rat, parse_rat
 
 
 def rref(M: RatMatrix) -> tuple[RatMatrix, list[int]]:
@@ -77,3 +78,8 @@ def parse_matrix(text: str) -> RatMatrix:
             continue
         rows.append([parse_rat(tok) for tok in stripped.split()])
     return RatMatrix.from_rows(rows)
+
+
+def format_matrix(M: RatMatrix) -> str:
+    """Inverse of parse_matrix; one line per row, single-space separated."""
+    return "\n".join(" ".join(map(format_rat, M.row(i))) for i in range(M.rows))

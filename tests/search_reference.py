@@ -22,11 +22,18 @@ from radokit.search import (
     Colouring,
     GroundSet,
     RadoNumberResult,
-    SolutionAssignment,
     _first_solution,
     _plan,
     _solved_values,
 )
+
+
+def covers(c: Colouring, x: Rat) -> bool:
+    """Whether c colours x: a table colours its listed values, log2parity
+    every nonzero one."""
+    if c.kind == "table":
+        return any(x == y for y, _ in c.assignments)
+    return x != 0
 
 
 def monochromatic_solution(
@@ -35,7 +42,7 @@ def monochromatic_solution(
     g: GroundSet,
     distinct: bool = False,
     budget: int = 10**8,
-) -> SolutionAssignment | None:
+) -> tuple[Rat, ...] | None:
     """Exhaustive search for a one-colour-class solution of A with values
     drawn from g; optionally all values pairwise distinct.
 
@@ -48,7 +55,7 @@ def monochromatic_solution(
         raise ValueError("matrix has no columns to solve for")
     classes = []
     for colour in range(c.r):
-        members = [x for x in g if c.covers(x) and c.colour_of(x) == colour]
+        members = [x for x in g if covers(c, x) and c.colour_of(x) == colour]
         if members:
             classes.append(members)
     if sum(len(cls) ** v for cls in classes) > budget:
@@ -67,10 +74,10 @@ def monochromatic_solution(
         chosen: list[Rat] = []
         residual = [Fraction(0)] * A.rows
 
-        def extend() -> SolutionAssignment | None:
+        def extend() -> tuple[Rat, ...] | None:
             depth = len(chosen)
             if depth == v:
-                return SolutionAssignment(tuple(chosen))
+                return tuple(chosen)
             for x in members:
                 if distinct and x in chosen:
                     continue

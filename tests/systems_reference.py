@@ -2,7 +2,8 @@
 for n = 2, 3, ..., n_max it builds every coefficient d_{n,i} by branching on
 the schedule kind and tests the d-combination for subring membership.  It
 is the reference for the closed form.  The dense builders that the sparse
-row generators replaced are kept here too, as their reference."""
+row generators replaced are kept here too, as their reference and as the
+matrices that tests hand to columns_condition and first_entries."""
 
 from __future__ import annotations
 

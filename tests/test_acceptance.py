@@ -6,6 +6,7 @@ import time
 from fractions import Fraction as F
 
 from conftest import (
+    dense,
     oracle_columns_condition,
     random_matrix,
     random_prime_set,
@@ -25,11 +26,11 @@ from radokit.search import (
 from radokit.systems import (
     CoefficientSchedule,
     SystemSpec,
-    build_stacked_matrix,
-    build_truncated_system,
     natural_solution_witness,
     refute_over_subring,
+    stacked_rows,
 )
+from systems_reference import dense_truncated_system
 
 SEED = 20260819
 
@@ -60,7 +61,7 @@ def test_criterion_2_stacked_matrix_reproduction():
     schedule = CoefficientSchedule.explicit(
         [[d[(n, 1)], d[(n, 2)], d[(n, 3)]] for n in (2, 3, 4)]
     )
-    stack = build_stacked_matrix(SystemSpec(3, 4, schedule))
+    stack = dense(stacked_rows(SystemSpec(3, 4, schedule)), 12)
     assert (stack.rows, stack.cols) == (18, 12)
     identity = RatMatrix.from_rows(
         [[1 if i == j else 0 for j in range(12)] for i in range(12)]
@@ -117,7 +118,7 @@ def test_criterion_5_obstruction_vs_witness():
     for k in range(2, 21):
         deep = SystemSpec(2, k, CoefficientSchedule.qpowpair(2))
         witness = natural_solution_witness(deep)
-        assert solves(witness, build_truncated_system(deep))
+        assert solves(witness, RatMatrix.from_rows(dense_truncated_system(deep)))
     report(5, time.perf_counter() - start, 5,
            "y=(2,1) passes 10^4 obstruction checks while y=(1,1) fails at "
            "n=2; integer witnesses verify for depths up to 20")

@@ -5,4 +5,6 @@ def test_public_names():
     assert radokit.__all__ == sorted(radokit.__all__)
     for name in radokit.__all__:
         getattr(radokit, name)
-    assert "rref" not in radokit.__all__ and "rank" not in radokit.__all__
+    for gone in ("rref", "rank", "build_truncated_system", "build_stacked_matrix",
+                 "format_matrix", "SolutionAssignment"):
+        assert gone not in radokit.__all__ and not hasattr(radokit, gone)

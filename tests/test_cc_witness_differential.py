@@ -16,7 +16,8 @@ import linalg_reference as ref
 from conftest import column
 from radokit.linalg import RatMatrix
 from radokit.rado import columns_condition
-from radokit.systems import SystemSpec, build_truncated_system, parse_schedule
+from radokit.systems import SystemSpec, parse_schedule
+from systems_reference import dense_truncated_system
 
 
 def check_witnesses(M):
@@ -123,5 +124,5 @@ def test_witnesses_match_the_fraction_reference_on_random_matrices():
 @pytest.mark.parametrize("depth", [3, 4, 5, 6])
 def test_witnesses_match_the_fraction_reference_on_truncations(schedule, depth):
     sched = parse_schedule(schedule)
-    M = build_truncated_system(SystemSpec(sched.arity, depth, sched))
+    M = RatMatrix.from_rows(dense_truncated_system(SystemSpec(sched.arity, depth, sched)))
     assert check_witnesses(M)

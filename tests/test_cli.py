@@ -5,16 +5,15 @@ import pytest
 
 import radokit.cli
 from radokit.cli import ENTRY_LIMIT, _build_parser, main
-from radokit.linalg import format_matrix, parse_matrix
-from radokit.search import SolutionAssignment
+from linalg_reference import format_matrix
+from radokit.linalg import RatMatrix, parse_matrix
 from radokit.systems import (
     CoefficientSchedule,
     SystemSpec,
-    build_stacked_matrix,
-    build_truncated_system,
     natural_solution_witness,
     parse_schedule,
 )
+from systems_reference import dense_stacked_matrix, dense_truncated_system
 
 
 def write(tmp_path, name, text):
@@ -119,7 +118,8 @@ class TestBuilders:
                      "--schedule", "qpowpair:3", "--out", str(out_file)])
         assert code == 0
         spec = SystemSpec(2, 3, CoefficientSchedule.qpowpair(3))
-        assert parse_matrix(out_file.read_text()) == build_truncated_system(spec)
+        assert parse_matrix(out_file.read_text()) \
+            == RatMatrix.from_rows(dense_truncated_system(spec))
 
     def test_build_iab(self, capsys):
         code = main(["build-iab", "--alpha", "1", "--depth", "2",
@@ -171,12 +171,13 @@ class TestBuilders:
 
 
 def expected_matrix_output(command, alpha, depth, schedule):
-    """The header and format_matrix of the dense builder's matrix."""
+    """The header and format_matrix of the reference's dense matrix."""
     spec = SystemSpec(alpha, depth, parse_schedule(schedule))
     if command == "build-system":
-        M, label = build_truncated_system(spec), "truncated system"
+        rows, label = dense_truncated_system(spec), "truncated system"
     else:
-        M, label = build_stacked_matrix(spec), "stacked (I; A; B) matrix"
+        rows, label = dense_stacked_matrix(spec), "stacked (I; A; B) matrix"
+    M = RatMatrix.from_rows(rows)
     names = list(spec.iter_variable_names())[:M.cols]
     return (f"# {label}: depth {depth}, alpha {alpha}\n"
             f"# columns: {' '.join(names)}\n" + format_matrix(M) + "\n")
@@ -404,9 +405,9 @@ class TestNatWitness:
     ])
     def test_a_wrong_value_fails(self, name, line, monkeypatch, capsys):
         def off_by_one(spec):
-            values = list(natural_solution_witness(spec).values)
+            values = list(natural_solution_witness(spec))
             values[list(spec.iter_variable_names()).index(name)] += 1
-            return SolutionAssignment(tuple(values))
+            return tuple(values)
 
         monkeypatch.setattr(radokit.cli, "natural_solution_witness", off_by_one)
         assert main(["nat-witness", "--alpha", "2", "--depth", "5",
@@ -505,6 +506,25 @@ class TestMonoSearch:
         assert time.perf_counter() - start < 1
         assert code == (0 if out.startswith("solution") else 1)
         assert capsys.readouterr().out == out
+
+    def test_memory_does_not_grow_with_the_colour_labels(self, tmp_path, capsys):
+        # the classes are grouped by colour, not held in a list indexed by it
+        matrix = write(tmp_path, "m.txt", "1 1 -1\n")
+        outs = []
+        for label in (1, 4_000_000):
+            colouring = write(tmp_path, "c.txt", f"1 {label}\n2 {label}\n3 0\n")
+            argv = ["mono-search", "--matrix", matrix,
+                    "--colouring", f"file:{colouring}", "--ground", "3"]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 2**20, (label, peak)
+            outs.append(capsys.readouterr().out.splitlines())
+        assert outs == [["solution: 1 1 2", "colour: 1"],
+                        ["solution: 1 1 2", "colour: 4000000"]]
 
     @pytest.mark.parametrize("budget", ["0", "-1"])
     def test_budget_below_one(self, budget, tmp_path, capsys):

@@ -1,7 +1,8 @@
 """The corpus scripts under tests/data write their JSON only when run with
 no arguments.  Each run here is of a copy of the script in a temporary
 directory, so the JSON it would write lands there, never over the
-committed corpus."""
+committed corpus.  The copy gets tests/ on its PYTHONPATH, since the
+script imports the test references from there."""
 
 import os
 import shutil
@@ -11,13 +12,14 @@ from pathlib import Path
 
 import pytest
 
-DATA = Path(__file__).parent / "data"
-SRC = Path(__file__).parent.parent / "src"
+TESTS = Path(__file__).parent
+DATA = TESTS / "data"
+SRC = TESTS.parent / "src"
 
 
 def run_copy(script: str, tmp_path: Path, *args: str) -> subprocess.CompletedProcess:
     shutil.copy(DATA / script, tmp_path / script)
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(TESTS)]))
     return subprocess.run([sys.executable, str(tmp_path / script), *args],
                           capture_output=True, text=True, env=env, timeout=60)
 

@@ -4,8 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import random_matrix
-from linalg_reference import rank, rref
-from radokit.linalg import RatMatrix, format_matrix, in_span, parse_matrix
+from linalg_reference import format_matrix, rank, rref
+from radokit.linalg import RatMatrix, in_span, parse_matrix
 
 
 class TestRatMatrix:

@@ -13,12 +13,8 @@ from radokit.rado import (
     verify_cc_certificate,
     weak_first_entries_condition,
 )
-from radokit.systems import (
-    CoefficientSchedule,
-    SystemSpec,
-    build_stacked_matrix,
-    build_truncated_system,
-)
+from radokit.systems import CoefficientSchedule, SystemSpec
+from systems_reference import dense_stacked_matrix, dense_truncated_system
 
 SCHUR = RatMatrix.from_rows([[1, 1, -1]])
 
@@ -220,7 +216,7 @@ class TestWideMatrices:
         (CoefficientSchedule.allprimespair(), 2, 27),
     ])
     def test_depth_6_truncations(self, schedule, alpha, cols):
-        M = build_truncated_system(SystemSpec(alpha, 6, schedule))
+        M = RatMatrix.from_rows(dense_truncated_system(SystemSpec(alpha, 6, schedule)))
         assert M.cols == cols
         cert = self.timed(M)
         assert cert is not None
@@ -279,7 +275,7 @@ class TestFirstEntries:
              [F(1, 11), F(2, 11), F(3, 11)],
              [F(1, 13), F(2, 13), F(3, 13)]]
         )
-        stack = build_stacked_matrix(SystemSpec(3, 4, d))
+        stack = RatMatrix.from_rows(dense_stacked_matrix(SystemSpec(3, 4, d)))
         report = first_entries(stack)
         assert report.zero_rows == ()
         assert report.common_value == 1

@@ -12,7 +12,6 @@ from radokit.search import (
     BudgetExceededError,
     Colouring,
     GroundSet,
-    SolutionAssignment,
     log2_parity_colour,
     min_rado_number,
     monochromatic_solution,
@@ -65,7 +64,8 @@ class TestColouring:
         c = Colouring.table([1, 2], [0, 1])
         assert c.r == 2
         assert c.colour_of(F(1)) == 0 and c.colour_of(F(2)) == 1
-        assert c.covers(F(1)) and not c.covers(F(3))
+        with pytest.raises(ValueError):
+            c.colour_of(F(3))
 
     def test_uncoloured_value_rejected(self):
         c = Colouring.table([1], [0])
@@ -87,8 +87,9 @@ class TestColouring:
     def test_log2_parity_kind(self):
         c = Colouring.log2_parity()
         assert c.r == 2
-        assert c.covers(F(-7)) and not c.covers(F(0))
-        assert c.colour_of(F(4)) == 0
+        assert c.colour_of(F(-7)) == 0 and c.colour_of(F(4)) == 0
+        with pytest.raises(ValueError):
+            c.colour_of(F(0))
 
 
 class TestGroundSet:
@@ -98,20 +99,18 @@ class TestGroundSet:
     def test_slice(self):
         assert list(GroundSet.slice(4, 2)) == [F(1, 2), F(1), F(3, 2), F(2)]
 
-    def test_rejects_zero_and_duplicates(self):
-        with pytest.raises(ValueError):
-            GroundSet((F(0),))
-        with pytest.raises(ValueError):
-            GroundSet((F(1), F(1)))
+    def test_rejects_an_empty_slice(self):
         with pytest.raises(ValueError):
             GroundSet.slice(0)
+        with pytest.raises(ValueError):
+            GroundSet.slice(3, 0)
 
 
 class TestMonochromaticSolution:
     def test_single_class_finds_schur_triple(self):
         c = Colouring.table([1, 2, 3, 4], [0, 0, 0, 0])
         found = monochromatic_solution(SCHUR, c, GroundSet.slice(4))
-        assert found.values == (F(1), F(1), F(2))
+        assert found == (F(1), F(1), F(2))
         assert solves(found, SCHUR)
 
     def test_good_colouring_blocks_all(self):
@@ -123,7 +122,7 @@ class TestMonochromaticSolution:
         found = monochromatic_solution(
             SCHUR, c, GroundSet.slice(3), distinct=True
         )
-        assert found.values == (F(1), F(2), F(3))
+        assert found == (F(1), F(2), F(3))
 
     def test_distinct_mode_excludes_repeats(self):
         c = Colouring.table([1, 2], [0, 0])
@@ -162,7 +161,7 @@ class TestMonochromaticSolution:
         assert time.perf_counter() - start < 1
         if row == [3, -5]:
             # 3x = 5y first at x = 5/3, y = 1 (the class [4/3, 2) of colour 0)
-            assert found.values == (F(5, 3), F(1))
+            assert found == (F(5, 3), F(1))
         else:
             assert found is None
 
@@ -192,18 +191,7 @@ class TestMonochromaticSolution:
             found = monochromatic_solution(SCHUR, c, g, distinct=rng.random() < 0.5)
             if found is not None:
                 assert solves(found, SCHUR)
-                assert len({c.colour_of(x) for x in found.values}) == 1
-
-
-class TestSolutionAssignment:
-    def test_residuals(self):
-        a = SolutionAssignment((F(1), F(2), F(3)))
-        assert a.residuals(SCHUR) == (F(0),)
-        assert solves(a, SCHUR)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            SolutionAssignment((F(1),)).residuals(SCHUR)
+                assert len({c.colour_of(x) for x in found}) == 1
 
 
 class TestMinRadoNumber:

@@ -50,30 +50,19 @@ def outcome(search, *args, **kwargs):
 
 
 def random_ground_and_colouring(rng: random.Random, size: int):
-    """One of: a table colouring of a shuffled explicit ground set, log2parity
-    on a slice with denominator 1-7, or a table colouring read against a
-    slice (the CLI's file: colourings)."""
-    kind = rng.choice(("explicit", "log2-slice", "table-slice"))
-    if kind == "log2-slice":
+    """One of: log2parity on a slice with denominator 1-7, or a table
+    colouring read against a slice (the CLI's file: colourings), with some
+    slice values uncoloured and some coloured values off the slice."""
+    if rng.random() < 0.5:
         return GroundSet.slice(size, rng.randint(1, 7)), Colouring.log2_parity()
     r = rng.randint(1, 4)
-    if kind == "explicit":
-        pool = sorted({F(a, d) for a in range(-12, 13) if a for d in (1, 2, 3)})
-        elements = rng.sample(pool, min(size, len(pool)))
-        rng.shuffle(elements)
-        ground = GroundSet(tuple(elements))
-        # some ground values uncoloured, some coloured values off the ground
-        extra = rng.sample(pool, 3)
-        coloured = [x for x in elements if rng.random() < 0.9]
-        coloured += [x for x in extra if x not in coloured]
-    else:
-        den = rng.randint(1, 4)
-        ground = GroundSet.slice(size, den)
-        coloured = [F(a, den) for a in range(1, size + 1) if rng.random() < 0.9]
-        coloured += [F(size + 1, den), F(1, den + 1), F(-1, den)]
-        coloured = list(dict.fromkeys(coloured))
-        rng.shuffle(coloured)
-    return ground, Colouring.table(coloured, [rng.randrange(r) for _ in coloured], r=r)
+    den = rng.randint(1, 4)
+    coloured = [F(a, den) for a in range(1, size + 1) if rng.random() < 0.9]
+    coloured += [F(size + 1, den), F(1, den + 1), F(-1, den)]
+    coloured = list(dict.fromkeys(coloured))
+    rng.shuffle(coloured)
+    return (GroundSet.slice(size, den),
+            Colouring.table(coloured, [rng.randrange(r) for _ in coloured], r=r))
 
 
 def enumerated_tuples(A: RatMatrix, c: Colouring, g: GroundSet) -> int:
@@ -84,7 +73,7 @@ def enumerated_tuples(A: RatMatrix, c: Colouring, g: GroundSet) -> int:
                default=0)
     sizes = [0] * c.r
     for x in g:
-        if c.covers(x):
+        if ref.covers(c, x):
             sizes[c.colour_of(x)] += 1
     return sum(size ** last for size in sizes if size)
 

@@ -4,16 +4,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import solves
+from conftest import dense, residuals, solves
 from radokit.linalg import RatMatrix
 from radokit.rado import first_entries, weak_first_entries_condition
 from radokit.rings import PrimeSet, padic_valuation
-from radokit.search import SolutionAssignment
 from radokit.systems import (
     CoefficientSchedule,
     SystemSpec,
-    build_stacked_matrix,
-    build_truncated_system,
     natural_solution_witness,
     parse_schedule,
     refute_over_subring,
@@ -160,15 +157,23 @@ class TestSystemSpec:
             SystemSpec(1, 3, s)
 
 
-class TestBuildTruncatedSystem:
+def truncated_matrix(spec):
+    return dense(truncated_rows(spec), spec.var_count)
+
+
+def stacked_matrix(spec):
+    return dense(stacked_rows(spec), spec.x_count + spec.alpha)
+
+
+class TestTruncatedRows:
     def test_single_equation(self):
         spec = SystemSpec(1, 2, CoefficientSchedule.qpow(2))
-        M = build_truncated_system(spec)
+        M = truncated_matrix(spec)
         assert M.to_lists() == [[1, 1, F(1, 4), -1]]
 
     def test_zero_coefficients_degenerate(self):
         s = CoefficientSchedule.explicit([[F(0)], [F(0)]])
-        M = build_truncated_system(SystemSpec(1, 3, s))
+        M = truncated_matrix(SystemSpec(1, 3, s))
         assert M.to_lists() == [
             [1, 1, 0, 0, 0, 0, -1, 0],
             [0, 0, 1, 1, 1, 0, 0, -1],
@@ -176,13 +181,13 @@ class TestBuildTruncatedSystem:
 
     def test_pair_equation(self):
         spec = SystemSpec(2, 2, CoefficientSchedule.qpowpair(2))
-        M = build_truncated_system(spec)
+        M = truncated_matrix(spec)
         assert M.to_lists() == [[1, 1, F(-1, 4), F(1, 2), -1]]
 
 
-class TestBuildStackedMatrix:
+class TestStackedRows:
     def test_minimal(self):
-        M = build_stacked_matrix(SystemSpec(1, 2, CoefficientSchedule.qpow(2)))
+        M = stacked_matrix(SystemSpec(1, 2, CoefficientSchedule.qpow(2)))
         assert M.to_lists() == [
             [1, 0, 0],
             [0, 1, 0],
@@ -192,7 +197,7 @@ class TestBuildStackedMatrix:
 
     def test_depth_three(self):
         s = CoefficientSchedule.explicit([[F(1, 7)], [F(2, 7)]])
-        M = build_stacked_matrix(SystemSpec(1, 3, s))
+        M = stacked_matrix(SystemSpec(1, 3, s))
         assert (M.rows, M.cols) == (8, 6)
         assert M.to_lists()[6:] == [
             [1, 1, 0, 0, 0, F(1, 7)],
@@ -201,7 +206,7 @@ class TestBuildStackedMatrix:
 
     def test_difference_rows(self):
         s = CoefficientSchedule.explicit([[F(1, 7), F(2, 7), F(3, 7)]])
-        M = build_stacked_matrix(SystemSpec(3, 2, s))
+        M = stacked_matrix(SystemSpec(3, 2, s))
         # v = 2 + 3 = 5; one A row, then the three difference rows
         assert (M.rows, M.cols) == (9, 5)
         assert M.to_lists()[5] == [1, 1, F(1, 7), F(2, 7), F(3, 7)]
@@ -222,15 +227,15 @@ class TestBuildStackedMatrix:
                     [[F(1, 10 * n + t) for t in range(1, alpha + 1)]
                      for n in range(2, k + 1)]
                 )
-                stack = build_stacked_matrix(SystemSpec(alpha, k, schedule))
+                stack = stacked_matrix(SystemSpec(alpha, k, schedule))
                 assert weak_first_entries_condition(stack, strict=True)
                 assert first_entries(stack).common_value == 1
 
     def test_a_block_matches_truncated_rows(self):
         rng = random.Random(41)
         spec = SystemSpec(2, 5, CoefficientSchedule.qpowpair(3))
-        stack = build_stacked_matrix(spec)
-        system = build_truncated_system(spec)
+        stack = stacked_matrix(spec)
+        system = truncated_matrix(spec)
         v = stack.cols
         w = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(v)]
         # same x/y layout; the truncated system appends z columns, set to 0
@@ -262,16 +267,6 @@ class TestSparseRows:
                     assert list(sparse) == [j for j, x in enumerate(dense) if x]
                     assert all(sparse[j] == dense[j] for j in sparse)
 
-    def test_dense_wrappers(self):
-        rng = random.Random(8)
-        for depth in (2, 5, 12):
-            for alpha, schedule in every_kind(rng, depth):
-                spec = SystemSpec(alpha, depth, schedule)
-                assert build_truncated_system(spec).to_lists() \
-                    == dense_truncated_system(spec)
-                assert build_stacked_matrix(spec).to_lists() \
-                    == dense_stacked_matrix(spec)
-
     def test_rows_are_produced_lazily(self):
         # the first row of a truncation far past any printable size
         spec = SystemSpec(1, 10**6, CoefficientSchedule.qpow(2))
@@ -284,27 +279,27 @@ class TestNaturalSolutionWitness:
     def test_minimal_pair(self):
         spec = SystemSpec(2, 2, CoefficientSchedule.qpowpair(2))
         w = natural_solution_witness(spec)
-        assert w.values == (F(1), F(1), F(2), F(1), F(2))
-        assert solves(w, build_truncated_system(spec))
+        assert w == (F(1), F(1), F(2), F(1), F(2))
+        assert solves(w, RatMatrix.from_rows(dense_truncated_system(spec)))
 
     def test_depth_three(self):
         spec = SystemSpec(2, 3, CoefficientSchedule.qpowpair(3))
         w = natural_solution_witness(spec)
         names = list(spec.iter_variable_names())
-        byname = dict(zip(names, w.values))
+        byname = dict(zip(names, w))
         assert byname["y_1"] == 2 and byname["y_2"] == 1
         assert byname["z_3"] == 3
-        assert solves(w, build_truncated_system(spec))
+        assert solves(w, RatMatrix.from_rows(dense_truncated_system(spec)))
 
     def test_allprimespair(self):
         spec = SystemSpec(2, 2, CoefficientSchedule.allprimespair())
         w = natural_solution_witness(spec)
-        assert solves(w, build_truncated_system(spec))
+        assert solves(w, RatMatrix.from_rows(dense_truncated_system(spec)))
 
     def test_positive_integers_only(self):
         spec = SystemSpec(2, 6, CoefficientSchedule.qpowpair(5))
         w = natural_solution_witness(spec)
-        assert all(x.denominator == 1 and x > 0 for x in w.values)
+        assert all(x.denominator == 1 and x > 0 for x in w)
 
     def test_rejects_single_schedules(self):
         with pytest.raises(ValueError):
@@ -319,14 +314,13 @@ class TestTruncatedResiduals:
                 spec = SystemSpec(alpha, depth, schedule)
                 values = [F(rng.randint(-4, 4), rng.randint(1, 3))
                           for _ in range(spec.var_count)]
-                want = SolutionAssignment(tuple(values)).residuals(
-                    build_truncated_system(spec))
-                assert tuple(truncated_residuals(spec, values)) == want
+                M = RatMatrix.from_rows(dense_truncated_system(spec))
+                assert tuple(truncated_residuals(spec, values)) == residuals(values, M)
 
     def test_witness_residuals_vanish(self):
         spec = SystemSpec(2, 30, CoefficientSchedule.allprimespair())
         w = natural_solution_witness(spec)
-        assert set(truncated_residuals(spec, w.values)) == {0}
+        assert set(truncated_residuals(spec, w)) == {0}
 
     def test_wrong_length(self):
         spec = SystemSpec(2, 3, CoefficientSchedule.qpowpair(2))
