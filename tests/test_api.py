@@ -1,4 +1,8 @@
+import ast
+from pathlib import Path
+
 import radokit
+import radokit.systems
 
 
 def test_public_names():
@@ -8,3 +12,12 @@ def test_public_names():
     for gone in ("rref", "rank", "build_truncated_system", "build_stacked_matrix",
                  "format_matrix", "SolutionAssignment"):
         assert gone not in radokit.__all__ and not hasattr(radokit, gone)
+
+
+def test_systems_does_not_import_search():
+    # the builders and witnesses stand apart from the colouring search
+    tree = ast.parse(Path(radokit.systems.__file__).read_text())
+    modules = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    modules += [a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for a in node.names]
+    assert modules and not any(m and m.split(".")[-1] == "search" for m in modules)

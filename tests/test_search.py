@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import search_reference as ref
 from conftest import solves
 from radokit.linalg import RatMatrix
 from radokit.search import (
@@ -129,6 +130,23 @@ class TestMonochromaticSolution:
         assert monochromatic_solution(
             SCHUR, c, GroundSet.slice(2), distinct=True
         ) is None
+
+    def test_returns_the_values_in_column_order(self):
+        # 2x = y, y = z: one value per column, as a plain tuple
+        A = RatMatrix.from_rows([[2, -1, 0], [0, 1, -1]])
+        c = Colouring.table([1, 2, 3, 4], [0, 0, 0, 0])
+        found = monochromatic_solution(A, c, GroundSet.slice(4))
+        assert type(found) is tuple and len(found) == A.cols
+        assert found == (F(1), F(2), F(2))
+        assert solves(found, A)
+
+    def test_sparse_colour_labels_are_searched_in_colour_order(self):
+        # colour 0 = {3, 6} holds 3 + 3 = 6, colour 7 = {1, 2} holds 1 + 1 = 2,
+        # colour 3 = {4, 5} holds none; the lowest colour's solution comes first
+        c = Colouring.table([1, 2, 3, 4, 5, 6], [7, 7, 0, 3, 3, 0])
+        found = monochromatic_solution(SCHUR, c, GroundSet.slice(6))
+        assert found == (F(3), F(3), F(6))
+        assert found == ref.monochromatic_solution(SCHUR, c, GroundSet.slice(6))
 
     def test_log2_parity_classes(self):
         # {1,4} vs {2,3}: both classes Schur-free within {1..4}

@@ -301,6 +301,12 @@ class TestNaturalSolutionWitness:
         w = natural_solution_witness(spec)
         assert all(x.denominator == 1 and x > 0 for x in w)
 
+    def test_a_plain_value_tuple(self):
+        spec = SystemSpec(2, 4, CoefficientSchedule.qpowpair(3))
+        w = natural_solution_witness(spec)
+        assert type(w) is tuple and len(w) == spec.var_count
+        assert all(type(x) is F for x in w)
+
     def test_rejects_single_schedules(self):
         with pytest.raises(ValueError):
             natural_solution_witness(SystemSpec(1, 2, CoefficientSchedule.qpow(2)))
