@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .linalg import RatMatrix, parse_matrix
-from .rado import columns_condition, first_entries, weak_first_entries_condition
+from .rado import columns_condition, first_entries
 from .rings import (
     DIGIT_LIMIT,
     Rat,
@@ -161,7 +161,7 @@ def _cmd_fe_check(args: argparse.Namespace) -> int:
         print(f"row {i + 1}: zero row")
     if report.common_value is not None:
         print(f"common first entry: {format_rat(report.common_value)}")
-    ok = weak_first_entries_condition(M, strict=args.strict)
+    ok = report.condition_holds(args.strict)
     label = "strict" if args.strict else "weak"
     print(f"{label} first entries condition: " + ("holds" if ok else "fails"))
     return 0 if ok else 1

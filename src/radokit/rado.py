@@ -50,6 +50,14 @@ class FirstEntryReport:
     all_equal: bool
     common_value: Rat | None
 
+    def condition_holds(self, strict: bool = False) -> bool:
+        """Whether the reported matrix satisfies the weak first entries
+        condition, or with strict=True the strict one; see
+        `weak_first_entries_condition`."""
+        if self.zero_rows:
+            return False
+        return self.common_value is not None if strict else self.all_equal
+
 
 def _mask_bits(mask: int) -> list[int]:
     out = []
@@ -264,9 +272,4 @@ def weak_first_entries_condition(A: RatMatrix, strict: bool = False) -> bool:
     strict=True demands the classical stronger form: one constant shared
     by every first entry regardless of column.
     """
-    report = first_entries(A)
-    if report.zero_rows:
-        return False
-    if strict:
-        return report.common_value is not None
-    return report.all_equal
+    return first_entries(A).condition_holds(strict)

@@ -33,9 +33,11 @@ any colouring into one that is no larger lexicographically and has the same
 solutions, so the least solution-free colourings it finds are the least of
 all.  It also checks forward: once t takes colour c, each uncoloured u that
 would complete a solution in class c with t, u filling one column, is
-marked against c, and a branch is cut when some u at most one past the
-longest colouring found has every colour marked.  Past that horizon a cut
-could lose the least witness.  The marks are complete for the solutions in
+marked against c.  The marks are one bitmask per colour, passed down the
+recursion, so backtracking undoes nothing.  A branch is cut when some u in
+the whole window above t, up to one past the longest colouring found, has
+every colour marked.  Past that horizon a cut could lose the least
+witness.  The marks are complete for the solutions in
 which t fills exactly one nonzero column: the greatest value in the other
 columns marked t when it was coloured.  So the kernel decides only the
 solutions with t in two nonzero columns, pinned there.
@@ -577,12 +579,15 @@ def min_rado_number(A: RatMatrix, r: int, n_max: int) -> RadoNumberResult:
 
     Forward checking: once t takes colour c and passes the exact check,
     every uncoloured u in (t, n_max] that would complete a solution in class
-    c with t and u, u filling one column, gets a mark against colour c,
-    undone when the search backtracks past t.  A marked colour is rejected
-    without the exact check.  A branch is cut when some u <= len(best) + 1
-    has every colour marked (a wipe-out): no extension of it can colour u,
-    so none can beat the best colouring found.  Wipe-outs past that horizon
-    are not tested, since cutting there could cut the least witness.
+    c with t and u, u filling one column, gets a mark against colour c: bit
+    u of the colour's mask.  The masks are passed down the recursion, each
+    step ORing its marks into a new list, so backtracking is a return.  A
+    marked colour is rejected without the exact check.  After each forward
+    step the whole window (t, len(best) + 1] is tested by one AND of the
+    masks, and the branch is cut when some u in it has every colour marked
+    (a wipe-out): no extension of it can colour u, so none can beat the
+    best colouring found.  Wipe-outs past that horizon are not tested,
+    since cutting there could cut the least witness.
 
     One-column lemma: a solution in which t fills exactly one nonzero
     column is always marked.  Its other nonzero columns hold values below
@@ -620,68 +625,55 @@ def min_rado_number(A: RatMatrix, r: int, n_max: int) -> RadoNumberResult:
 
     members: list[list[int]] = [[] for _ in range(r)]
     inclass: list[set[int]] = [set() for _ in range(r)]
-    forbid = [0] * ((n_max + 1) * r)    # forbid[u*r + c]: marks against c at u
-    trails: list[list[int]] = []        # the marks each coloured value made
     colours: list[int] = []
-    used = [0]          # used[t]: colours used on 1..t
     best: tuple[int, ...] = ()
 
-    def forward(t: int, colour: int) -> list[int] | None:
-        """Mark `colour` at each u in (t, n_max] that would complete a
-        solution in its class with t; the marks made, or None with them
-        undone on a wipe-out at or below the horizon."""
-        trail: list[int] = []
-        horizon = len(best) + 1
+    def forward(t: int, colour: int, marks: list[int]) -> list[int] | None:
+        """The marks with `colour` also marked at each u in (t, n_max] that
+        would complete a solution in its class with t, or None on a wipe-out:
+        some u in (t, len(best) + 1] marked against every colour."""
         cls = members[colour]
+        mark = marks[colour]
         for pinned, plan in ahead:
             for u in _solved_values(plan, [a * t for a in pinned], cls, cls[0],
                                     t, t + 1, n_max):
-                i = u * r + colour
-                forbid[i] += 1
-                trail.append(i)
-                if forbid[i] == 1 and u <= horizon and all(forbid[u * r:u * r + r]):
-                    for i in trail:
-                        forbid[i] -= 1
-                    return None
-        return trail
+                mark |= 1 << u
+        marks = marks[:colour] + [mark] + marks[colour + 1:]
+        wiped = (1 << len(best) + 2) - (2 << t)     # bits t+1 .. len(best)+1
+        for m in marks:
+            wiped &= m
+        return None if wiped else marks
 
-    colour = 0
-    while True:
-        t = len(colours) + 1
-        if colour < min(r, used[-1] + 1):
-            if not forbid[t * r + colour]:
-                cls = members[colour]
-                cls.append(t)
-                inclass[colour].add(t)
-                # only solutions that contain t are new
-                for pinned, plan in plans:
-                    if _first_solution(plan, [a * t for a in pinned], cls,
-                                       inclass[colour], False, cls[0], t) is not None:
-                        break
-                else:
-                    colours.append(colour)
-                    used.append(max(used[-1], colour + 1))
-                    if t > len(best):
-                        best = tuple(colours)
-                    if t == n_max:
-                        return RadoNumberResult(None, best)
-                    trail = forward(t, colour)
-                    if trail is not None:
-                        trails.append(trail)
-                        colour = 0
-                        continue
-                    colours.pop()
-                    used.pop()
-                cls.pop()
-                inclass[colour].discard(t)
-            colour += 1
-        elif colours:
-            colour = colours.pop()
-            used.pop()
-            members[colour].pop()
-            inclass[colour].discard(t - 1)
-            for i in trails.pop():
-                forbid[i] -= 1
-            colour += 1
-        else:
-            return RadoNumberResult(len(best) + 1, best)
+    def extend(t: int, used: int, marks: list[int]) -> bool:
+        """Try each colour for t in turn and extend every solution-free
+        choice to t + 1; `used` colours appear on 1..t-1, and bit u of
+        marks[c] is set when u would complete a solution in class c.  True
+        once n_max is coloured."""
+        nonlocal best
+        for colour in range(min(r, used + 1)):
+            if marks[colour] >> t & 1:
+                continue
+            cls = members[colour]
+            cls.append(t)
+            inclass[colour].add(t)
+            colours.append(colour)
+            # only solutions that contain t are new
+            if all(_first_solution(plan, [a * t for a in pinned], cls,
+                                   inclass[colour], False, cls[0], t) is None
+                   for pinned, plan in plans):
+                if t > len(best):
+                    best = tuple(colours)
+                if t == n_max:
+                    return True
+                ahead_marks = forward(t, colour, marks)
+                if ahead_marks is not None and extend(
+                        t + 1, max(used, colour + 1), ahead_marks):
+                    return True
+            cls.pop()
+            inclass[colour].discard(t)
+            colours.pop()
+        return False
+
+    if extend(1, 0, [0] * r):
+        return RadoNumberResult(None, best)
+    return RadoNumberResult(len(best) + 1, best)

@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 import radokit.cli
+import radokit.rado
 from radokit.cli import ENTRY_LIMIT, _build_parser, main
 from linalg_reference import format_matrix
 from radokit.linalg import RatMatrix, parse_matrix
@@ -14,6 +19,9 @@ from radokit.systems import (
     parse_schedule,
 )
 from systems_reference import dense_stacked_matrix, dense_truncated_system
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write(tmp_path, name, text):
@@ -101,6 +109,26 @@ class TestFeCheck:
         assert main(["fe-check", "--matrix", matrix]) == 0
         assert main(["fe-check", "--matrix", matrix, "--strict"]) == 1
         assert "strict first entries condition: fails" in capsys.readouterr().out
+
+    def test_one_report_per_check(self, tmp_path, capsys, monkeypatch):
+        # the verdict comes from the report that is printed
+        calls = []
+        first_entries = radokit.rado.first_entries
+
+        def counted(M):
+            calls.append(M)
+            return first_entries(M)
+
+        monkeypatch.setattr(radokit.rado, "first_entries", counted)
+        monkeypatch.setattr(radokit.cli, "first_entries", counted)
+        matrix = write(tmp_path, "m.txt", "1 0 2\n0 3 1\n1 1 0\n")
+        assert main(["fe-check", "--matrix", matrix, "--strict"]) == 1
+        assert len(calls) == 1
+        assert capsys.readouterr().out == (
+            "row 1: first entry 1 at column 1\n"
+            "row 2: first entry 3 at column 2\n"
+            "row 3: first entry 1 at column 1\n"
+            "strict first entries condition: fails\n")
 
 
 class TestBuilders:
@@ -567,6 +595,30 @@ class TestRadoNumber:
         out = capsys.readouterr().out
         assert out.startswith("no rado number up to 6\n"
                               "surviving colouring of 1..6:\n")
+
+    @pytest.mark.parametrize("row, nmax", [("4 4 -1", 64), ("2 4 2 -1", 64),
+                                           ("-3 1 -3", 48)])
+    def test_survivor_of_mostly_unconstrained_values(self, tmp_path, capsys,
+                                                     row, nmax):
+        # most values here lie in no solution, and undoing marks value by
+        # value once took minutes; in a child process a hang fails the test
+        # at the timeout instead of stalling the suite
+        matrix = write(tmp_path, "m.txt", row + "\n")
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "radokit.cli", "rado-number", "--matrix", matrix,
+             "--colours", "2", "--nmax", str(nmax)],
+            capture_output=True, text=True, timeout=10,
+            env=dict(os.environ, PYTHONPATH=path))
+        assert done.returncode == 1, done.stderr
+        lines = done.stdout.splitlines()
+        assert lines[:2] == [f"no rado number up to {nmax}",
+                             f"surviving colouring of 1..{nmax}:"]
+        assert len(lines) == nmax + 2
+        colouring = write(tmp_path, "w.txt", "\n".join(lines[2:]) + "\n")
+        assert main(["mono-search", "--matrix", matrix,
+                     "--colouring", f"file:{colouring}", "--ground", str(nmax)]) == 1
+        assert capsys.readouterr().out == "no monochromatic solution\n"
 
     def test_witness_reusable_as_colouring_file(self, tmp_path, capsys):
         matrix = write(tmp_path, "m.txt", "1 1 -1\n")

@@ -59,12 +59,13 @@ def test_size_arguments(tables, command, depth, alpha, schedule):
 
 @pytest.fixture(scope="module")
 def search_files(tmp_path_factory):
-    """The matrices x = 2y, x + y + z = 0 and x_1 + ... + x_{m-1} = x_m for
-    m = 6, 7, and a colouring of 1..40."""
+    """The matrices x = 2y, x + y + z = 0, x_1 + ... + x_{m-1} = x_m for
+    m = 6, 7, 4x + 4y = z and 2x + 4y + 2z = w, and a colouring of 1..40."""
     folder = tmp_path_factory.mktemp("search")
     paths = {}
     for name, text in (("x=2y", "1 -2\n"), ("x+y+z=0", "1 1 1\n"),
                        ("sum-m6", "1 1 1 1 1 -1\n"), ("sum-m7", "1 1 1 1 1 1 -1\n"),
+                       ("4x+4y=z", "4 4 -1\n"), ("2x+4y+2z=w", "2 4 2 -1\n"),
                        ("table", "".join(f"{n} {n % 3}\n" for n in range(1, 41)))):
         paths[name] = folder / name
         paths[name].write_text(text)
@@ -72,7 +73,8 @@ def search_files(tmp_path_factory):
 
 
 @settings(max_examples=200, deadline=None)
-@given(matrix=st.sampled_from(["x=2y", "x+y+z=0", "sum-m6", "sum-m7"]),
+@given(matrix=st.sampled_from(["x=2y", "x+y+z=0", "sum-m6", "sum-m7",
+                               "4x+4y=z", "2x+4y+2z=w"]),
        colours=st.integers(-2, 10),
        nmax=st.integers(-5, 64) | st.integers(-5, 10**9))
 def test_rado_number_sizes(search_files, matrix, colours, nmax):

@@ -271,6 +271,24 @@ def test_min_rado_number_matches_one_pin_plans():
     assert min(seen.values()) > 200, seen
 
 
+def test_min_rado_number_matches_one_pin_on_signed_equations():
+    """Single equations with coefficients up to 4 of both signs, where many
+    values lie in no solution and the wipe-out window cuts most."""
+    rng = random.Random(20261022)
+    numbers = 0
+    for case in range(150):
+        row = [0]
+        while not min(row) < 0 < max(row):
+            row = [rng.choice((-4, -3, -2, -1, 1, 2, 3, 4))
+                   for _ in range(rng.randint(3, 4))]
+        A = RatMatrix.from_rows([row])
+        r, n_max = rng.randint(2, 3), rng.randint(15, 30)
+        want = ref.min_rado_number_one_pin(A, r, n_max)
+        assert min_rado_number(A, r, n_max) == want, (case, row, r, n_max)
+        numbers += want.number is not None
+    assert 15 < numbers < 135, numbers
+
+
 def test_dropped_forward_plans_cannot_mark():
     """A forward plan is dropped only when no assignment of its enumerated
     columns from [1, t] gives a solved value above t, for any t < n_max: it
