@@ -2,14 +2,13 @@
 certificates, localized subrings of the rationals, truncated system
 builders, and colouring searches."""
 
-from .linalg import RatMatrix, in_span, parse_matrix
+from .linalg import RatMatrix, parse_matrix
 from .rado import (
     CCCertificate,
     FirstEntryReport,
     columns_condition,
     first_entries,
     verify_cc_certificate,
-    weak_first_entries_condition,
 )
 from .rings import (
     PrimeSet,
@@ -59,7 +58,6 @@ __all__ = [
     "first_entries",
     "format_rat",
     "in_scaled_subring",
-    "in_span",
     "in_subring",
     "is_prime",
     "log2_parity_colour",
@@ -75,5 +73,4 @@ __all__ = [
     "refute_over_subring",
     "schedule_value",
     "verify_cc_certificate",
-    "weak_first_entries_condition",
 ]

@@ -1,7 +1,8 @@
 """Dense exact linear algebra over the rationals.
 
-Span membership with witness coefficients, by fraction-free elimination on
-integer rows; Fractions are built only for the entries returned.  No
+The rational matrix type, its text format, and fraction-free Gauss-Jordan
+elimination on rows scaled to integers.  There is no span-membership API:
+callers read pivots, residuals and witnesses off the eliminated rows.  No
 pivoting heuristics are needed or wanted: exact arithmetic has no
 conditioning, so the pivot is always the first nonzero entry.
 """
@@ -15,8 +16,6 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .rings import Rat, parse_rat
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -88,8 +87,13 @@ def _integer_rows(rows: Iterable[Sequence[Rat | int]]) -> list[list[int]]:
 
 
 def _eliminate(rows: list[list[int]], cols: int) -> list[int]:
-    """Gauss-Jordan elimination on integer rows, in place; returns the pivot
-    columns.
+    """Gauss-Jordan elimination of the first cols columns of integer rows,
+    in place; returns the pivot columns.
+
+    The entries past column cols take part in every row operation but are
+    never pivots, so rows past the rank end up zero on the first cols
+    columns and hold, past them, what is left of each later column modulo
+    the span of those columns.
 
     Fraction-free: clearing column c from row i replaces it by
     a * row_i - b * row_r, where a/b is the pivot over row i's entry in
@@ -120,36 +124,6 @@ def _eliminate(rows: list[list[int]], cols: int) -> list[int]:
         if r == len(rows):
             break
     return pivots
-
-
-def in_span(
-    vectors: Sequence[Sequence[Rat | int]], target: Sequence[Rat | int]
-) -> list[Rat] | None:
-    """Coefficients writing target as a combination of the given column
-    vectors, or None when target lies outside their span.
-
-    Entries may be ints or Fractions.  The witness is deterministic: the
-    unique solution with every free variable set to zero, a Fraction per
-    coefficient.  It is read off the integer elimination of the augmented
-    matrix, whose rows are scaled to integers; scaling row i of every vector
-    and of the target by one nonzero constant changes neither the pivots
-    nor the witness.
-    """
-    dim = len(target)
-    k = len(vectors)
-    for j, vec in enumerate(vectors):
-        if len(vec) != dim:
-            raise ValueError(f"vector {j} has dimension {len(vec)}, expected {dim}")
-    coeffs = [_ZERO] * k
-    if dim == 0:
-        return coeffs
-    rows = _integer_rows(zip(*vectors, target))
-    pivots = _eliminate(rows, k + 1)
-    if pivots and pivots[-1] == k:
-        return None
-    for row, c in zip(rows, pivots):
-        coeffs[c] = Fraction(row[k], row[c])
-    return coeffs
 
 
 def parse_matrix(text: str) -> RatMatrix:

@@ -13,9 +13,9 @@ Column indices are 0-based throughout the API (the CLI renders them
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from fractions import Fraction
 
-from .linalg import RatMatrix, _integer_rows, in_span
+from .linalg import RatMatrix, _eliminate, _integer_rows
 from .rings import Rat
 
 # Hard cap on column count: each step of the search is exponential in v/2.
@@ -52,8 +52,9 @@ class FirstEntryReport:
 
     def condition_holds(self, strict: bool = False) -> bool:
         """Whether the reported matrix satisfies the weak first entries
-        condition, or with strict=True the strict one; see
-        `weak_first_entries_condition`."""
+        condition: no zero rows, and first entries sharing a column are
+        equal.  strict=True demands the classical stronger form: one
+        constant shared by every first entry regardless of column."""
         if self.zero_rows:
             return False
         return self.common_value is not None if strict else self.all_equal
@@ -123,29 +124,6 @@ def _pack(vectors: list[list[int]]) -> list[int]:
     return packed
 
 
-def _quotient(residuals: dict[int, list[int]], block: tuple[int, ...]) -> None:
-    """Move block's columns into the used span: remove them from residuals
-    and reduce the other residuals modulo their span, in place.
-
-    Gaussian elimination on integer vectors.  Every residual is multiplied
-    by the same pivot, so a subset's residuals still sum to zero exactly
-    when its column sum lies in the span; then coordinates that vanish
-    everywhere are dropped and the common gcd is divided out.
-    """
-    for j in block:
-        r = residuals.pop(j)
-        p = next((i for i, x in enumerate(r) if x), None)
-        if p is None:
-            continue
-        for k, s in residuals.items():
-            residuals[k] = [r[p] * x - s[p] * y for x, y in zip(s, r)]
-    dims = len(next(iter(residuals.values()), []))
-    keep = [i for i in range(dims) if any(s[i] for s in residuals.values())]
-    g = gcd(*(s[i] for s in residuals.values() for i in keep)) or 1
-    for k, s in residuals.items():
-        residuals[k] = [s[i] // g for i in keep]
-
-
 def columns_condition(A: RatMatrix) -> CCCertificate | None:
     """Find the canonical columns-condition certificate, or None if there is
     none.
@@ -168,17 +146,24 @@ def columns_condition(A: RatMatrix) -> CCCertificate | None:
     step always extends, and the greedy chain is that search's answer.  On
     a no-instance the chain stops at its first dead end.
 
-    Each step works in the quotient by span(used): the unused columns,
-    scaled to integers and reduced modulo that span, form residuals, and a
-    block is admissible exactly when its residuals sum to zero.  The first
-    block and every later one are thus one problem, the least nonempty
-    zero-sum submask, solved by meet in the middle: a step builds at most
+    Each step is one integer elimination.  The rows of A, scaled to
+    integers, are laid out with the used columns first, in ascending order,
+    and the unused columns after them, and _eliminate reduces the used
+    columns only (the first step, with nothing used, skips it).  The rows
+    past the rank are then zero on the used columns, and their entries in
+    the unused columns are the residuals: a block sums into span(used)
+    exactly when its residuals sum to zero.  The first block and every
+    later one are thus one problem, the least nonempty zero-sum submask,
+    solved by meet in the middle: a step builds at most
     2^floor(v/2) + 2^ceil(v/2) subset sums, and there are at most v steps,
-    so a call costs O(v * 2^(v/2)).  Each later block costs one in_span
-    call, for its witness, solved on the integer columns: row i of the
-    integer matrix is row i of A times a positive constant, so the used
-    columns and the block's sum there have the same pivots and the same
-    Fraction witness as A's own columns.
+    so a call costs O(v * 2^(v/2)) subset sums and at most v eliminations
+    of u x v integers.  The rows up to the rank give the block's witness:
+    each is a multiple of the reduced row echelon form's row, so the sum
+    of the block's entries in that row over the row's pivot entry is the
+    pivot column's coefficient, and every other column's is zero.  That is
+    the solution with every free variable set to zero, and scaling a row
+    of A by a positive constant changes neither the pivots nor these
+    ratios, so it is the Fraction witness of A's own columns.
     """
     if A.cols > MAX_COLUMNS:
         raise ValueError(
@@ -187,25 +172,33 @@ def columns_condition(A: RatMatrix) -> CCCertificate | None:
     if A.cols == 0:
         return None
     rows = _integer_rows(map(A.row, range(A.rows)))
-    cols = [[row[j] for row in rows] for j in range(A.cols)]
-    # _quotient replaces residual lists and never edits one, so cols stay
-    # the integer columns
-    residuals = dict(enumerate(cols))
     used: list[int] = []
+    unused = list(range(A.cols))
     blocks: list[tuple[int, ...]] = []
     witnesses: list[tuple[Rat, ...]] = []
-    while residuals:
-        unused = list(residuals)
-        local = _least_zero_sum(_pack(list(residuals.values())))
+    while unused:
+        k = len(used)
+        order = used + unused
+        if used:
+            reduced = [[row[j] for j in order] for row in rows]
+            pivots = _eliminate(reduced, k)
+        else:
+            reduced, pivots = rows, []
+        rest = reduced[len(pivots):]
+        residuals = [[row[p] for row in rest] for p in range(k, len(order))]
+        local = _least_zero_sum(_pack(residuals))
         if local is None:
             return None
-        block = tuple(unused[i] for i in _mask_bits(local))
-        if blocks:
-            target = [sum(x) for x in zip(*(cols[j] for j in block))]
-            witnesses.append(tuple(in_span([cols[j] for j in used], target)))
+        positions = [k + i for i in _mask_bits(local)]
+        if used:
+            witness = [Fraction(0)] * k
+            for row, c in zip(reduced, pivots):
+                witness[c] = Fraction(sum(row[p] for p in positions), row[c])
+            witnesses.append(tuple(witness))
+        block = tuple(order[p] for p in positions)
         blocks.append(block)
         used = sorted(used + list(block))
-        _quotient(residuals, block)
+        unused = [j for j in unused if j not in block]
     return CCCertificate(tuple(blocks), tuple(witnesses))
 
 
@@ -264,12 +257,3 @@ def first_entries(A: RatMatrix) -> FirstEntryReport:
     values = {v for _, _, v in entries}
     common = next(iter(values)) if len(values) == 1 else None
     return FirstEntryReport(tuple(entries), tuple(zero_rows), all_equal, common)
-
-
-def weak_first_entries_condition(A: RatMatrix, strict: bool = False) -> bool:
-    """No zero rows, and first entries sharing a column are equal.
-
-    strict=True demands the classical stronger form: one constant shared
-    by every first entry regardless of column.
-    """
-    return first_entries(A).condition_holds(strict)

@@ -14,7 +14,7 @@ from conftest import (
     solves,
 )
 from radokit.linalg import RatMatrix
-from radokit.rado import columns_condition, first_entries, weak_first_entries_condition
+from radokit.rado import columns_condition, first_entries
 from radokit.rings import PrimeSet, in_scaled_subring, in_subring, pigeonhole_subset
 from radokit.search import (
     Colouring,
@@ -76,7 +76,7 @@ def test_criterion_2_stacked_matrix_reproduction():
         [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -1],
     ]
     assert stack.to_lists()[12:] == [[F(x) for x in row] for row in expected_ab]
-    assert weak_first_entries_condition(stack, strict=True)
+    assert first_entries(stack).condition_holds(strict=True)
     assert first_entries(stack).common_value == 1
     report(2, time.perf_counter() - start, 1,
            "stacked matrix for depth 4, arity 3 reproduces the 6x12 block "

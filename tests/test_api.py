@@ -10,7 +10,8 @@ def test_public_names():
     for name in radokit.__all__:
         getattr(radokit, name)
     for gone in ("rref", "rank", "build_truncated_system", "build_stacked_matrix",
-                 "format_matrix", "SolutionAssignment"):
+                 "format_matrix", "SolutionAssignment", "in_span",
+                 "weak_first_entries_condition"):
         assert gone not in radokit.__all__ and not hasattr(radokit, gone)
 
 

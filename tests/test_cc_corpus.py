@@ -39,23 +39,32 @@ def test_cc_check_output_is_frozen(family, tmp_path, capsys):
         assert capsys.readouterr().out == entry["stdout"], entry["matrix"]
 
 
-def test_one_in_span_call_per_later_block(monkeypatch):
-    calls = []
-    real = radokit.rado.in_span
+def test_at_most_one_elimination_per_step(monkeypatch):
+    """Each step's residuals and witness come from one elimination; the
+    steps are counted by their least-zero-sum scans."""
+    eliminations, steps = [], []
+    eliminate, least = radokit.rado._eliminate, radokit.rado._least_zero_sum
 
-    def counting(vectors, target):
-        calls.append(1)
-        return real(vectors, target)
+    def counting_eliminate(rows, cols):
+        eliminations.append(1)
+        return eliminate(rows, cols)
 
-    monkeypatch.setattr(radokit.rado, "in_span", counting)
+    def counting_least(values):
+        steps.append(1)
+        return least(values)
+
+    monkeypatch.setattr(radokit.rado, "_eliminate", counting_eliminate)
+    monkeypatch.setattr(radokit.rado, "_least_zero_sum", counting_least)
     certified = 0
     for entry in CORPUS:
         M = parse_matrix(entry["matrix"])
-        calls.clear()
+        eliminations.clear()
+        steps.clear()
         cert = columns_condition(M)
         assert (cert is not None) == (entry["exit"] == 0)
+        assert len(eliminations) <= len(steps), entry["matrix"]
         if cert is not None:
             certified += 1
-            assert len(calls) == len(cert.blocks) - 1
+            assert len(steps) == len(cert.blocks)
             assert verify_cc_certificate(M, cert)
     assert certified == 238

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_matrix
 from linalg_reference import format_matrix, rank, rref
-from radokit.linalg import RatMatrix, in_span, parse_matrix
+from radokit.linalg import RatMatrix, parse_matrix
 
 
 class TestRatMatrix:
@@ -74,54 +74,6 @@ class TestRank:
         for _ in range(50):
             M = random_matrix(rng, max_rows=4, max_cols=4)
             assert rank(M) == rank(RatMatrix.from_rows(zip(*M.to_lists())))
-
-
-class TestInSpan:
-    def test_standard_basis(self):
-        assert in_span([(1, 0), (0, 1)], (3, -2)) == [3, -2]
-
-    def test_outside(self):
-        assert in_span([(1, 1)], (1, 2)) is None
-
-    def test_overdetermined_consistent(self):
-        assert in_span([(1, 0, 1), (0, 1, 1)], (2, 3, 5)) == [2, 3]
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            in_span([(1, 0), (0, 1, 2)], (1, 1))
-        # in_span transposes with zip, which would cut every vector to the
-        # shortest; the check before it refuses instead, either way round
-        for vectors, target in [([(1, 0)], (1,)), ([(1,)], (1, 0)),
-                                ([(F(1), F(0))], (F(1), F(0), F(2)))]:
-            with pytest.raises(ValueError, match="dimension"):
-                in_span(vectors, target)
-
-    def test_no_vectors(self):
-        assert in_span([], (0, 0)) == []
-        assert in_span([], (1, 0)) is None
-
-    def test_free_variables_pinned_to_zero(self):
-        coeffs = in_span([(1, 0), (2, 0), (0, 1)], (3, 4))
-        assert coeffs == [3, 0, 4]
-
-    def test_witness_soundness_and_rank_agreement(self):
-        rng = random.Random(23)
-        for _ in range(100):
-            dim = rng.randint(1, 4)
-            k = rng.randint(0, 4)
-            vectors = [tuple(F(rng.randint(-3, 3)) for _ in range(dim))
-                       for _ in range(k)]
-            target = tuple(F(rng.randint(-3, 3)) for _ in range(dim))
-            coeffs = in_span(vectors, target)
-            base = RatMatrix.from_rows([[vec[i] for vec in vectors]
-                                        for i in range(dim)])
-            ext = RatMatrix.from_rows(
-                [[vec[i] for vec in vectors] + [target[i]] for i in range(dim)])
-            assert (coeffs is not None) == (rank(base) == rank(ext))
-            if coeffs is not None:
-                for i in range(dim):
-                    assert sum(c * vec[i] for c, vec in zip(coeffs, vectors)) \
-                        == target[i]
 
 
 class TestTextFormat:

@@ -1,14 +1,15 @@
-"""Differential test of the integer elimination and in_span against the
-Fraction rref and in_span they replaced (tests/linalg_reference.py), and of
-parse_matrix, which reads each distinct token once, against the parser that
-read every token.
+"""Differential test of the integer elimination against the Fraction rref
+and in_span it replaced (tests/linalg_reference.py), and of parse_matrix,
+which reads each distinct token once, against the parser that read every
+token.
 
 The reduced row echelon form is unique, so the elimination's rows, each
-divided by its pivot, must equal the reference's entry for entry, and
-every in_span output must be equal on every input.
+divided by its pivot, must equal the reference's entry for entry.
+Eliminating a prefix of the columns, as columns_condition does, must give
+the reference's pivots on that prefix, and residuals and witnesses that
+agree with the reference's in_span.
 """
 
-import copy
 import random
 from fractions import Fraction as F
 from math import lcm
@@ -18,7 +19,7 @@ import pytest
 import linalg_reference as ref
 import radokit.linalg
 from radokit.cli import main
-from radokit.linalg import RatMatrix, _eliminate, _integer_rows, in_span, parse_matrix
+from radokit.linalg import RatMatrix, _eliminate, _integer_rows, parse_matrix
 from radokit.rings import DIGIT_LIMIT, parse_rat
 
 
@@ -64,32 +65,68 @@ def test_rref_and_rank_match_the_fraction_reference():
         assert not any(map(any, rows[len(pivots):])), M
 
 
-def test_in_span_matches_the_fraction_reference():
-    rng = random.Random(18102026)
-    outcomes = {"inside": 0, "outside": 0, "empty": 0}
-    for _ in range(1500):
-        dim, k = rng.randint(0, 6), rng.randint(0, 6)
-        columns = random_rows(rng, k, dim)
+def random_int_columns(rng: random.Random, u: int, v: int) -> list[list[int]]:
+    """v integer columns of height u, with zero, repeated and dependent
+    columns mixed in."""
+    cols: list[list[int]] = []
+    for j in range(v):
         roll = rng.random()
-        if roll < 0.45 and k:
-            coeffs = [random_entry(rng) for _ in range(k)]
-            target = [sum((c * col[i] for c, col in zip(coeffs, columns)), F(0))
-                      for i in range(dim)]
-        elif roll < 0.55:
-            target = [F(0)] * dim
+        if roll < 0.1:
+            col = [0] * u
+        elif roll < 0.25 and j:
+            col = list(rng.choice(cols))
+        elif roll < 0.45 and j:
+            a, b = rng.choice(cols), rng.choice(cols)
+            s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+            col = [s * x + t * y for x, y in zip(a, b)]
         else:
-            target = [random_entry(rng) for _ in range(dim)]
-        got = in_span(columns, target)
-        assert got == ref.in_span(columns, target), (columns, target)
-        if dim == 0:
-            outcomes["empty"] += 1
-        else:
-            outcomes["inside" if got is not None else "outside"] += 1
-        if got is not None:
-            assert all(type(x) is F for x in got)
-            for i in range(dim):
-                assert sum(c * col[i] for c, col in zip(got, columns)) == target[i]
-    assert min(outcomes.values()) >= 100, outcomes
+            col = [rng.choice((0, rng.randint(-5, 5), rng.randint(-10**6, 10**6)))
+                   for _ in range(u)]
+        cols.append(col)
+    return cols
+
+
+def test_eliminating_a_column_prefix_leaves_the_residuals():
+    """_eliminate over the first k columns of wider rows, as
+    columns_condition calls it: the pivots are the reference's on those
+    columns, the rows past the rank vanish there, a subset of the later
+    columns sums to zero in those rows exactly when its column sum lies in
+    the span of the first k, and then the pivot rows give the reference's
+    witness."""
+    rng = random.Random(23102026)
+    seen = {"k = 0": 0, "full row rank": 0, "zero row": 0, "inside": 0,
+            "outside": 0}
+    for _ in range(800):
+        u, v = rng.randint(0, 5), rng.randint(1, 8)
+        k = rng.randint(0, v - 1)
+        cols = random_int_columns(rng, u, v)
+        rows = [[col[i] for col in cols] for i in range(u)]
+        for row in rows:
+            if rng.random() < 0.1:
+                row[:] = [0] * v
+        prefix = [row[:k] for row in rows]
+        pivots = ref.rref(RatMatrix.from_rows(prefix) if u else RatMatrix(0, k, ()))[1]
+        reduced = [list(row) for row in rows]
+        assert _eliminate(reduced, k) == pivots, (rows, k)
+        rank = len(pivots)
+        assert not any(any(row[:k]) for row in reduced[rank:]), (rows, k)
+        seen["k = 0"] += k == 0
+        seen["full row rank"] += 0 < u == rank
+        seen["zero row"] += not all(map(any, rows))
+        used = [[F(row[j]) for row in rows] for j in range(k)]
+        for _ in range(6):
+            subset = [j for j in range(k, v) if rng.random() < 0.5] or [k]
+            target = [F(sum(row[j] for j in subset)) for row in rows]
+            expected = ref.in_span(used, target)
+            zero = all(sum(row[j] for j in subset) == 0 for row in reduced[rank:])
+            assert zero == (expected is not None), (rows, k, subset)
+            if zero:
+                witness = [F(0)] * k
+                for row, c in zip(reduced, pivots):
+                    witness[c] = F(sum(row[j] for j in subset), row[c])
+                assert witness == expected, (rows, k, subset)
+            seen["inside" if zero else "outside"] += 1
+    assert min(seen.values()) >= 50, seen
 
 
 def old_integer_rows(rows):
@@ -141,47 +178,6 @@ def test_integer_rows_copy_int_rows():
     assert all(out is not row for out, row in zip(got, rows))
     _eliminate(got, 3)
     assert rows == [[1, 2, 3], [4, 5, 6]]
-
-
-def test_in_span_leaves_int_vectors_unchanged():
-    rng = random.Random(21102026)
-    for _ in range(300):
-        dim, k = rng.randint(1, 5), rng.randint(1, 5)
-        vectors = [[rng.randint(-4, 4) for _ in range(dim)] for _ in range(k)]
-        target = [rng.randint(-4, 4) for _ in range(dim)]
-        before = copy.deepcopy((vectors, target))
-        expected = ref.in_span([[F(x) for x in vec] for vec in vectors],
-                               [F(x) for x in target])
-        assert in_span(vectors, target) == expected
-        assert (vectors, target) == before
-
-
-def test_in_span_ignores_entry_type_and_row_scaling():
-    """Fraction vectors, the same vectors as ints, and every row of the
-    vectors and target times one nonzero integer give one answer."""
-    rng = random.Random(20102026)
-    for _ in range(500):
-        dim, k = rng.randint(1, 5), rng.randint(0, 5)
-        ints = [[rng.randint(-4, 4) for _ in range(dim)] for _ in range(k)]
-        target = [rng.randint(-4, 4) for _ in range(dim)]
-        if k and rng.random() < 0.5:
-            coeffs = [rng.randint(-2, 2) for _ in range(k)]
-            target = [sum(c * col[i] for c, col in zip(coeffs, ints))
-                      for i in range(dim)]
-        expected = ref.in_span([[F(x) for x in col] for col in ints],
-                               [F(x) for x in target])
-        assert in_span([[F(x) for x in col] for col in ints],
-                       [F(x) for x in target]) == expected
-        assert in_span(ints, target) == expected
-        scale = [rng.choice((-10**12, -3, -1, 1, 2, 7)) for _ in range(dim)]
-        assert in_span([[s * x for s, x in zip(scale, col)] for col in ints],
-                       [s * x for s, x in zip(scale, target)]) == expected
-
-
-def test_integer_inputs_are_accepted():
-    assert in_span([(1, 0), (2, 0), (0, 1)], (3, 4)) == ref.in_span(
-        [(1, 0), (2, 0), (0, 1)], (3, 4))
-    assert in_span([(2, 4)], (1, 3)) is None
 
 
 # Tokens for the parse_matrix differential test: repeats, and equal values

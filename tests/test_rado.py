@@ -5,13 +5,13 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import column, oracle_columns_condition, oracle_extends, random_matrix
+from linalg_reference import in_span
 from radokit.linalg import RatMatrix
 from radokit.rado import (
     CCCertificate,
     columns_condition,
     first_entries,
     verify_cc_certificate,
-    weak_first_entries_condition,
 )
 from radokit.systems import CoefficientSchedule, SystemSpec
 from systems_reference import dense_stacked_matrix, dense_truncated_system
@@ -85,8 +85,6 @@ class TestColumnsCondition:
         assert cert.witnesses == ((F(0),), (F(0), F(0)))
 
     def test_column_permutation_equivariance(self):
-        from radokit.linalg import in_span
-
         rng = random.Random(34)
         for _ in range(50):
             M = random_matrix(rng)
@@ -152,8 +150,6 @@ class TestExtensionLemma:
     def test_random_admissible_walks_extend(self):
         # any chain, not only the greedy one: random zero-sum first block,
         # then random admissible blocks, checking each used set on the way
-        from radokit.linalg import in_span
-
         rng = random.Random(43)
         for M in self.accepted(43, 40):
             used = list(rng.choice(zero_sum_blocks(M)))
@@ -283,21 +279,23 @@ class TestFirstEntries:
 
 class TestWeakFirstEntries:
     def test_identity_holds(self):
-        assert weak_first_entries_condition(RatMatrix.from_rows([[1, 0], [0, 1]]))
+        assert first_entries(RatMatrix.from_rows([[1, 0], [0, 1]])).condition_holds()
 
     def test_zero_row_fails(self):
-        assert not weak_first_entries_condition(RatMatrix.from_rows([[1, 0], [0, 0]]))
+        M = RatMatrix.from_rows([[1, 0], [0, 0]])
+        assert not first_entries(M).condition_holds()
 
     def test_unequal_in_same_column_fails(self):
-        assert not weak_first_entries_condition(RatMatrix.from_rows([[2, 1], [3, 1]]))
+        M = RatMatrix.from_rows([[2, 1], [3, 1]])
+        assert not first_entries(M).condition_holds()
 
     def test_per_column_reading_vs_strict(self):
         # first entries 1 and 2 sit in different columns: fine per column,
         # rejected when one global constant is demanded
         M = RatMatrix.from_rows([[1, 0], [0, 2]])
-        assert weak_first_entries_condition(M)
-        assert not weak_first_entries_condition(M, strict=True)
+        assert first_entries(M).condition_holds()
+        assert not first_entries(M).condition_holds(strict=True)
 
     def test_strict_accepts_constant(self):
         M = RatMatrix.from_rows([[1, 5], [0, 1]])
-        assert weak_first_entries_condition(M, strict=True)
+        assert first_entries(M).condition_holds(strict=True)

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import dense, residuals, solves
 from radokit.linalg import RatMatrix
-from radokit.rado import first_entries, weak_first_entries_condition
+from radokit.rado import first_entries
 from radokit.rings import PrimeSet, padic_valuation
 from radokit.systems import (
     CoefficientSchedule,
@@ -228,7 +228,7 @@ class TestStackedRows:
                      for n in range(2, k + 1)]
                 )
                 stack = stacked_matrix(SystemSpec(alpha, k, schedule))
-                assert weak_first_entries_condition(stack, strict=True)
+                assert first_entries(stack).condition_holds(strict=True)
                 assert first_entries(stack).common_value == 1
 
     def test_a_block_matches_truncated_rows(self):
