@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_matrix
 from linalg_reference import format_matrix, rank, rref
-from radokit.linalg import RatMatrix, parse_matrix
+from radokit.linalg import RatMatrix, _eliminate, parse_matrix
 
 
 class TestRatMatrix:
@@ -74,6 +74,75 @@ class TestRank:
         for _ in range(50):
             M = random_matrix(rng, max_rows=4, max_cols=4)
             assert rank(M) == rank(RatMatrix.from_rows(zip(*M.to_lists())))
+
+
+def prefix_solve(vectors, target):
+    """Write target in the integer column vectors the way columns_condition
+    does at a step: lay the vectors out first and the target after them,
+    eliminate the vectors' columns only, and read the answer off the
+    target's column, or None when a row past the rank leaves it nonzero."""
+    k = len(vectors)
+    rows = [[vec[i] for vec in vectors] + [t] for i, t in enumerate(target)]
+    pivots = _eliminate(rows, k)
+    if any(row[k] for row in rows[len(pivots):]):
+        return None
+    coeffs = [F(0)] * k
+    for row, c in zip(rows, pivots):
+        coeffs[c] = F(row[k], row[c])
+    return coeffs
+
+
+class TestPrefixElimination:
+    """_eliminate over the first k columns of wider rows: the rows past the
+    rank hold the later columns' residuals and the pivot rows their
+    coefficients."""
+
+    def test_standard_basis(self):
+        assert prefix_solve([(1, 0), (0, 1)], (3, -2)) == [3, -2]
+
+    def test_outside(self):
+        assert prefix_solve([(1, 1)], (1, 2)) is None
+
+    def test_overdetermined_consistent(self):
+        assert prefix_solve([(1, 0, 1), (0, 1, 1)], (2, 3, 5)) == [2, 3]
+        assert prefix_solve([(2, 0, 2), (0, 3, 3)], (1, 1, 2)) == [F(1, 2), F(1, 3)]
+
+    def test_no_used_columns(self):
+        rows = [[0, 0], [1, -1]]
+        assert _eliminate(rows, 0) == []
+        assert rows == [[0, 0], [1, -1]]
+        assert prefix_solve([], (0, 0)) == []
+        assert prefix_solve([], (1, 0)) is None
+
+    def test_free_variables_pinned_to_zero(self):
+        assert prefix_solve([(1, 0), (2, 0), (0, 1)], (3, 4)) == [3, 0, 4]
+
+    def test_later_columns_are_never_pivots(self):
+        rows = [[0, 5, 1], [0, 0, 7]]
+        assert _eliminate(rows, 1) == []
+        assert rows == [[0, 5, 1], [0, 0, 7]]
+        rows = [[2, 4, 1], [1, 3, 0]]
+        assert _eliminate(rows, 1) == [0]
+        assert rows[1][0] == 0 and rows[1][1:] != [0, 0]
+
+    def test_witness_soundness_and_rank_agreement(self):
+        rng = random.Random(23)
+        for _ in range(100):
+            dim = rng.randint(1, 4)
+            k = rng.randint(0, 4)
+            vectors = [tuple(rng.randint(-3, 3) for _ in range(dim))
+                       for _ in range(k)]
+            target = tuple(rng.randint(-3, 3) for _ in range(dim))
+            coeffs = prefix_solve(vectors, target)
+            base = RatMatrix.from_rows([[vec[i] for vec in vectors]
+                                        for i in range(dim)])
+            ext = RatMatrix.from_rows(
+                [[vec[i] for vec in vectors] + [target[i]] for i in range(dim)])
+            assert (coeffs is not None) == (rank(base) == rank(ext))
+            if coeffs is not None:
+                for i in range(dim):
+                    assert sum(c * vec[i] for c, vec in zip(coeffs, vectors)) \
+                        == target[i]
 
 
 class TestTextFormat:

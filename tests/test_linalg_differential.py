@@ -86,16 +86,12 @@ def random_int_columns(rng: random.Random, u: int, v: int) -> list[list[int]]:
     return cols
 
 
-def test_eliminating_a_column_prefix_leaves_the_residuals():
-    """_eliminate over the first k columns of wider rows, as
-    columns_condition calls it: the pivots are the reference's on those
-    columns, the rows past the rank vanish there, a subset of the later
-    columns sums to zero in those rows exactly when its column sum lies in
-    the span of the first k, and then the pivot rows give the reference's
-    witness."""
-    rng = random.Random(23102026)
-    seen = {"k = 0": 0, "full row rank": 0, "zero row": 0, "inside": 0,
-            "outside": 0}
+def prefix_cases(seed: int):
+    """800 seeded integer matrices wider than k, as columns_condition hands
+    them to _eliminate: (rows, v, k, reduced copy, pivots), with zero rows,
+    repeated and dependent columns, k = 0 and prefixes of full row rank."""
+    rng = random.Random(seed)
+    seen = {"k = 0": 0, "full row rank": 0, "zero row": 0}
     for _ in range(800):
         u, v = rng.randint(0, 5), rng.randint(1, 8)
         k = rng.randint(0, v - 1)
@@ -104,15 +100,44 @@ def test_eliminating_a_column_prefix_leaves_the_residuals():
         for row in rows:
             if rng.random() < 0.1:
                 row[:] = [0] * v
-        prefix = [row[:k] for row in rows]
-        pivots = ref.rref(RatMatrix.from_rows(prefix) if u else RatMatrix(0, k, ()))[1]
         reduced = [list(row) for row in rows]
-        assert _eliminate(reduced, k) == pivots, (rows, k)
-        rank = len(pivots)
-        assert not any(any(row[:k]) for row in reduced[rank:]), (rows, k)
+        pivots = _eliminate(reduced, k)
         seen["k = 0"] += k == 0
-        seen["full row rank"] += 0 < u == rank
+        seen["full row rank"] += 0 < u == len(pivots)
         seen["zero row"] += not all(map(any, rows))
+        yield rows, v, k, reduced, pivots
+    assert min(seen.values()) >= 50, seen
+
+
+def test_prefix_pivots_are_the_reference_pivots():
+    """_eliminate over the first k columns picks the pivots that the
+    reference rref picks on those k columns alone."""
+    for rows, _, k, _, pivots in prefix_cases(23102026):
+        prefix = [row[:k] for row in rows]
+        expected = ref.rref(RatMatrix.from_rows(prefix) if rows else RatMatrix(0, k, ()))[1]
+        assert pivots == expected, (rows, k)
+
+
+def test_rows_past_the_rank_vanish_on_the_prefix():
+    """Every row past the rank is zero on the first k columns, and the
+    later columns took part in the row operations: the reduced rows span
+    the same row space as the original ones."""
+    for rows, _, k, reduced, pivots in prefix_cases(23102026):
+        assert not any(any(row[:k]) for row in reduced[len(pivots):]), (rows, k)
+        if rows:
+            both = RatMatrix.from_rows(rows + reduced)
+            assert ref.rank(both) == ref.rank(RatMatrix.from_rows(rows)) \
+                == ref.rank(RatMatrix.from_rows(reduced)), (rows, k)
+
+
+def test_residual_sums_decide_span_membership():
+    """A subset of the later columns sums to zero in the rows past the rank
+    exactly when its column sum lies in the span of the first k columns,
+    and then the pivot rows give the reference in_span witness."""
+    rng = random.Random(24102026)
+    seen = {"inside": 0, "outside": 0}
+    for rows, v, k, reduced, pivots in prefix_cases(23102026):
+        rank = len(pivots)
         used = [[F(row[j]) for row in rows] for j in range(k)]
         for _ in range(6):
             subset = [j for j in range(k, v) if rng.random() < 0.5] or [k]
@@ -126,7 +151,7 @@ def test_eliminating_a_column_prefix_leaves_the_residuals():
                     witness[c] = F(sum(row[j] for j in subset), row[c])
                 assert witness == expected, (rows, k, subset)
             seen["inside" if zero else "outside"] += 1
-    assert min(seen.values()) >= 50, seen
+    assert min(seen.values()) >= 1000, seen
 
 
 def old_integer_rows(rows):

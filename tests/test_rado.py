@@ -42,6 +42,21 @@ class TestColumnsCondition:
         assert cert.witnesses == ((F(2), F(1), F(0)),)
         assert verify_cc_certificate(M, cert)
 
+    def test_free_used_columns_get_zero_coefficients(self):
+        # column 1 is used but not a pivot, so its coefficient is zero
+        cert = columns_condition(RatMatrix.from_rows([[2, -2, 1]]))
+        assert cert.blocks == ((0, 1), (2,))
+        assert cert.witnesses == ((F(1, 2), F(0)),)
+
+    def test_witnesses_follow_the_ascending_used_columns(self):
+        # the used columns 0 and 2 are not contiguous; each witness lists
+        # the used columns in ascending order, pivots first found
+        M = RatMatrix.from_rows([[1, 2, -1, 0, 3], [0, 1, 0, -1, 1]])
+        cert = columns_condition(M)
+        assert cert.blocks == ((0, 2), (1, 3), (4,))
+        assert cert.witnesses == ((F(2), F(0)), (F(1), F(1), F(0), F(0)))
+        assert verify_cc_certificate(M, cert)
+
     def test_column_count_guard(self):
         wide = RatMatrix.from_rows([[0] * 33])
         with pytest.raises(ValueError, match="32"):
