@@ -125,18 +125,22 @@ def _parse_colouring(spec: str) -> Colouring:
             if len(parts) != 2:
                 raise ValueError(f"expected 'value colour', got {stripped!r}")
             elements.append(parse_rat(parts[0]))
-            colours.append(int(parts[1]))
+            try:
+                colours.append(int(parts[1]))
+            except ValueError:
+                raise ValueError(f"expected 'value colour', got {stripped!r}") from None
         return Colouring.table(elements, colours)
     raise ValueError(f"unknown colouring: {spec!r}")
 
 
 def _parse_ground(spec: str) -> GroundSet:
-    parts = spec.split(",")
-    if len(parts) == 1:
-        return GroundSet.slice(int(parts[0]))
-    if len(parts) == 2:
-        return GroundSet.slice(int(parts[0]), int(parts[1]))
-    raise ValueError(f"ground set is num_bound or num_bound,denominator: {spec!r}")
+    try:
+        bounds = [int(part) for part in spec.split(",")]
+    except ValueError:
+        bounds = []
+    if not 1 <= len(bounds) <= 2:
+        raise ValueError(f"ground set is num_bound or num_bound,denominator: {spec!r}")
+    return GroundSet.slice(*bounds)
 
 
 def _cmd_cc_check(args: argparse.Namespace) -> int:

@@ -6,18 +6,30 @@ A "solution" of a u x v matrix is an assignment to its v columns making
 every row's dot product exactly zero.  Searches are exhaustive within
 stated budgets; a None result is a covered-search claim, never a timeout.
 
-Both searches run on one integer kernel, `_first_solution`.  Rows are
-scaled to integers, and values are integer numerators over one common
-denominator.  The kernel enumerates, in candidate order, every column it
-assigns but the last, and solves for that last column, whose value is then
-unique: it must be integral, in the colour class and, when values must be
-distinct, not chosen already.  A row is checked as soon as all its columns
-are assigned.  At every level the pivot row bounds the next column
-(`_head_range`): with its sum so far, the later columns in the class's
-span and the solved value in its target, the column's value lies in an
-interval, and candidates outside it are passed over.  They are filtered,
-not cut off by bisection, which measured slower on classes of the sizes
-searched.
+Both searches run on one integer kernel: `_search`, whose depth-first
+`_extend` is the only enumeration of a plan.  Rows are scaled to integers,
+and values are integer numerators over one common denominator.  The kernel
+enumerates, in candidate order, every column it assigns but the last, and
+solves for that last column, whose value is then unique: it must be
+integral, in its target and, when values must be distinct, not chosen
+already.  A row is checked as soon as all its columns are assigned.  At
+every level the pivot row bounds the next column (`_head_range`): with its
+sum so far, the later columns in the class's span and the solved value in
+its target, the column's value lies in an interval, and candidates outside
+it are passed over.  They are filtered, not cut off by bisection, which
+measured slower on classes of the sizes searched.  The caller picks the
+output: the first assignment, or every solved value added to a set.
+
+Merging lemma: unless values must be distinct, the number of columns
+assigned and the row sums alone decide whether a prefix completes and
+which solved values it reaches, so a prefix that leaves the same sums as
+one already expanded is skipped.  Looking for the first assignment, the
+earlier prefix found none, or the search would have stopped; collecting,
+its values are in the set already.  The distinct searches never merge,
+since there the values chosen matter too.  For a sum of many terms the
+merged states are far fewer than the tuples: a colouring of 1..88 with no
+monochromatic solution of x1 + ... + x9 = x10 is re-checked in
+milliseconds.
 
 `monochromatic_solution` runs the kernel once per colour class on the
 columns up to the last nonzero one, then fills the all-zero columns after
@@ -40,7 +52,8 @@ every colour marked.  Past that horizon a cut could lose the least
 witness.  The marks are complete for the solutions in
 which t fills exactly one nonzero column: the greatest value in the other
 columns marked t when it was coloured.  So the kernel decides only the
-solutions with t in two nonzero columns, pinned there.
+solutions with t in two nonzero columns, pinned there.  The forward step
+runs the same kernel, collecting the solved values in (t, n_max].
 """
 
 from __future__ import annotations
@@ -187,7 +200,7 @@ def _colour_classes(c: Colouring, g: GroundSet) -> tuple[int, list[list[int] | _
 
 
 class _Plan(NamedTuple):
-    """How `_first_solution` assigns a list of columns: each column but the
+    """How `_search` assigns a list of columns: each column but the
     last is enumerated, and the last is solved for from row `pivot`.
 
     heads[k] holds the k-th enumerated column's coefficient in every row,
@@ -260,76 +273,93 @@ def _head_range(plan: _Plan, k: int, r: int, lo: int, hi: int, ylo: int,
     return (lo, hi) if low <= 0 <= high else (hi + 1, hi)
 
 
-def _first_solution(plan: _Plan, res: list[int], members: list[int],
-                    inclass: set[int], distinct: bool, lo: int,
-                    hi: int) -> list[int] | None:
-    """The first assignment of the plan's columns, in candidate order, that
-    zeroes every row: enumerated values come from `members` (a list, or the
-    `_Runs` that is also `inclass`), and the solved value must lie in
-    `inclass`; [lo, hi] spans the class.  res[i] is row i's sum over the
-    columns assigned beforehand.  Returns the values in plan order, or None."""
+def _search(plan: _Plan, res: list[int], members: list[int], lo: int, hi: int,
+            inclass: set[int], ylo: int, yhi: int, distinct: bool,
+            values: set[int] | None = None) -> list[int] | None:
+    """Assignments of the plan's columns that zero every row: enumerated
+    values come from `members`, spanned by [lo, hi], and the solved value
+    from `inclass`, spanned by [ylo, yhi] (when members is a `_Runs`,
+    inclass is the same one).  res[i] is row i's sum over the columns
+    assigned beforehand.  With `values` None, returns the first assignment
+    in candidate order, in plan order, or None; otherwise adds every solved
+    value to `values`."""
     for i in plan.fixed:
         if res[i]:
             return None
-    chosen: list[int] = []
-    if plan.pivot < 0:
-        return chosen
-    if not plan.heads:
-        y = _solve(plan, res, chosen, inclass, distinct)
-        return None if y is None else [y]
-    found = _extend(plan, res, chosen, members, inclass, distinct, lo, hi)
-    return chosen if found else None
-
-
-def _solve(plan: _Plan, res: list[int], chosen: list[int], inclass: set[int],
-           distinct: bool) -> int | None:
-    """The solved column's value, given every row's sum over the enumerated
-    columns, or None when no allowed value zeroes the rows it completes."""
-    solved = plan.solved
-    y, rest = divmod(-res[plan.pivot], solved[plan.pivot])
-    if (rest or y not in inclass or (distinct and y in chosen)
-            or any(res[i] + solved[i] * y for i in plan.others)):
+    pivot, solved = plan.pivot, plan.solved
+    if pivot < 0:
+        return []
+    if plan.heads:
+        chosen: list[int] = []
+        found = _extend(plan, res, chosen, members, lo, hi, inclass, ylo, yhi,
+                        None if distinct else set(), values)
+        return chosen if found else None
+    y, rest = divmod(-res[pivot], solved[pivot])
+    if rest or y not in inclass or any(res[i] + solved[i] * y for i in plan.others):
         return None
-    return y
+    if values is not None:
+        values.add(y)
+    return [y]
 
 
 def _extend(plan: _Plan, res: list[int], chosen: list[int], members: list[int],
-            inclass: set[int], distinct: bool, lo: int, hi: int) -> bool:
+            lo: int, hi: int, inclass: set[int], ylo: int, yhi: int,
+            seen: set[tuple[int, ...]] | None, values: set[int] | None) -> bool:
     """Extend `chosen` by the enumerated columns it lacks, then by the
-    solved column; res holds the row sums over the columns in `chosen`."""
+    solved column, as `_search` asks; res holds the row sums over the
+    columns in `chosen`.  True once the first assignment is complete.
+
+    The one enumeration of a plan.  `seen` is None when values must be
+    distinct; otherwise it holds a (k, row sums) pair for each prefix
+    through enumerated column k reached so far, and a prefix whose pair is
+    there already is skipped, by the merging lemma of the module docstring.
+    """
     k, r = len(chosen), res[plan.pivot]
-    xlo, xhi = _head_range(plan, k, r, lo, hi, lo, hi)
+    xlo, xhi = _head_range(plan, k, r, lo, hi, ylo, yhi)
     if xlo > xhi:
         return False
     coeffs, checks = plan.heads[k], plan.checks[k]
-    innermost = k + 1 == len(plan.heads)
-    a, b = coeffs[plan.pivot], plan.solved[plan.pivot]
+    distinct = seen is None
+    if k + 1 < len(plan.heads):
+        for x in members:
+            if not xlo <= x <= xhi or distinct and x in chosen:
+                continue
+            new = [ri + ai * x for ri, ai in zip(res, coeffs)]
+            if checks and any(new[i] for i in checks):
+                continue
+            if not distinct:
+                state = (k, *new)
+                if state in seen:
+                    continue
+                seen.add(state)
+            chosen.append(x)
+            if _extend(plan, new, chosen, members, lo, hi, inclass, ylo, yhi,
+                       seen, values):
+                return True
+            chosen.pop()
+        return False
     # innermost, the pivot row alone must give an integral value in the
     # class: a cheap test that rejects most candidates before any list is
     # built, and that a class of runs answers for whole runs at once
-    runs = innermost and isinstance(members, _Runs)
-    test = innermost and not runs
-    for x in members.solving(a, b, r) if runs else members:
+    solved, others = plan.solved, plan.others
+    a, b = coeffs[plan.pivot], solved[plan.pivot]
+    for x in members.solving(a, b, r) if isinstance(members, _Runs) else members:
         if not xlo <= x <= xhi:
             continue
-        if test:
-            y, rest = divmod(-r - a * x, b)
-            if rest or y not in inclass:
+        y, rest = divmod(-r - a * x, b)
+        if rest or y not in inclass:
+            continue
+        if distinct and (x == y or x in chosen or y in chosen):
+            continue
+        if checks or others:
+            new = [ri + ai * x for ri, ai in zip(res, coeffs)]
+            if any(new[i] for i in checks) or any(
+                    new[i] + solved[i] * y for i in others):
                 continue
-        if distinct and x in chosen:
-            continue
-        new = [ri + ai * x for ri, ai in zip(res, coeffs)]
-        if any(new[i] for i in checks):
-            continue
-        chosen.append(x)
-        if innermost:
-            y = _solve(plan, new, chosen, inclass, distinct)
-            if y is not None:
-                chosen.append(y)
-                return True
-        elif _extend(plan, new, chosen, members, inclass, distinct, lo, hi):
+        if values is None:
+            chosen += x, y
             return True
-        chosen.pop()
+        values.add(y)
     return False
 
 
@@ -436,8 +466,8 @@ def monochromatic_solution(
             continue
         inclass = cls if isinstance(cls, _Runs) else set(cls)
         lo, hi = cls.span() if isinstance(cls, _Runs) else (cls[0], cls[-1])
-        found = _first_solution(plan, [0] * len(rows), cls, inclass, distinct,
-                               lo, hi)
+        found = _search(plan, [0] * len(rows), cls, lo, hi, inclass, lo, hi,
+                        distinct)
         if found is not None:
             # all-zero columns after the solved one take the first allowed candidates
             for _ in range(last + 1, v):
@@ -459,58 +489,6 @@ class RadoNumberResult:
 
     number: int | None
     witness: tuple[int, ...]
-
-
-def _solved_values(plan: _Plan, res: list[int], members: list[int], lo: int,
-                   hi: int, ylo: int, yhi: int) -> set[int]:
-    """Every value in [ylo, yhi] that the plan's solved column takes in an
-    assignment zeroing every row, the enumerated columns drawn from
-    `members`, spanned by [lo, hi], and res as in `_first_solution`.
-
-    The kernel's enumeration without its early exit, one column at a time
-    within `_head_range`: assignments that leave equal row sums are merged,
-    except at the last enumerated column, where each candidate is solved
-    for directly.
-    """
-    for i in plan.fixed:
-        if res[i]:
-            return set()
-    if not plan.heads:
-        y = _solve(plan, res, [], range(ylo, yhi + 1), False)
-        return set() if y is None else {y}
-    pivot, solved, others = plan.pivot, plan.solved, plan.others
-    last = len(plan.heads) - 1
-    states = [res]
-    for k in range(last):
-        head, checks = plan.heads[k], plan.checks[k]
-        states = {new for state in states
-                  for xlo, xhi in (_head_range(plan, k, state[pivot], lo, hi,
-                                               ylo, yhi),)
-                  for x in members if xlo <= x <= xhi
-                  for new in (tuple(r + a * x for r, a in zip(state, head)),)
-                  if not any(new[i] for i in checks)}
-    coeffs, checks = plan.heads[last], plan.checks[last]
-    a, b = coeffs[pivot], solved[pivot]
-    values = set()
-    for state in states:
-        r = state[pivot]
-        xlo, xhi = _head_range(plan, last, r, lo, hi, ylo, yhi)
-        if xlo > xhi:
-            continue
-        for x in members:
-            if not xlo <= x <= xhi:
-                continue
-            # an integral y lies in [ylo, yhi]
-            y, rest = divmod(-r - a * x, b)
-            if rest:
-                continue
-            if checks or others:
-                new = [ri + ai * x for ri, ai in zip(state, coeffs)]
-                if any(new[i] for i in checks) or any(
-                        new[i] + solved[i] * y for i in others):
-                    continue
-            values.add(y)
-    return values
 
 
 _Pinned = list[tuple[tuple[int, ...], _Plan]]
@@ -577,6 +555,11 @@ def min_rado_number(A: RatMatrix, r: int, n_max: int) -> RadoNumberResult:
     colourings that differ only by a renaming of colours only the least is
     tried.
 
+    Both the exact check and the forward step run the one kernel,
+    `_search`: the exact check for its first assignment, the forward step
+    collecting every solved value in (t, n_max].  Neither asks for distinct
+    values, so both merge the prefixes that leave equal row sums.
+
     Forward checking: once t takes colour c and passes the exact check,
     every uncoloured u in (t, n_max] that would complete a solution in class
     c with t and u, u filling one column, gets a mark against colour c: bit
@@ -634,10 +617,13 @@ def min_rado_number(A: RatMatrix, r: int, n_max: int) -> RadoNumberResult:
         some u in (t, len(best) + 1] marked against every colour."""
         cls = members[colour]
         mark = marks[colour]
+        above = range(t + 1, n_max + 1)
+        values: set[int] = set()
         for pinned, plan in ahead:
-            for u in _solved_values(plan, [a * t for a in pinned], cls, cls[0],
-                                    t, t + 1, n_max):
-                mark |= 1 << u
+            _search(plan, [a * t for a in pinned], cls, cls[0], t, above, t + 1,
+                    n_max, False, values)
+        for u in values:
+            mark |= 1 << u
         marks = marks[:colour] + [mark] + marks[colour + 1:]
         wiped = (1 << len(best) + 2) - (2 << t)     # bits t+1 .. len(best)+1
         for m in marks:
@@ -658,8 +644,8 @@ def min_rado_number(A: RatMatrix, r: int, n_max: int) -> RadoNumberResult:
             inclass[colour].add(t)
             colours.append(colour)
             # only solutions that contain t are new
-            if all(_first_solution(plan, [a * t for a in pinned], cls,
-                                   inclass[colour], False, cls[0], t) is None
+            if all(_search(plan, [a * t for a in pinned], cls, cls[0], t,
+                           inclass[colour], cls[0], t, False) is None
                    for pinned, plan in plans):
                 if t > len(best):
                     best = tuple(colours)

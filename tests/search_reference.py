@@ -5,9 +5,14 @@ tests/test_search_differential.py compares the current code against.
 Both enumerate every variable with Fraction or integer arithmetic and no
 symmetry breaking beyond colour(1) = 0.
 
-`min_rado_number_one_pin` is the kernel-based Rado-number search as it was
-before its exact checks pinned t at two columns: t pinned at one column of
-each kind, and every forward plan built.  Not collected by pytest.
+`_first_solution`, `_solve`, `_extend` and `_solved_values` are the
+integer kernel as it was when a depth-first walk found the first
+assignment and a level-by-level walk collected the forward step's solved
+values, copied verbatim; only the plan builder, `_head_range` and `_Runs`
+come from the library.  `min_rado_number_one_pin` is the kernel-based
+Rado-number search as it was before its exact checks pinned t at two
+columns, t pinned at one column of each kind and every forward plan
+built, and it runs on that copy.  Not collected by pytest.
 """
 
 from __future__ import annotations
@@ -22,10 +27,140 @@ from radokit.search import (
     Colouring,
     GroundSet,
     RadoNumberResult,
-    _first_solution,
+    _head_range,
+    _Plan,
     _plan,
-    _solved_values,
+    _Runs,
 )
+
+
+# The kernel as it was before one depth-first enumeration served both
+# the first assignment and the forward step's solved values, verbatim.
+
+
+def _first_solution(plan: _Plan, res: list[int], members: list[int],
+                    inclass: set[int], distinct: bool, lo: int,
+                    hi: int) -> list[int] | None:
+    """The first assignment of the plan's columns, in candidate order, that
+    zeroes every row: enumerated values come from `members` (a list, or the
+    `_Runs` that is also `inclass`), and the solved value must lie in
+    `inclass`; [lo, hi] spans the class.  res[i] is row i's sum over the
+    columns assigned beforehand.  Returns the values in plan order, or None."""
+    for i in plan.fixed:
+        if res[i]:
+            return None
+    chosen: list[int] = []
+    if plan.pivot < 0:
+        return chosen
+    if not plan.heads:
+        y = _solve(plan, res, chosen, inclass, distinct)
+        return None if y is None else [y]
+    found = _extend(plan, res, chosen, members, inclass, distinct, lo, hi)
+    return chosen if found else None
+
+
+def _solve(plan: _Plan, res: list[int], chosen: list[int], inclass: set[int],
+           distinct: bool) -> int | None:
+    """The solved column's value, given every row's sum over the enumerated
+    columns, or None when no allowed value zeroes the rows it completes."""
+    solved = plan.solved
+    y, rest = divmod(-res[plan.pivot], solved[plan.pivot])
+    if (rest or y not in inclass or (distinct and y in chosen)
+            or any(res[i] + solved[i] * y for i in plan.others)):
+        return None
+    return y
+
+
+def _extend(plan: _Plan, res: list[int], chosen: list[int], members: list[int],
+            inclass: set[int], distinct: bool, lo: int, hi: int) -> bool:
+    """Extend `chosen` by the enumerated columns it lacks, then by the
+    solved column; res holds the row sums over the columns in `chosen`."""
+    k, r = len(chosen), res[plan.pivot]
+    xlo, xhi = _head_range(plan, k, r, lo, hi, lo, hi)
+    if xlo > xhi:
+        return False
+    coeffs, checks = plan.heads[k], plan.checks[k]
+    innermost = k + 1 == len(plan.heads)
+    a, b = coeffs[plan.pivot], plan.solved[plan.pivot]
+    # innermost, the pivot row alone must give an integral value in the
+    # class: a cheap test that rejects most candidates before any list is
+    # built, and that a class of runs answers for whole runs at once
+    runs = innermost and isinstance(members, _Runs)
+    test = innermost and not runs
+    for x in members.solving(a, b, r) if runs else members:
+        if not xlo <= x <= xhi:
+            continue
+        if test:
+            y, rest = divmod(-r - a * x, b)
+            if rest or y not in inclass:
+                continue
+        if distinct and x in chosen:
+            continue
+        new = [ri + ai * x for ri, ai in zip(res, coeffs)]
+        if any(new[i] for i in checks):
+            continue
+        chosen.append(x)
+        if innermost:
+            y = _solve(plan, new, chosen, inclass, distinct)
+            if y is not None:
+                chosen.append(y)
+                return True
+        elif _extend(plan, new, chosen, members, inclass, distinct, lo, hi):
+            return True
+        chosen.pop()
+    return False
+
+
+def _solved_values(plan: _Plan, res: list[int], members: list[int], lo: int,
+                   hi: int, ylo: int, yhi: int) -> set[int]:
+    """Every value in [ylo, yhi] that the plan's solved column takes in an
+    assignment zeroing every row, the enumerated columns drawn from
+    `members`, spanned by [lo, hi], and res as in `_first_solution`.
+
+    The kernel's enumeration without its early exit, one column at a time
+    within `_head_range`: assignments that leave equal row sums are merged,
+    except at the last enumerated column, where each candidate is solved
+    for directly.
+    """
+    for i in plan.fixed:
+        if res[i]:
+            return set()
+    if not plan.heads:
+        y = _solve(plan, res, [], range(ylo, yhi + 1), False)
+        return set() if y is None else {y}
+    pivot, solved, others = plan.pivot, plan.solved, plan.others
+    last = len(plan.heads) - 1
+    states = [res]
+    for k in range(last):
+        head, checks = plan.heads[k], plan.checks[k]
+        states = {new for state in states
+                  for xlo, xhi in (_head_range(plan, k, state[pivot], lo, hi,
+                                               ylo, yhi),)
+                  for x in members if xlo <= x <= xhi
+                  for new in (tuple(r + a * x for r, a in zip(state, head)),)
+                  if not any(new[i] for i in checks)}
+    coeffs, checks = plan.heads[last], plan.checks[last]
+    a, b = coeffs[pivot], solved[pivot]
+    values = set()
+    for state in states:
+        r = state[pivot]
+        xlo, xhi = _head_range(plan, last, r, lo, hi, ylo, yhi)
+        if xlo > xhi:
+            continue
+        for x in members:
+            if not xlo <= x <= xhi:
+                continue
+            # an integral y lies in [ylo, yhi]
+            y, rest = divmod(-r - a * x, b)
+            if rest:
+                continue
+            if checks or others:
+                new = [ri + ai * x for ri, ai in zip(state, coeffs)]
+                if any(new[i] for i in checks) or any(
+                        new[i] + solved[i] * y for i in others):
+                    continue
+            values.add(y)
+    return values
 
 
 def covers(c: Colouring, x: Rat) -> bool:

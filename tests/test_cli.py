@@ -574,6 +574,40 @@ class TestMonoSearch:
         assert main(["mono-search", "--matrix", matrix,
                      "--colouring", "rainbow", "--ground", "4"]) == 2
 
+    def test_colouring_file_with_a_non_integer_colour(self, tmp_path, capsys):
+        matrix = write(tmp_path, "m.txt", "1 1 -1\n")
+        colouring = write(tmp_path, "c.txt", "2 0\n1 x\n")
+        assert main(["mono-search", "--matrix", matrix,
+                     "--colouring", f"file:{colouring}", "--ground", "4"]) == 2
+        assert capsys.readouterr() == ("", "error: expected 'value colour', got '1 x'\n")
+
+    @pytest.mark.parametrize("ground", ["5,abc", "x", "", "5,", "1.5"])
+    def test_ground_set_that_is_not_integers(self, tmp_path, capsys, ground):
+        matrix = write(tmp_path, "m.txt", "1 1 -1\n")
+        assert main(["mono-search", "--matrix", matrix,
+                     "--colouring", "log2parity", f"--ground={ground}"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: ground set is num_bound or num_bound,denominator: "
+                f"{ground!r}\n")
+
+    def test_beutelspacher_brestovansky_colouring_rechecked_in_time(self, tmp_path):
+        # 1..88 coloured 0 on [1, 8] and [81, 88] and 1 on [9, 80] has no
+        # monochromatic solution of x1 + ... + x9 = x10 (88 = 10^2 - 10 - 2);
+        # the sums of up to nine values are merged, not enumerated as tuples.
+        # In a child process a slow search fails at the timeout
+        matrix = write(tmp_path, "m.txt", "1 " * 9 + "-1\n")
+        colouring = write(tmp_path, "c.txt", "".join(
+            f"{x} {0 if x <= 8 or x >= 81 else 1}\n" for x in range(1, 89)))
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "radokit.cli", "mono-search", "--matrix", matrix,
+             "--colouring", f"file:{colouring}", "--ground", "88",
+             "--budget", str(10**30)],
+            capture_output=True, text=True, timeout=10,
+            env=dict(os.environ, PYTHONPATH=path))
+        assert (done.returncode, done.stdout, done.stderr) == (
+            1, "no monochromatic solution\n", "")
+
 
 class TestRadoNumber:
     def test_schur(self, tmp_path, capsys):

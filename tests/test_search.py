@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -198,6 +199,23 @@ class TestMonochromaticSolution:
                 RatMatrix.from_rows([]), Colouring.log2_parity(),
                 GroundSet.slice(2)
             )
+
+    def test_merged_sums_keep_the_memory_small(self):
+        # x1 + ... + x15 = x16 on 1..238 = 16^2 - 16 - 2, coloured 0 on
+        # [1, 14] and [225, 238] and 1 on [15, 224]: no monochromatic
+        # solution.  The search keeps one state per distinct (columns
+        # assigned, sum) pair, a few thousand, never the tuples
+        M = RatMatrix.from_rows([[1] * 15 + [-1]])
+        values = range(1, 239)
+        c = Colouring.table(values, [0 if x <= 14 or x >= 225 else 1 for x in values])
+        tracemalloc.start()
+        try:
+            found = monochromatic_solution(M, c, GroundSet.slice(238), budget=10**40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert found is None
+        assert peak < 4 * 2**20, peak
 
     def test_soundness_on_random_colourings(self):
         rng = random.Random(51)

@@ -3,7 +3,8 @@ replaced (search_reference.py, next to this file) on seeded random inputs:
 the same witness or None, the same Rado number and witness colouring, and
 BudgetExceededError on exactly the same inputs.  min_rado_number is also
 checked against its one-pin form, and its forward plans against every
-forward plan that form builds."""
+forward plan that form builds.  The kernel `_search` is checked against the
+two enumerations it replaced, `_first_solution` and `_solved_values`."""
 
 import random
 from collections import Counter
@@ -21,7 +22,7 @@ from radokit.search import (
     _plan,
     _rado_plans,
     _Runs,
-    _solved_values,
+    _search,
     min_rado_number,
     monochromatic_solution,
 )
@@ -309,8 +310,9 @@ def test_dropped_forward_plans_cannot_mark():
                 continue
             dropped += 1
             for t in range(1, n_max):
-                values = _solved_values(plan, [a * t for a in pinned],
-                                        list(range(1, t + 1)), 1, t, t + 1, 10**6)
+                values = ref._solved_values(plan, [a * t for a in pinned],
+                                            list(range(1, t + 1)), 1, t, t + 1,
+                                            10**6)
                 assert not values, (case, rows, pinned, plan, t, values)
     assert dropped > 100 and kept > 100, (dropped, kept)
 
@@ -320,3 +322,120 @@ def test_schur_keeps_one_forward_plan():
     exceed t."""
     assert len(ref.one_pin_plans([[1, 1, -1]], 3)[1]) == 3
     assert len(_rado_plans([[1, 1, -1]], 42)[1]) == 1
+
+
+def random_plan_rows(rng: random.Random) -> list[list[int]]:
+    """1-3 rows of 2-6 columns: zero columns, repeated columns, and
+    coefficients that vanish on some rows, so that pivots have zero
+    coefficients on some heads and later rows become checks and others."""
+    v = rng.randint(2, 6)
+    columns = []
+    for _ in range(v):
+        if columns and rng.random() < 0.2:
+            columns.append(rng.choice(columns))
+        elif rng.random() < 0.1:
+            columns.append(None)
+        else:
+            columns.append([rng.choice((0, 0, 1, -1, 1, 2, -2, 3, -3))
+                            for _ in range(3)])
+    rows = rng.randint(1, 3)
+    return [[0 if col is None else col[i] for col in columns] for i in range(rows)]
+
+
+def random_class(rng: random.Random, width: int) -> list[int] | _Runs:
+    """A list of distinct ascending integers, or runs, within `width`
+    consecutive integers, possibly below 1."""
+    lo = rng.choice((1, 1, 1, -4))
+    if rng.random() < 0.5:
+        cuts = sorted(rng.sample(range(lo, lo + width + 1), 2 * rng.randint(1, 3)))
+        return _Runs([range(a, b) for a, b in zip(cuts[::2], cuts[1::2])])
+    pool = range(lo, lo + rng.randint(1, width))
+    return sorted(rng.sample(pool, rng.randint(1, len(pool))))
+
+
+def plan_shape(plan) -> set[str]:
+    """The features of a plan that the kernel tests treat apart."""
+    shape = {"no heads"} if plan.pivot >= 0 and not plan.heads else set()
+    if plan.heads:
+        shape.add(f"{min(len(plan.heads), 3)} heads")
+        if any(coeffs[plan.pivot] == 0 for coeffs in plan.heads):
+            shape.add("zero pivot coefficient")
+    if any(plan.checks):
+        shape.add("checks")
+    if plan.others:
+        shape.add("others")
+    if plan.fixed:
+        shape.add("fixed")
+    return shape
+
+
+def test_kernel_first_assignment_matches_reference():
+    """Looking for the first assignment, the one kernel returns the
+    assignment the depth-first `_first_solution` returned, on list and run
+    classes, with and without distinct values, and so the merged prefixes
+    never hide the first solution."""
+    rng = random.Random(20261101)
+    seen = Counter()
+    for case in range(3000):
+        rows = random_plan_rows(rng)
+        v = len(rows[0])
+        nonzero = [j for j in range(v) if any(row[j] for row in rows)]
+        if not nonzero:
+            continue
+        # a random subset in a random order, ending at a nonzero column
+        columns = rng.sample(range(v), rng.randint(1, v))
+        if columns[-1] not in nonzero:
+            columns.append(rng.choice(nonzero))
+            columns = list(dict.fromkeys(columns[::-1]))[::-1]
+        plan = _plan(rows, columns)
+        # keep the reference's unmerged enumeration small
+        cls = random_class(rng, min(30, int(4000 ** (1 / max(len(plan.heads), 1)))))
+        inclass = cls if isinstance(cls, _Runs) else set(cls)
+        lo, hi = cls.span() if isinstance(cls, _Runs) else (cls[0], cls[-1])
+        res = [rng.choice((0, 0, 0, rng.randint(-20, 20))) for _ in rows]
+        distinct = rng.random() < 0.5
+        want = ref._first_solution(plan, list(res), cls, inclass, distinct, lo, hi)
+        got = _search(plan, list(res), cls, lo, hi, inclass, lo, hi, distinct)
+        assert got == want, (case, rows, columns, res, cls, distinct)
+        seen.update(plan_shape(plan))
+        seen["runs" if isinstance(cls, _Runs) else "list"] += 1
+        seen["distinct" if distinct else "merged"] += 1
+        seen["found" if want is not None else "none"] += 1
+    assert len(seen) == 14 and min(seen.values()) > 100, seen
+
+
+def test_kernel_collects_the_reference_values():
+    """Collecting, the one kernel adds exactly the values the level-by-level
+    `_solved_values` returned, for random plans from `_plan` and for every
+    exact-check and forward plan of `_rado_plans`, pinned at t."""
+    rng = random.Random(20261102)
+    seen = Counter()
+    for case in range(1200):
+        rows = [row for row in random_plan_rows(rng) if any(row)]
+        if not rows:
+            continue
+        v, n_max = len(rows[0]), rng.randint(2, 20)
+        plans, ahead = _rado_plans(rows, n_max)
+        nonzero = [j for j in range(v) if any(row[j] for row in rows)]
+        columns = rng.sample(nonzero, rng.randint(1, len(nonzero)))
+        pin = [rng.randint(-2, 2) for _ in rows]
+        for kind, pairs in (("plan", [(pin, _plan(rows, columns))]),
+                            ("exact", plans), ("forward", ahead)):
+            for pinned, plan in pairs:
+                if plan.pivot < 0:
+                    continue    # no column to solve for
+                t = rng.randint(1, n_max - 1)
+                members = sorted(rng.sample(range(1, t + 1), rng.randint(1, t)))
+                res = [a * t for a in pinned]
+                ylo, yhi = rng.choice(((t + 1, n_max), (members[0], t),
+                                       (-n_max, n_max)))
+                want = ref._solved_values(plan, list(res), members, members[0],
+                                          t, ylo, yhi)
+                got: set[int] = set()
+                _search(plan, list(res), members, members[0], t,
+                        range(ylo, yhi + 1), ylo, yhi, False, got)
+                assert got == want, (case, kind, rows, pinned, t, members, ylo, yhi)
+                seen.update(plan_shape(plan))
+                seen[kind] += 1
+                seen["values" if want else "none"] += 1
+    assert len(seen) == 13 and min(seen.values()) > 200, seen
