@@ -20,6 +20,7 @@ from .rings import (
     padic_valuation,
     parse_prime_set,
     parse_rat,
+    parse_rats,
     pigeonhole_subset,
 )
 from .search import (
@@ -68,6 +69,7 @@ __all__ = [
     "parse_matrix",
     "parse_prime_set",
     "parse_rat",
+    "parse_rats",
     "parse_schedule",
     "pigeonhole_subset",
     "refute_over_subring",

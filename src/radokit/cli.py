@@ -27,6 +27,7 @@ from .rings import (
     in_scaled_subring,
     parse_prime_set,
     parse_rat,
+    parse_rats,
     pigeonhole_subset,
 )
 from .search import (
@@ -109,27 +110,33 @@ def _printable_system_spec(args: argparse.Namespace) -> SystemSpec:
 
 
 def _parse_rat_list(text: str) -> list:
-    return [parse_rat(tok) for tok in text.split(",") if tok.strip() != ""]
+    return parse_rats([tok for tok in text.split(",") if tok.strip() != ""])
 
 
 def _parse_colouring(spec: str) -> Colouring:
     if spec == "log2parity":
         return Colouring.log2_parity()
     if spec.startswith("file:"):
-        elements, colours = [], []
-        for line in Path(spec[len("file:"):]).read_text().splitlines():
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            parts = stripped.split()
-            if len(parts) != 2:
-                raise ValueError(f"expected 'value colour', got {stripped!r}")
-            elements.append(parse_rat(parts[0]))
-            try:
-                colours.append(int(parts[1]))
-            except ValueError:
-                raise ValueError(f"expected 'value colour', got {stripped!r}") from None
-        return Colouring.table(elements, colours)
+        colours: list[int] = []
+
+        def values() -> Iterator[str]:
+            """The value tokens; parse_rats reads each before its line's
+            colour is checked, so errors come in text order."""
+            for line in Path(spec[len("file:"):]).read_text().splitlines():
+                stripped = line.strip()
+                if not stripped or stripped.startswith("#"):
+                    continue
+                parts = stripped.split()
+                if len(parts) != 2:
+                    raise ValueError(f"expected 'value colour', got {stripped!r}")
+                yield parts[0]
+                try:
+                    colours.append(int(parts[1]))
+                except ValueError:
+                    raise ValueError(
+                        f"expected 'value colour', got {stripped!r}") from None
+
+        return Colouring.table(parse_rats(values()), colours)
     raise ValueError(f"unknown colouring: {spec!r}")
 
 

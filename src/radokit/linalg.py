@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .rings import Rat, parse_rat
+from .rings import Rat, parse_rats
 
 
 @dataclass(frozen=True)
@@ -130,19 +130,10 @@ def parse_matrix(text: str) -> RatMatrix:
     """Parse the matrix text format: one row per line, entries separated by
     whitespace, blank lines and '#' comment lines ignored.
 
-    parse_rat reads each distinct token once per matrix; every repeat of the
-    token is a dict lookup and shares that Fraction.  Tokens are still read
-    in text order, so the first bad one raises parse_rat's own error.
+    The tokens go through parse_rats in text order, so each distinct token
+    is read once per matrix and the first bad one raises parse_rat's error.
     """
-    parsed: dict[str, Rat] = {}
-    rows = []
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        toks = stripped.split()
-        for tok in toks:
-            if tok not in parsed:
-                parsed[tok] = parse_rat(tok)
-        rows.append(list(map(parsed.__getitem__, toks)))
-    return RatMatrix.from_rows(rows)
+    lines = [toks for toks in map(str.split, text.splitlines())
+             if toks and not toks[0].startswith("#")]
+    values = iter(parse_rats(chain.from_iterable(lines)))
+    return RatMatrix.from_rows([list(islice(values, len(toks))) for toks in lines])

@@ -15,14 +15,11 @@ maintain the canonical reduced form (gcd 1, positive denominator, zero as
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 Rat = Fraction
-
-_RAT_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 
 # Miller-Rabin on the 13 prime bases 2..41 has no strong pseudoprime below
 # psi_13 (Sorenson and Webster, 2015), so below it the test is exact.
@@ -36,19 +33,34 @@ TOO_LONG = f"cannot print a number of more than {DIGIT_LIMIT} digits"
 
 
 def parse_rat(text: str) -> Rat:
-    """Parse ``a`` or ``a/b`` with an optional leading minus sign."""
-    m = _RAT_RE.match(text.strip())
-    if m is None:
+    """Parse ``a`` or ``a/b`` with an optional leading minus sign.
+
+    a and b are strings of Unicode decimal digits (``str.isdecimal``), and
+    surrounding whitespace is ignored.
+    """
+    num, slash, den = text.strip().partition("/")
+    if not (num[1:] if num.startswith("-") else num).isdecimal() or (
+            slash and not den.isdecimal()):
         raise ValueError(f"not a rational: {text!r}")
     try:
-        num = int(m.group(1))
-        den = int(m.group(2)) if m.group(2) is not None else 1
+        a = int(num)
+        b = int(den) if slash else 1
     except ValueError:  # past the text-to-int digit limit
         raise ValueError(f"cannot read a number of more than {DIGIT_LIMIT} "
                          "digits") from None
-    if den == 0:
+    if b == 0:
         raise ValueError(f"zero denominator: {text!r}")
-    return Fraction(num, den)
+    return Fraction(a, b) if slash else Fraction(a)
+
+
+def parse_rats(tokens: Iterable[str]) -> list[Rat]:
+    """parse_rat of each token, reading each distinct token once: a repeat
+    is a dict lookup and shares the Fraction of the token's first sight.
+    The tokens are taken one at a time, in order, so the first bad one
+    raises parse_rat's own error."""
+    parsed: dict[str, Rat] = {}
+    return [parsed[tok] if tok in parsed else parsed.setdefault(tok, parse_rat(tok))
+            for tok in tokens]
 
 
 def format_rat(x: Rat) -> str:
@@ -202,7 +214,8 @@ def pigeonhole_subset(m: int, primes: PrimeSet, xs: Sequence[Rat]) -> list[int]:
     numerators share a residue mod m (smallest residue with enough members,
     then smallest indices).  When no residue class reaches m members, some
     numerator is itself divisible by m -- the input is long enough to force
-    that -- and its index alone serves.
+    that -- and its index alone serves.  Membership and the lcm's scale
+    factor are worked out once per distinct denominator.
 
     Needs at least (m-1)**2 + 1 elements, all inside the subring.
     """
@@ -211,14 +224,19 @@ def pigeonhole_subset(m: int, primes: PrimeSet, xs: Sequence[Rat]) -> list[int]:
     need = (m - 1) ** 2 + 1
     if len(xs) < need:
         raise ValueError(f"need at least {need} elements for m = {m}, got {len(xs)}")
-    for n, x in enumerate(xs):
-        if not in_subring(x, primes):
-            raise ValueError(f"element {n} ({format_rat(x)}) is outside the subring")
-    s = math.lcm(*(x.denominator for x in xs))
-    numerators = [x.numerator * (s // x.denominator) for x in xs]
+    dens = [x.denominator for x in xs]
+    # each distinct denominator and the position of its first value: dict
+    # keeps the last write, so the reversed zip leaves the least position
+    first = dict(zip(reversed(dens), range(len(xs) - 1, -1, -1)))
+    for n in sorted(first.values()):
+        if not in_subring(xs[n], primes):
+            raise ValueError(f"element {n + 1} ({format_rat(xs[n])}) is "
+                             "outside the subring")
+    s = math.lcm(*first)
+    scale = {d: s // d for d in first}
     by_residue: dict[int, list[int]] = {}
-    for n, y in enumerate(numerators):
-        by_residue.setdefault(y % m, []).append(n)
+    for n, (x, d) in enumerate(zip(xs, dens)):
+        by_residue.setdefault(x.numerator * scale[d] % m, []).append(n)
     for r in sorted(by_residue):
         if len(by_residue[r]) >= m:
             return by_residue[r][:m]

@@ -172,11 +172,17 @@ def schedule_value(s: CoefficientSchedule, n: int, i: int) -> Rat:
         raise ValueError(f"equation index starts at 2, got {n}")
     if not 1 <= i <= s.arity:
         raise ValueError(f"slot {i} outside 1..{s.arity}")
-    if s.table is None:
-        return Fraction(s.c[i - 1], s.denominator(n))
-    if n - 2 >= len(s.table):
+    if s.table is not None and n - 2 >= len(s.table):
         raise ValueError(f"explicit schedule defines n up to {s.max_depth}, got {n}")
-    return s.table[n - 2][i - 1]
+    return _schedule_row(s, n)[i - 1]
+
+
+def _schedule_row(s: CoefficientSchedule, n: int) -> Sequence[Rat]:
+    """d_{n,1}, ..., d_{n,arity}, with D(n) built once for the row."""
+    if s.table is not None:
+        return s.table[n - 2]
+    den = s.denominator(n)
+    return [Fraction(c, den) for c in s.c]
 
 
 @dataclass(frozen=True)
@@ -240,8 +246,7 @@ def truncated_rows(spec: SystemSpec) -> Iterator[dict[int, Rat]]:
     for n in range(2, spec.depth + 1):
         first = spec.x_index(n, 1)
         row = dict.fromkeys(range(first, first + n), _ONE)
-        for i in range(1, spec.alpha + 1):
-            d = schedule_value(spec.schedule, n, i)
+        for i, d in enumerate(_schedule_row(spec.schedule, n), start=1):
             if d:
                 row[spec.y_index(i)] = d
         row[spec.z_index(n)] = _MINUS_ONE
@@ -325,10 +330,25 @@ def truncated_residuals(spec: SystemSpec, values: Sequence[Rat]) -> Iterator[Rat
 
 def _exact_sum(values: Sequence[Rat]) -> Rat:
     """The sum of the values, added as integers over their common
-    denominator rather than one Fraction at a time."""
-    dens = [x.denominator for x in values]
+    denominator rather than one Fraction at a time.  Each run of one
+    object is read once, as that value times the run's length: a witness
+    repeats one object for most of its values, and numerator and
+    denominator are property reads."""
+    runs: list[tuple[Rat, int]] = []
+    last, k = None, 0
+    for x in values:
+        if x is last:
+            k += 1
+        else:
+            if k:
+                runs.append((last, k))
+            last, k = x, 1
+    if k:
+        runs.append((last, k))
+    dens = [x.denominator for x, _ in runs]
     den = math.lcm(*dens)
-    return Fraction(sum([x.numerator * (den // d) for x, d in zip(values, dens)]), den)
+    return Fraction(sum([x.numerator * k * (den // d)
+                         for (x, k), d in zip(runs, dens)]), den)
 
 
 def _dot(c: Sequence[int], y: Sequence[Rat]) -> Rat:

@@ -1,7 +1,17 @@
-"""Trial division: the primality test and factorization that radokit used
-before Miller-Rabin, kept as the reference the tests compare against."""
+"""References the tests compare radokit.rings against: trial division, the
+primality test and factorization that radokit used before Miller-Rabin;
+the regex parse_rat that str.isdecimal replaced; and the pigeonhole_subset
+that tested membership and scaled each element on its own, rather than
+once per distinct denominator."""
 
 from __future__ import annotations
+
+import math
+import re
+from fractions import Fraction
+from typing import Sequence
+
+from radokit.rings import DIGIT_LIMIT, PrimeSet, Rat, format_rat, in_subring
 
 # Trial division below this takes at most half a million divisions; bigger
 # inputs are refused rather than left to grind.
@@ -42,3 +52,48 @@ def factorize(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+_RAT_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+
+
+def parse_rat(text: str) -> Rat:
+    """Parse ``a`` or ``a/b`` with an optional leading minus sign."""
+    m = _RAT_RE.match(text.strip())
+    if m is None:
+        raise ValueError(f"not a rational: {text!r}")
+    try:
+        num = int(m.group(1))
+        den = int(m.group(2)) if m.group(2) is not None else 1
+    except ValueError:  # past the text-to-int digit limit
+        raise ValueError(f"cannot read a number of more than {DIGIT_LIMIT} "
+                         "digits") from None
+    if den == 0:
+        raise ValueError(f"zero denominator: {text!r}")
+    return Fraction(num, den)
+
+
+def pigeonhole_subset(m: int, primes: PrimeSet, xs: Sequence[Rat]) -> list[int]:
+    """Indices of a nonempty subset whose sum is m times a subring element.
+
+    Its outside-the-subring error names the element by its 0-based index.
+    """
+    if m < 1:
+        raise ValueError(f"modulus must be a positive integer, got {m}")
+    need = (m - 1) ** 2 + 1
+    if len(xs) < need:
+        raise ValueError(f"need at least {need} elements for m = {m}, got {len(xs)}")
+    for n, x in enumerate(xs):
+        if not in_subring(x, primes):
+            raise ValueError(f"element {n} ({format_rat(x)}) is outside the subring")
+    s = math.lcm(*(x.denominator for x in xs))
+    numerators = [x.numerator * (s // x.denominator) for x in xs]
+    by_residue: dict[int, list[int]] = {}
+    for n, y in enumerate(numerators):
+        by_residue.setdefault(y % m, []).append(n)
+    for r in sorted(by_residue):
+        if len(by_residue[r]) >= m:
+            return by_residue[r][:m]
+    # The m-1 nonzero classes hold at most (m-1)**2 < len(xs) elements, so
+    # residue 0 is nonempty here.
+    return [by_residue[0][0]]

@@ -9,6 +9,7 @@ import pytest
 
 import radokit.cli
 import radokit.rado
+import radokit.rings
 from radokit.cli import ENTRY_LIMIT, _build_parser, main
 from linalg_reference import format_matrix
 from radokit.linalg import RatMatrix, parse_matrix
@@ -360,6 +361,31 @@ class TestPigeonhole:
         assert capsys.readouterr().err == (
             "error: cannot print a number of more than 4300 digits\n")
 
+    def test_outside_element_named_by_its_1_based_position(self, capsys):
+        assert main(["pigeonhole", "--m", "2", "--primes=",
+                     "--values=1/2,1"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: element 1 (1/2) is outside the subring\n")
+        assert main(["pigeonhole", "--m", "2", "--primes=2",
+                     "--values=1/2,1,1/6,1/3"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: element 3 (1/6) is outside the subring\n")
+
+    def test_each_distinct_token_is_parsed_once(self, monkeypatch, capsys):
+        seen = []
+        parse_rat = radokit.rings.parse_rat
+
+        def counting(tok):
+            seen.append(tok)
+            return parse_rat(tok)
+
+        monkeypatch.setattr(radokit.rings, "parse_rat", counting)
+        assert main(["pigeonhole", "--m", "3", "--primes=2",
+                     "--values=1/2,1,1/2, 1,2/4,1,1/2"]) == 0
+        assert seen == ["1/2", "1", " 1", "2/4"]
+        assert capsys.readouterr().out == (
+            "indices: 1 3 5\nsum: 3/2\nsum / 3: 1/2\n")
+
 
 class TestRefute:
     def test_obstruction(self, capsys):
@@ -580,6 +606,21 @@ class TestMonoSearch:
         assert main(["mono-search", "--matrix", matrix,
                      "--colouring", f"file:{colouring}", "--ground", "4"]) == 2
         assert capsys.readouterr() == ("", "error: expected 'value colour', got '1 x'\n")
+
+    @pytest.mark.parametrize("text,error", [
+        ("1/0 0\n1 0 extra\n", "zero denominator: '1/0'"),
+        ("1 x\n1/0 0\n", "expected 'value colour', got '1 x'"),
+        ("1/0 x\n", "zero denominator: '1/0'"),
+        ("2 0\n1\n2/2 1\n", "expected 'value colour', got '1'"),
+    ])
+    def test_colouring_file_errors_come_in_text_order(self, tmp_path, capsys,
+                                                      text, error):
+        # the values are read by parse_rats, between the checks of each line
+        matrix = write(tmp_path, "m.txt", "1 1 -1\n")
+        colouring = write(tmp_path, "c.txt", text)
+        assert main(["mono-search", "--matrix", matrix,
+                     "--colouring", f"file:{colouring}", "--ground", "4"]) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
 
     @pytest.mark.parametrize("ground", ["5,abc", "x", "", "5,", "1.5"])
     def test_ground_set_that_is_not_integers(self, tmp_path, capsys, ground):

@@ -17,7 +17,7 @@ from math import lcm
 import pytest
 
 import linalg_reference as ref
-import radokit.linalg
+import radokit.rings
 from radokit.cli import main
 from radokit.linalg import RatMatrix, _eliminate, _integer_rows, parse_matrix
 from radokit.rings import DIGIT_LIMIT, parse_rat
@@ -271,7 +271,7 @@ def test_parse_matrix_reads_each_distinct_token_once(monkeypatch):
         seen.append(tok)
         return parse_rat(tok)
 
-    monkeypatch.setattr(radokit.linalg, "parse_rat", counting)
+    monkeypatch.setattr(radokit.rings, "parse_rat", counting)
     M = parse_matrix("# 9 9\n1 2/4 1\n\t1/2 1 -0\n0 2/4  1/2\n")
     assert seen == ["1", "2/4", "1/2", "-0", "0"]
     assert M == ref.parse_matrix("1 1/2 1\n1/2 1 0\n0 1/2 1/2")

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import time
 from fractions import Fraction as F
 
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_prime_set, random_subring_element
+import rings_reference as ref
+from conftest import SMALL_PRIMES, random_prime_set, random_subring_element
 from rings_reference import FACTOR_LIMIT, factorize, trial_is_prime
 from radokit.rings import (
     PRIMALITY_LIMIT,
@@ -56,6 +58,42 @@ class TestTextualForm:
     @given(st.fractions())
     def test_round_trip(self, x):
         assert parse_rat(format_rat(x)) == x
+
+
+def parse_outcome(parse, text):
+    try:
+        x = parse(text)
+    except ValueError as exc:
+        return "error", str(exc)
+    return type(x), x
+
+
+# Nd digits from other scripts, signs and separators the grammar refuses,
+# whitespace around and inside, zero denominators, and the digit limit.
+FIXED_TOKENS = [
+    "٣", "-٣/٤", "１", "１２/８", "٣/0", "²", "½", "Ⅳ", "1e3", "0x10", "1.5",
+    "+1", "1_0", "-", "", " ", "--1", "-+1", "1-", "1/-2", "1/+2", "1/",
+    "/2", "-/2", "1//2", "1/2/3", "- 1", "1 /2", "1/ 2",
+    " 7/3 ", "\t-6/4\n", "\u20031\u2003", "\x1c5\x85", "1\n", "\n1/2",
+    "0", "-0", "00/7", "1/0", "0/0", "-3/00", "-0/0",
+    "9" * 4300, "-" + "9" * 4300, "1/" + "7" * 4300,
+    "9" * 4301, "-" + "9" * 4301, "1/" + "7" * 4301, "9" * 4301 + "/0",
+    "0" * 4301, "x" * 4301,
+]
+
+
+@pytest.mark.parametrize("text", FIXED_TOKENS, ids=lambda t: ascii(t[:10]))
+def test_parse_rat_matches_the_regex_reference(text):
+    assert parse_outcome(parse_rat, text) == parse_outcome(ref.parse_rat, text)
+
+
+@given(st.one_of(
+    st.text(st.sampled_from("0123456789-/+_. \t\n٣１²x"), max_size=12),
+    st.text(max_size=8),
+    st.from_regex(r"\s*-?\d+(/\d+)?\s*", fullmatch=True),
+))
+def test_parse_rat_matches_the_regex_reference_on_any_text(text):
+    assert parse_outcome(parse_rat, text) == parse_outcome(ref.parse_rat, text)
 
 
 class TestIsPrime:
@@ -265,6 +303,11 @@ class TestPigeonholeSubset:
         with pytest.raises(ValueError):
             pigeonhole_subset(2, PrimeSet.empty(), [F(1, 2), F(1)])
 
+    def test_outside_element_named_by_its_1_based_position(self):
+        with pytest.raises(ValueError, match=r"^element 2 \(1/3\) is outside "
+                                             r"the subring$"):
+            pigeonhole_subset(2, PrimeSet.finite([2]), [F(1, 2), F(1, 3), F(1, 5)])
+
     def test_property_sum_is_scaled_member(self):
         rng = random.Random(9)
         for _ in range(100):
@@ -276,3 +319,56 @@ class TestPigeonholeSubset:
             assert H
             assert in_scaled_subring(sum(xs[i] for i in H), m, ps)
 
+
+def outside_element(rng, primes):
+    """A rational outside the subring (denominator a prime not in the set),
+    or None when the set holds every small prime."""
+    candidates = [p for p in SMALL_PRIMES if p not in primes]
+    if not candidates:
+        return None
+    p = rng.choice(candidates)
+    return F(rng.randint(-9, 9) * p + rng.choice((1, -1)), p)
+
+
+def pigeonhole_outcome(pigeonhole, m, primes, xs):
+    try:
+        return pigeonhole(m, primes, xs)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_pigeonhole_matches_the_per_element_reference():
+    """Same indices, or the same error but for the element's position,
+    which the reference gives 0-based; over repeated objects, equal but
+    distinct values and outside elements at random positions."""
+    rng = random.Random(19102026)
+    kinds = {"indices": 0, "outside": 0, "short": 0}
+    for _ in range(1000):
+        m = rng.randint(1, 8)
+        ps = random_prime_set(rng)
+        pool = [random_subring_element(rng, ps) for _ in range(rng.randint(1, 5))]
+        length = (m - 1) ** 2 + 1 + rng.randint(-1 if m > 1 else 0, 3)
+        xs = []
+        for _ in range(length):
+            roll = rng.random()
+            if roll < 0.4:
+                xs.append(rng.choice(pool))
+            elif roll < 0.6:
+                x = rng.choice(pool)
+                xs.append(F(x.numerator, x.denominator))
+            else:
+                xs.append(random_subring_element(rng, ps))
+        if xs and rng.random() < 0.35:
+            for _ in range(rng.randint(1, 3)):
+                x = outside_element(rng, ps)
+                if x is not None:
+                    xs[rng.randrange(len(xs))] = x
+        want = pigeonhole_outcome(ref.pigeonhole_subset, m, ps, xs)
+        if isinstance(want, str):
+            want = re.sub(r"^element (\d+)", lambda g: f"element {int(g[1]) + 1}",
+                          want)
+            kinds["outside" if want.startswith("element") else "short"] += 1
+        else:
+            kinds["indices"] += 1
+        assert pigeonhole_outcome(pigeonhole_subset, m, ps, xs) == want, (m, ps, xs)
+    assert min(kinds.values()) >= 100, kinds

@@ -184,6 +184,23 @@ class TestTruncatedRows:
         M = truncated_matrix(spec)
         assert M.to_lists() == [[1, 1, F(-1, 4), F(1, 2), -1]]
 
+    def test_one_denominator_per_row(self, monkeypatch):
+        calls = []
+        denominator = CoefficientSchedule.denominator
+
+        def counting(schedule, n):
+            calls.append(n)
+            return denominator(schedule, n)
+
+        monkeypatch.setattr(CoefficientSchedule, "denominator", counting)
+        for schedule in (CoefficientSchedule.qpow(3), CoefficientSchedule.allprimes(),
+                         CoefficientSchedule.qpowpair(2),
+                         CoefficientSchedule.allprimespair()):
+            calls.clear()
+            rows = list(truncated_rows(SystemSpec(schedule.arity, 12, schedule)))
+            assert len(rows) == 11
+            assert calls == list(range(2, 13))
+
 
 class TestStackedRows:
     def test_minimal(self):
@@ -320,6 +337,30 @@ class TestTruncatedResiduals:
                 spec = SystemSpec(alpha, depth, schedule)
                 values = [F(rng.randint(-4, 4), rng.randint(1, 3))
                           for _ in range(spec.var_count)]
+                M = RatMatrix.from_rows(dense_truncated_system(spec))
+                assert tuple(truncated_residuals(spec, values)) == residuals(values, M)
+
+    def test_runs_of_shared_objects_agree_with_a_fraction_sum(self):
+        """Runs of one object, read once per run, against the Fraction sum
+        of the dense rows; the runs sit beside equal but distinct objects
+        and other fractions, so a run must end where the object changes."""
+        rng = random.Random(19102026)
+        for depth in range(2, 11):
+            for alpha, schedule in every_kind(rng, depth):
+                spec = SystemSpec(alpha, depth, schedule)
+                pool = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)]
+                values = []
+                while len(values) < spec.var_count:
+                    x = rng.choice(pool)
+                    roll = rng.random()
+                    if roll < 0.5:
+                        values += [x] * rng.randint(1, 7)
+                    elif roll < 0.8:
+                        values += [F(x.numerator, x.denominator)
+                                   for _ in range(rng.randint(1, 4))]
+                    else:
+                        values.append(F(rng.randint(-50, 50), rng.randint(1, 12)))
+                values = values[:spec.var_count]
                 M = RatMatrix.from_rows(dense_truncated_system(spec))
                 assert tuple(truncated_residuals(spec, values)) == residuals(values, M)
 
