@@ -1,10 +1,10 @@
 """Dense exact linear algebra over the rationals.
 
-The rational matrix type, its text format, and fraction-free Gauss-Jordan
-elimination on rows scaled to integers.  There is no span-membership API:
-callers read pivots, residuals and witnesses off the eliminated rows.  No
-pivoting heuristics are needed or wanted: exact arithmetic has no
-conditioning, so the pivot is always the first nonzero entry.
+The rational matrix type, its text format, the normalizer that scales rows
+to integers, and one fraction-free row operation, `_clear`.  There is no
+elimination or span-membership API: columns_condition keeps its rows in
+reduced row echelon form with `_clear`, one column at a time, and reads
+pivots, residuals and witnesses off them.
 """
 
 from __future__ import annotations
@@ -86,44 +86,17 @@ def _integer_rows(rows: Iterable[Sequence[Rat | int]]) -> list[list[int]]:
     return out
 
 
-def _eliminate(rows: list[list[int]], cols: int) -> list[int]:
-    """Gauss-Jordan elimination of the first cols columns of integer rows,
-    in place; returns the pivot columns.
-
-    The entries past column cols take part in every row operation but are
-    never pivots, so rows past the rank end up zero on the first cols
-    columns and hold, past them, what is left of each later column modulo
-    the span of those columns.
-
-    Fraction-free: clearing column c from row i replaces it by
-    a * row_i - b * row_r, where a/b is the pivot over row i's entry in
-    lowest terms, and the result is divided by the gcd of its entries.
-    Each row thus stays a nonzero multiple of the row that Fraction
-    elimination with the same pivots would hold, so dividing a pivot row by
-    its pivot gives the reduced row echelon form's row.
-    """
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        top = rows[r]
-        p = top[c]
-        for i, row in enumerate(rows):
-            f = row[c]
-            if f and i != r:
-                g = gcd(p, f)
-                a, b = p // g, f // g
-                new = [a * x - b * y for x, y in zip(row, top)]
-                g = gcd(*new)
-                rows[i] = [x // g for x in new] if g > 1 else new
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
+def _clear(row: list[int], top: list[int], c: int) -> list[int]:
+    """row with its entry in column c cleared by top, nonzero there: the
+    package's one row operation.  Fraction-free, a * row - b * top, for a/b
+    top's entry over row's in lowest terms, divided by its entries' gcd: a
+    nonzero multiple of the row that Fraction elimination would give."""
+    p, f = top[c], row[c]
+    g = gcd(p, f)
+    a, b = p // g, f // g
+    new = [a * x - b * y for x, y in zip(row, top)]
+    g = gcd(*new)
+    return [x // g for x in new] if g > 1 else new
 
 
 def parse_matrix(text: str) -> RatMatrix:

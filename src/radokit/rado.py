@@ -12,10 +12,11 @@ Column indices are 0-based throughout the API (the CLI renders them
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import RatMatrix, _eliminate, _integer_rows
+from .linalg import RatMatrix, _clear, _integer_rows
 from .rings import Rat
 
 # Hard cap on column count: each step of the search is exponential in v/2.
@@ -58,17 +59,6 @@ class FirstEntryReport:
         if self.zero_rows:
             return False
         return self.common_value is not None if strict else self.all_equal
-
-
-def _mask_bits(mask: int) -> list[int]:
-    out = []
-    j = 0
-    while mask:
-        if mask & 1:
-            out.append(j)
-        mask >>= 1
-        j += 1
-    return out
 
 
 def _least_zero_sum(values: list[int]) -> int | None:
@@ -124,6 +114,26 @@ def _pack(vectors: list[list[int]]) -> list[int]:
     return packed
 
 
+def _insert(basis: list[tuple[int, list[int]]], rest: list[list[int]],
+            j: int) -> bool:
+    """Add column j to columns_condition's rows by its insertion lemma:
+    basis holds (pivot column, row) pairs in pivot order, rest the other
+    rows.  True in case (a), the one case that changes rest."""
+    i = next((i for i, row in enumerate(rest) if row[j]), None)
+    if i is not None:
+        top = rest.pop(i)
+        rest[:] = [_clear(row, top, j) if row[j] else row for row in rest]
+    else:
+        k = max((k for k, (c, row) in enumerate(basis) if c > j and row[j]),
+                default=None)
+        if k is None:
+            return False
+        top = basis.pop(k)[1]
+    basis[:] = [(c, _clear(row, top, j) if row[j] else row) for c, row in basis]
+    insort(basis, (j, top))
+    return i is not None
+
+
 def columns_condition(A: RatMatrix) -> CCCertificate | None:
     """Find the canonical columns-condition certificate, or None if there is
     none.
@@ -146,24 +156,33 @@ def columns_condition(A: RatMatrix) -> CCCertificate | None:
     step always extends, and the greedy chain is that search's answer.  On
     a no-instance the chain stops at its first dead end.
 
-    Each step is one integer elimination.  The rows of A, scaled to
-    integers, are laid out with the used columns first, in ascending order,
-    and the unused columns after them, and _eliminate reduces the used
-    columns only (the first step, with nothing used, skips it).  The rows
-    past the rank are then zero on the used columns, and their entries in
-    the unused columns are the residuals: a block sums into span(used)
-    exactly when its residuals sum to zero.  The first block and every
-    later one are thus one problem, the least nonempty zero-sum submask,
-    solved by meet in the middle: a step builds at most
-    2^floor(v/2) + 2^ceil(v/2) subset sums, and there are at most v steps,
-    so a call costs O(v * 2^(v/2)) subset sums and at most v eliminations
-    of u x v integers.  The rows up to the rank give the block's witness:
-    each is a multiple of the reduced row echelon form's row, so the sum
-    of the block's entries in that row over the row's pivot entry is the
-    pivot column's coefficient, and every other column's is zero.  That is
-    the solution with every free variable set to zero, and scaling a row
-    of A by a positive constant changes neither the pivots nor these
-    ratios, so it is the Fraction witness of A's own columns.
+    The rows of A, scaled to integers, are carried through the chain in
+    reduced row echelon form over the used columns in ascending order, each
+    a multiple of its reduced row: pivot rows in pivot order, and rest rows,
+    zero on the used columns.  A block sums into span(used) exactly when its
+    rest-row entries, the residuals, sum to zero: each step seeks the least
+    nonempty zero-sum submask, by meet in the middle.  A later block's
+    witness, the solution with every free variable zero, gives each pivot
+    column the block's sum in its row over the pivot entry; scaling a row
+    of A by a positive constant changes neither the pivots nor these ratios.
+
+    Insertion lemma: a taken block's columns j go in one at a time
+    (`_insert`), each by one of three cases.
+      (a) A rest row is nonzero at j, so A_j is not in span(used): it
+          becomes j's pivot row and j is cleared from every other row.  No
+          later pivot becomes dependent.
+      (b) No pivot row of pivot above j is nonzero at j: A_j lies in the
+          span of the used columns below j, and nothing changes.
+      (c) Otherwise the last such row, of pivot p, takes j as its pivot and
+          j is cleared from the other rows: with A_j = (columns below j) +
+          sum e_i A_{p_i} over the pivots p_i above j, p is the greatest p_i
+          with e_i nonzero, so A_p alone becomes dependent.
+    The reduced form is unique for a column order, so pivots and witnesses
+    are those of an elimination from scratch.  In (b) and (c) the rest rows
+    are untouched and the packed residuals are reused minus the block;
+    only a step with an (a) packs again.  A call costs at most v steps of
+    2^floor(v/2) + 2^ceil(v/2) subset sums, a row scan and a row operation
+    per row cleared for each inserted column, and at most rank + 1 packings.
     """
     if A.cols > MAX_COLUMNS:
         raise ValueError(
@@ -171,32 +190,31 @@ def columns_condition(A: RatMatrix) -> CCCertificate | None:
         )
     if A.cols == 0:
         return None
-    rows = _integer_rows(map(A.row, range(A.rows)))
+    rest = _integer_rows(map(A.row, range(A.rows)))
+    basis: list[tuple[int, list[int]]] = []
     used: list[int] = []
     unused = list(range(A.cols))
     blocks: list[tuple[int, ...]] = []
     witnesses: list[tuple[Rat, ...]] = []
+    packed = None
     while unused:
-        k = len(used)
-        order = used + unused
-        if used:
-            reduced = [[row[j] for j in order] for row in rows]
-            pivots = _eliminate(reduced, k)
-        else:
-            reduced, pivots = rows, []
-        rest = reduced[len(pivots):]
-        residuals = [[row[p] for row in rest] for p in range(k, len(order))]
-        local = _least_zero_sum(_pack(residuals))
-        if local is None:
+        if packed is None:
+            packed = _pack([[row[j] for row in rest] for j in unused])
+        mask = _least_zero_sum(packed)
+        if mask is None:
             return None
-        positions = [k + i for i in _mask_bits(local)]
+        block = tuple(j for p, j in enumerate(unused) if mask >> p & 1)
         if used:
-            witness = [Fraction(0)] * k
-            for row, c in zip(reduced, pivots):
-                witness[c] = Fraction(sum(row[p] for p in positions), row[c])
-            witnesses.append(tuple(witness))
-        block = tuple(order[p] for p in positions)
+            zero = Fraction(0)
+            coeffs = {c: Fraction(sum(row[j] for j in block), row[c])
+                      for c, row in basis}
+            witnesses.append(tuple(coeffs.get(c, zero) for c in used))
         blocks.append(block)
+        for j in block:
+            if _insert(basis, rest, j):
+                packed = None
+        if packed is not None:
+            packed = [n for p, n in enumerate(packed) if not mask >> p & 1]
         used = sorted(used + list(block))
         unused = [j for j in unused if j not in block]
     return CCCertificate(tuple(blocks), tuple(witnesses))

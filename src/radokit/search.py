@@ -34,9 +34,9 @@ milliseconds.
 `monochromatic_solution` runs the kernel once per colour class on the
 columns up to the last nonzero one, then fills the all-zero columns after
 it in candidate order, so its first witness is the one a search over every
-variable would find first.  Its budget counts the tuples of the enumerated
-columns.  A log2parity class, of any size, stays a list of ranges, the
-innermost column's candidates coming from arithmetic on the ranges.
+variable would find first.  Its budget bounds the candidates the kernel
+walks (`_walk_bound`).  A log2parity class, of any size, stays a list of
+ranges, the innermost column's candidates coming from arithmetic on them.
 
 `min_rado_number` colours 1, 2, ... in turn; only solutions containing the
 newest value t can be new.  It colours with restricted growth (colour c
@@ -430,6 +430,43 @@ class _Runs:
                 yield from range(start + (first - start) % step, stop, step)
 
 
+# `_extend` recurses once per enumerated column, so the merged count, which
+# admits far deeper searches than the tuple count, applies up to this depth.
+_MERGED_DEPTH = 500
+
+
+def _walk_bound(rows: list[list[int]], k_max: int, spans: list[tuple[int, int]],
+                sizes: list[int], distinct: bool, cap: int) -> int:
+    """A bound on the candidates the kernel walks over k_max enumerated
+    columns: the tuples, sum |class|^k_max, or, when smaller, values need
+    not be distinct and k_max <= _MERGED_DEPTH, the merged states' walks:
+    level k expands at most S_k = prod_i (sum_{j<k} |a_ij| * (hi - lo) + 1)
+    states, one per row-sum vector, each walking the class once.  Past cap,
+    counting stops and the result is only known to exceed cap if the
+    tuples do too."""
+    tuples = sum(size ** k_max for size in sizes)
+    if distinct or k_max > _MERGED_DEPTH:
+        return tuples
+    levels, ws = [], [0] * len(rows)    # the nonzero sum_{j<k} |a_ij|
+    for k in range(k_max):
+        levels.append([w for w in ws if w])
+        ws = [w + abs(row[k]) for w, row in zip(ws, rows)]
+    merged = 0
+    for (lo, hi), size in zip(spans, sizes):
+        power = 1
+        for weights in levels:
+            states = 1      # S_k, its product cut short once it reaches power
+            for w in weights:
+                states *= w * (hi - lo) + 1
+                if states >= power:
+                    break
+            merged += size * min(power, states)
+            if merged > cap:
+                return min(tuples, merged)
+            power *= size
+    return min(tuples, merged)
+
+
 def monochromatic_solution(
     A: RatMatrix,
     c: Colouring,
@@ -443,9 +480,9 @@ def monochromatic_solution(
 
     Deterministic: colour classes in colour order, candidates in ground-set
     order, first witness wins.  Raises BudgetExceededError, before any
-    search and before a slice is listed, when the sum over colour classes
-    of |class|^k, for k the number of columns before the last nonzero one
-    (the columns the kernel enumerates), exceeds `budget`.
+    search and before a slice is listed, when `_walk_bound` over the
+    columns before the last nonzero one (the columns the kernel enumerates)
+    exceeds `budget`.
     """
     v = A.cols
     if v == 0:
@@ -454,18 +491,19 @@ def monochromatic_solution(
     last = max((j for row in rows for j in range(v) if row[j]), default=-1)
     den, classes = _colour_classes(c, g)
     sizes = [len(cls) for cls in classes]
+    spans = [cls.span() if isinstance(cls, _Runs) else (cls[0], cls[-1])
+             for cls in classes]
     # the columns before the last nonzero one are enumerated; the last is
     # solved for, and the all-zero ones after it are filled without a search
-    if sum(size ** max(last, 0) for size in sizes) > budget:
+    if _walk_bound(rows, max(last, 0), spans, sizes, distinct, budget) > budget:
         raise BudgetExceededError(
             f"search space exceeds budget of {budget} candidate tuples"
         )
     plan = _plan(rows, range(last + 1))
-    for cls, size in zip(classes, sizes):
+    for cls, size, (lo, hi) in zip(classes, sizes, spans):
         if distinct and size < v:
             continue
         inclass = cls if isinstance(cls, _Runs) else set(cls)
-        lo, hi = cls.span() if isinstance(cls, _Runs) else (cls[0], cls[-1])
         found = _search(plan, [0] * len(rows), cls, lo, hi, inclass, lo, hi,
                         distinct)
         if found is not None:

@@ -8,6 +8,7 @@ from itertools import combinations
 
 from linalg_reference import rank
 from radokit.linalg import RatMatrix
+from radokit.rado import _insert
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
 
@@ -63,6 +64,18 @@ def residuals(values, M: RatMatrix) -> tuple[Fraction, ...]:
 def solves(values, M: RatMatrix) -> bool:
     """Whether the values, given in column order, zero every row of M."""
     return all(r == 0 for r in residuals(values, M))
+
+
+def insert_columns(rows, columns) -> tuple[list[int], list[list[int]]]:
+    """Integer rows after columns_condition's `_insert` takes `columns` in
+    the order given: the pivot columns, ascending, and the rows, pivot rows
+    in that order first and the rest rows, zero on `columns`, after them.
+    The caller's rows are left as they are."""
+    basis: list[tuple[int, list[int]]] = []
+    rest = [list(row) for row in rows]
+    for j in columns:
+        _insert(basis, rest, j)
+    return [c for c, _ in basis], [row for _, row in basis] + rest
 
 
 def column(M: RatMatrix, j: int) -> tuple[Fraction, ...]:

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import radokit.rado
+from linalg_reference import rank
 from radokit.cli import main
 from radokit.linalg import parse_matrix
 from radokit.rado import columns_condition, verify_cc_certificate
@@ -39,32 +40,35 @@ def test_cc_check_output_is_frozen(family, tmp_path, capsys):
         assert capsys.readouterr().out == entry["stdout"], entry["matrix"]
 
 
-def test_at_most_one_elimination_per_step(monkeypatch):
-    """Each step's residuals and witness come from one elimination; the
-    steps are counted by their least-zero-sum scans."""
-    eliminations, steps = [], []
-    eliminate, least = radokit.rado._eliminate, radokit.rado._least_zero_sum
+def test_each_column_inserted_once_and_at_most_rank_plus_one_packings(monkeypatch):
+    """The carried rows take each column once, when its block is taken, and
+    the residuals are packed once at the start and once after each step
+    that adds a pivot, so at most rank + 1 times."""
+    inserted, packings = [], []
+    insert, pack = radokit.rado._insert, radokit.rado._pack
 
-    def counting_eliminate(rows, cols):
-        eliminations.append(1)
-        return eliminate(rows, cols)
+    def counting_insert(basis, rest, j):
+        inserted.append(j)
+        return insert(basis, rest, j)
 
-    def counting_least(values):
-        steps.append(1)
-        return least(values)
+    def counting_pack(vectors):
+        packings.append(1)
+        return pack(vectors)
 
-    monkeypatch.setattr(radokit.rado, "_eliminate", counting_eliminate)
-    monkeypatch.setattr(radokit.rado, "_least_zero_sum", counting_least)
+    monkeypatch.setattr(radokit.rado, "_insert", counting_insert)
+    monkeypatch.setattr(radokit.rado, "_pack", counting_pack)
     certified = 0
     for entry in CORPUS:
         M = parse_matrix(entry["matrix"])
-        eliminations.clear()
-        steps.clear()
+        inserted.clear()
+        packings.clear()
         cert = columns_condition(M)
         assert (cert is not None) == (entry["exit"] == 0)
-        assert len(eliminations) <= len(steps), entry["matrix"]
+        assert len(packings) <= rank(M) + 1, entry["matrix"]
+        assert len(set(inserted)) == len(inserted), entry["matrix"]
         if cert is not None:
             certified += 1
-            assert len(steps) == len(cert.blocks)
+            assert inserted == [j for block in cert.blocks for j in block]
+            assert sorted(inserted) == list(range(M.cols))
             assert verify_cc_certificate(M, cert)
     assert certified == 238

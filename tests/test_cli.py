@@ -650,6 +650,29 @@ class TestMonoSearch:
             1, "no monochromatic solution\n", "")
 
 
+    def test_rado_number_witness_rechecked_on_the_default_budget(self, tmp_path,
+                                                                 capsys):
+        # x1 + ... + x6 = x7: the witness's classes hold 10 and 30 values,
+        # 7.3 * 10^8 tuples of six columns, but 18840 merged-state walks
+        matrix = write(tmp_path, "m.txt", "1 1 1 1 1 1 -1\n")
+        assert main(["rado-number", "--matrix", matrix,
+                     "--colours", "2", "--nmax", "41"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        colouring = write(tmp_path, "w.txt", "\n".join(lines[2:]) + "\n")
+        assert main(["mono-search", "--matrix", matrix,
+                     "--colouring", f"file:{colouring}", "--ground", "40"]) == 1
+        assert capsys.readouterr() == ("no monochromatic solution\n", "")
+
+    def test_beutelspacher_brestovansky_colouring_on_the_default_budget(
+            self, tmp_path, capsys):
+        matrix = write(tmp_path, "m.txt", "1 " * 9 + "-1\n")
+        colouring = write(tmp_path, "c.txt", "".join(
+            f"{x} {0 if x <= 8 or x >= 81 else 1}\n" for x in range(1, 89)))
+        assert main(["mono-search", "--matrix", matrix,
+                     "--colouring", f"file:{colouring}", "--ground", "88"]) == 1
+        assert capsys.readouterr() == ("no monochromatic solution\n", "")
+
+
 class TestRadoNumber:
     def test_schur(self, tmp_path, capsys):
         matrix = write(tmp_path, "m.txt", "1 1 -1\n")
@@ -725,8 +748,8 @@ class TestRadoNumber:
                              f"witness colouring of 1..{number - 1}:"]
         assert len(lines) == number + 1
         colouring = write(tmp_path, "w.txt", "\n".join(lines[2:]) + "\n")
-        # the default budget, 10^8 tuples of |class|^(m-1), refuses m = 7;
-        # the witness for m = 8 has a class of 42 values, and 42^7 < 10^12
+        # 10^12 covers even the |class|^(m-1) tuples: the witness for m = 8
+        # has a class of 42 values, and 42^7 < 10^12
         assert main(["mono-search", "--matrix", matrix,
                      "--colouring", f"file:{colouring}", "--ground", str(number - 1),
                      "--budget", str(10**12)]) == 1

@@ -3,9 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import random_matrix
+from conftest import insert_columns, random_matrix
 from linalg_reference import format_matrix, rank, rref
-from radokit.linalg import RatMatrix, _eliminate, parse_matrix
+from radokit.linalg import RatMatrix, parse_matrix
 
 
 class TestRatMatrix:
@@ -79,11 +79,13 @@ class TestRank:
 def prefix_solve(vectors, target):
     """Write target in the integer column vectors the way columns_condition
     does at a step: lay the vectors out first and the target after them,
-    eliminate the vectors' columns only, and read the answer off the
-    target's column, or None when a row past the rank leaves it nonzero."""
+    insert the vectors' columns only, in a random order seeded by the
+    input, and read the answer off the target's column, or None when a
+    rest row leaves it nonzero."""
     k = len(vectors)
     rows = [[vec[i] for vec in vectors] + [t] for i, t in enumerate(target)]
-    pivots = _eliminate(rows, k)
+    order = random.Random(repr((vectors, target))).sample(range(k), k)
+    pivots, rows = insert_columns(rows, order)
     if any(row[k] for row in rows[len(pivots):]):
         return None
     coeffs = [F(0)] * k
@@ -93,9 +95,8 @@ def prefix_solve(vectors, target):
 
 
 class TestPrefixElimination:
-    """_eliminate over the first k columns of wider rows: the rows past the
-    rank hold the later columns' residuals and the pivot rows their
-    coefficients."""
+    """Inserting the first k columns of wider rows: the rest rows hold the
+    later columns' residuals and the pivot rows their coefficients."""
 
     def test_standard_basis(self):
         assert prefix_solve([(1, 0), (0, 1)], (3, -2)) == [3, -2]
@@ -109,7 +110,7 @@ class TestPrefixElimination:
 
     def test_no_used_columns(self):
         rows = [[0, 0], [1, -1]]
-        assert _eliminate(rows, 0) == []
+        assert insert_columns(rows, []) == ([], [[0, 0], [1, -1]])
         assert rows == [[0, 0], [1, -1]]
         assert prefix_solve([], (0, 0)) == []
         assert prefix_solve([], (1, 0)) is None
@@ -118,11 +119,10 @@ class TestPrefixElimination:
         assert prefix_solve([(1, 0), (2, 0), (0, 1)], (3, 4)) == [3, 0, 4]
 
     def test_later_columns_are_never_pivots(self):
-        rows = [[0, 5, 1], [0, 0, 7]]
-        assert _eliminate(rows, 1) == []
-        assert rows == [[0, 5, 1], [0, 0, 7]]
-        rows = [[2, 4, 1], [1, 3, 0]]
-        assert _eliminate(rows, 1) == [0]
+        assert insert_columns([[0, 5, 1], [0, 0, 7]], [0]) \
+            == ([], [[0, 5, 1], [0, 0, 7]])
+        pivots, rows = insert_columns([[2, 4, 1], [1, 3, 0]], [0])
+        assert pivots == [0]
         assert rows[1][0] == 0 and rows[1][1:] != [0, 0]
 
     def test_witness_soundness_and_rank_agreement(self):

@@ -1,13 +1,14 @@
-"""Differential test of the integer elimination against the Fraction rref
-and in_span it replaced (tests/linalg_reference.py), and of parse_matrix,
-which reads each distinct token once, against the parser that read every
-token.
+"""Differential test of columns_condition's column insertion, built on
+linalg's one row operation, against the Fraction rref and in_span it
+replaced (tests/linalg_reference.py), and of parse_matrix, which reads each
+distinct token once, against the parser that read every token.
 
-The reduced row echelon form is unique, so the elimination's rows, each
-divided by its pivot, must equal the reference's entry for entry.
-Eliminating a prefix of the columns, as columns_condition does, must give
-the reference's pivots on that prefix, and residuals and witnesses that
-agree with the reference's in_span.
+The reduced row echelon form is unique for a given column order, so the
+inserted rows, each divided by its pivot, must equal the reference's entry
+for entry, whatever order the columns go in.  Inserting a prefix of the
+columns, as columns_condition does, must give the reference's pivots on
+that prefix, and residuals and witnesses that agree with the reference's
+in_span.
 """
 
 import random
@@ -19,7 +20,9 @@ import pytest
 import linalg_reference as ref
 import radokit.rings
 from radokit.cli import main
-from radokit.linalg import RatMatrix, _eliminate, _integer_rows, parse_matrix
+from conftest import insert_columns
+from radokit.linalg import RatMatrix, _integer_rows, parse_matrix
+from radokit.rado import _insert
 from radokit.rings import DIGIT_LIMIT, parse_rat
 
 
@@ -53,13 +56,14 @@ def random_rows(rng: random.Random, u: int, v: int) -> list[list[F]]:
 
 
 def test_rref_and_rank_match_the_fraction_reference():
-    rng = random.Random(20261018)
+    rng, orders = random.Random(20261018), random.Random(18)
     for _ in range(1000):
         u, v = rng.randint(0, 6), rng.randint(0, 7)
         M = RatMatrix.from_rows(random_rows(rng, u, v)) if u else RatMatrix(0, v, ())
         R, pivots = ref.rref(M)
-        rows = _integer_rows(map(M.row, range(M.rows)))
-        assert _eliminate(rows, M.cols) == pivots, M
+        order = orders.sample(range(M.cols), M.cols)
+        got, rows = insert_columns(_integer_rows(map(M.row, range(M.rows))), order)
+        assert got == pivots, M
         assert [[F(x, row[c]) for x in row] for row, c in zip(rows, pivots)] \
             == R.to_lists()[:len(pivots)], M
         assert not any(map(any, rows[len(pivots):])), M
@@ -87,10 +91,11 @@ def random_int_columns(rng: random.Random, u: int, v: int) -> list[list[int]]:
 
 
 def prefix_cases(seed: int):
-    """800 seeded integer matrices wider than k, as columns_condition hands
-    them to _eliminate: (rows, v, k, reduced copy, pivots), with zero rows,
-    repeated and dependent columns, k = 0 and prefixes of full row rank."""
-    rng = random.Random(seed)
+    """800 seeded integer matrices wider than k, with the first k columns
+    inserted in a random order, as columns_condition inserts its used
+    columns: (rows, v, k, reduced copy, pivots), with zero rows, repeated
+    and dependent columns, k = 0 and prefixes of full row rank."""
+    rng, orders = random.Random(seed), random.Random(seed + 1)
     seen = {"k = 0": 0, "full row rank": 0, "zero row": 0}
     for _ in range(800):
         u, v = rng.randint(0, 5), rng.randint(1, 8)
@@ -100,8 +105,7 @@ def prefix_cases(seed: int):
         for row in rows:
             if rng.random() < 0.1:
                 row[:] = [0] * v
-        reduced = [list(row) for row in rows]
-        pivots = _eliminate(reduced, k)
+        pivots, reduced = insert_columns(rows, orders.sample(range(k), k))
         seen["k = 0"] += k == 0
         seen["full row rank"] += 0 < u == len(pivots)
         seen["zero row"] += not all(map(any, rows))
@@ -110,8 +114,8 @@ def prefix_cases(seed: int):
 
 
 def test_prefix_pivots_are_the_reference_pivots():
-    """_eliminate over the first k columns picks the pivots that the
-    reference rref picks on those k columns alone."""
+    """Inserting the first k columns picks the pivots that the reference
+    rref picks on those k columns alone."""
     for rows, _, k, _, pivots in prefix_cases(23102026):
         prefix = [row[:k] for row in rows]
         expected = ref.rref(RatMatrix.from_rows(prefix) if rows else RatMatrix(0, k, ()))[1]
@@ -195,14 +199,16 @@ def test_integer_rows_match_the_old_formula():
 
 
 def test_integer_rows_copy_int_rows():
-    """An all-int row comes back as a new list, so that _eliminate, which
-    works in place, never writes into the caller's row."""
+    """An all-int row comes back as a new list, so that _insert, which
+    works on the list in place, never writes into the caller's rows."""
     rows = [[1, 2, 3], [4, 5, 6]]
     got = _integer_rows(rows)
     assert got == rows
     assert all(out is not row for out, row in zip(got, rows))
-    _eliminate(got, 3)
-    assert rows == [[1, 2, 3], [4, 5, 6]]
+    basis = []
+    for j in range(3):
+        _insert(basis, got, j)
+    assert got == [] and rows == [[1, 2, 3], [4, 5, 6]]
 
 
 # Tokens for the parse_matrix differential test: repeats, and equal values

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import radokit.search as search
 import search_reference as ref
 from conftest import solves
 from radokit.linalg import RatMatrix
@@ -168,6 +169,89 @@ class TestMonochromaticSolution:
             monochromatic_solution(M, Colouring.log2_parity(), g, budget=13999)
         assert monochromatic_solution(M, Colouring.log2_parity(), g,
                                       budget=14000) is None
+
+    @pytest.mark.parametrize("m, bound", [(7, 18840), (10, 233784)])
+    def test_budget_counts_merged_states(self, m, bound):
+        # Beutelspacher-Brestovansky: colour 1..m-2 and the top m-2 values of
+        # 1..m^2-m-2 apart from the middle; no x_1 + ... + x_{m-1} = x_m in a
+        # class.  Sums of ones over [lo, hi] merge into k * (hi - lo) + 1
+        # states at level k, far fewer than the |class|^(m-1) tuples
+        # (7.3 * 10^8 and 5.2 * 10^16), so the default budget admits both.
+        n = m * m - m - 2
+        M = RatMatrix.from_rows([[1] * (m - 1) + [-1]])
+        c = Colouring.table(range(1, n + 1), [int(m - 2 < x <= n - m + 2)
+                                             for x in range(1, n + 1)])
+        g = GroundSet.slice(n)
+        assert monochromatic_solution(M, c, g) is None
+        assert monochromatic_solution(M, c, g, budget=bound) is None
+        with pytest.raises(BudgetExceededError):
+            monochromatic_solution(M, c, g, budget=bound - 1)
+
+    def test_deep_searches_keep_the_tuple_count(self):
+        # the kernel recurses once per enumerated column: the merged count
+        # admits x_401 = x_402 after 400 free columns, but past 500 columns
+        # the tuples refuse, as before, rather than overflow the stack
+        g = GroundSet.slice(100)
+        M = RatMatrix.from_rows([[0] * 400 + [1, -1]])
+        assert monochromatic_solution(M, Colouring.log2_parity(), g) == (F(1),) * 402
+        M = RatMatrix.from_rows([[0] * 1500 + [1, -1]])
+        with pytest.raises(BudgetExceededError):
+            monochromatic_solution(M, Colouring.log2_parity(), g)
+
+    def test_budget_check_is_cheap_on_wide_matrices(self):
+        # 500 enumerated columns in 600 rows, and 200 one-value classes
+        # ahead of one of 20: a one-value class counts one walk per level,
+        # and the product of a level's rows stops as soon as it reaches
+        # |class|^k, so no class multiplies out all 600 rows at every level
+        M = RatMatrix.from_rows([[1] * 500 + [-1]] * 600)
+        c = Colouring.table(range(1, 221), [min(x - 1, 200) for x in range(1, 221)])
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError):
+            monochromatic_solution(M, c, GroundSet.slice(220))
+        assert time.perf_counter() - start < 1
+
+    def test_budget_bounds_the_candidates_walked(self, monkeypatch):
+        """Each _extend call walks its class once.  The budget's count is
+        at most the tuples of the enumerated columns, the count before
+        states were merged, and is that count when values are distinct;
+        when the merged count is smaller, the search walks no more
+        candidates than it says."""
+        walked, counts = [], []
+        extend, bound = search._extend, search._walk_bound
+
+        def counting_extend(plan, res, chosen, members, *args):
+            walked.append(len(members))
+            return extend(plan, res, chosen, members, *args)
+
+        def recording_bound(rows, k_max, spans, sizes, distinct, cap):
+            counts.append((bound(rows, k_max, spans, sizes, distinct, cap),
+                           sum(size ** k_max for size in sizes)))
+            return counts[-1][0]
+
+        monkeypatch.setattr(search, "_extend", counting_extend)
+        monkeypatch.setattr(search, "_walk_bound", recording_bound)
+        rng = random.Random(19102026)
+        merged = 0
+        for _ in range(300):
+            v = rng.randint(3, 6)
+            M = RatMatrix.from_rows([[rng.randint(-3, 3) for _ in range(v)]
+                                     for _ in range(rng.randint(1, 2))])
+            n, r = rng.randint(1, 14), rng.randint(1, 3)
+            c = Colouring.table(range(1, n + 1),
+                                [rng.randrange(r) for _ in range(n)], r)
+            walked.clear()
+            counts.clear()
+            distinct = rng.random() < 0.3
+            monochromatic_solution(M, c, GroundSet.slice(n), distinct=distinct,
+                                   budget=10**9)
+            (count, tuples), = counts
+            assert count <= tuples, M
+            if distinct:
+                assert count == tuples, M
+            elif count < tuples:
+                assert sum(walked) <= count, M
+                merged += 1
+        assert merged >= 40
 
     @pytest.mark.parametrize("row", [[1, -2], [3, -5], [1, -8]])
     def test_huge_log2_slice_searched_by_runs(self, row):

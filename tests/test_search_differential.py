@@ -1,14 +1,15 @@
 """monochromatic_solution and min_rado_number against the searches they
 replaced (search_reference.py, next to this file) on seeded random inputs:
 the same witness or None, the same Rado number and witness colouring, and
-BudgetExceededError on exactly the same inputs.  min_rado_number is also
-checked against its one-pin form, and its forward plans against every
-forward plan that form builds.  The kernel `_search` is checked against the
+BudgetExceededError exactly when the budget's count exceeds the budget.
+min_rado_number is also checked against its one-pin form, and its forward
+plans against every forward plan that form builds.  The kernel `_search` is checked against the
 two enumerations it replaced, `_first_solution` and `_solved_values`."""
 
 import random
 from collections import Counter
 from fractions import Fraction as F
+from math import lcm, prod
 
 import pytest
 
@@ -66,22 +67,40 @@ def random_ground_and_colouring(rng: random.Random, size: int):
             Colouring.table(coloured, [rng.randrange(r) for _ in coloured], r=r))
 
 
-def enumerated_tuples(A: RatMatrix, c: Colouring, g: GroundSet) -> int:
+def budget_count(A: RatMatrix, c: Colouring, g: GroundSet, distinct: bool) -> int:
     """The budget's count: the sum over colour classes of |class|^k, for k
     the columns before the last nonzero one (the columns the search
-    enumerates)."""
+    enumerates), or, unless values must be distinct and when it is
+    smaller, the walks of the merged states: over each class and each
+    k' < k, |class| times the lesser of |class|^k' and the product over
+    rows i of (sum_{j<k'} |a_ij| * (hi - lo) + 1), for rows scaled to
+    integers and the class's span hi - lo counted in steps of the slice's
+    denominator."""
     last = max((j for i in range(A.rows) for j in range(A.cols) if A.at(i, j)),
                default=0)
-    sizes = [0] * c.r
+    classes: dict[int, list[F]] = {}
     for x in g:
         if ref.covers(c, x):
-            sizes[c.colour_of(x)] += 1
-    return sum(size ** last for size in sizes if size)
+            classes.setdefault(c.colour_of(x), []).append(x)
+    tuples = sum(len(cls) ** last for cls in classes.values())
+    if distinct:
+        return tuples
+    scales = [lcm(*(x.denominator for x in A.row(i))) for i in range(A.rows)]
+    merged = 0
+    for cls in classes.values():
+        width = (max(cls) - min(cls)) * g.span[1]
+        for k in range(last):
+            states = prod(sum(abs(x) for x in A.row(i)[:k]) * scales[i] * width + 1
+                          for i in range(A.rows))
+            merged += len(cls) * min(len(cls) ** k, states)
+    return min(tuples, merged)
 
 
 def test_monochromatic_solution_matches_reference():
-    """Refused exactly when the enumerated tuples exceed the budget, and
-    otherwise the reference's answer with no budget."""
+    """Refused exactly when the budget's count exceeds the budget, and
+    otherwise the reference's answer with no budget.  The count never
+    exceeds the enumerated tuples, so no input that they keep within the
+    budget is refused."""
     rng = random.Random(20260301)
     found = budget = 0
     for case in range(1000):
@@ -92,7 +111,9 @@ def test_monochromatic_solution_matches_reference():
         distinct = rng.random() < 0.5
         b = rng.choice(BUDGETS)
         got = outcome(monochromatic_solution, A, c, g, distinct, b)
-        if enumerated_tuples(A, c, g) > b:
+        count = budget_count(A, c, g, distinct)
+        assert count <= budget_count(A, c, g, True)
+        if count > b:
             assert got == "budget exceeded", (case, A.to_lists(), c, g, distinct, b)
             budget += 1
             continue
