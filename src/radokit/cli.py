@@ -14,9 +14,8 @@ import contextlib
 import functools
 import math
 import sys
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, islice, repeat
-from pathlib import Path
-from typing import Iterable, Iterator, Sequence
 
 from .linalg import RatMatrix, parse_matrix
 from .rado import columns_condition, first_entries
@@ -54,7 +53,8 @@ ENTRY_LIMIT = 4_500_000
 
 
 def _read_matrix(path: str) -> RatMatrix:
-    return parse_matrix(Path(path).read_text())
+    with open(path) as f:
+        return parse_matrix(f.read())
 
 
 def _write_matrix(header: list[str], rows: Iterable[dict[int, Rat]], cols: int,
@@ -122,7 +122,9 @@ def _parse_colouring(spec: str) -> Colouring:
         def values() -> Iterator[str]:
             """The value tokens; parse_rats reads each before its line's
             colour is checked, so errors come in text order."""
-            for line in Path(spec[len("file:"):]).read_text().splitlines():
+            with open(spec[len("file:"):]) as f:
+                text = f.read()
+            for line in text.splitlines():
                 stripped = line.strip()
                 if not stripped or stripped.startswith("#"):
                     continue

@@ -9,31 +9,28 @@ pivots, residuals and witnesses off them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import chain, islice
 from math import gcd, lcm
-from typing import Iterable, Sequence
 
-from .rings import Rat, parse_rats
+from .rings import Rat, _Record, parse_rats
 
 
-@dataclass(frozen=True)
-class RatMatrix:
+class RatMatrix(_Record):
     """Immutable u x v rational matrix, entries stored row-major."""
 
-    rows: int
-    cols: int
-    entries: tuple[Rat, ...]
+    __slots__ = _fields = ("rows", "cols", "entries")
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: tuple[Rat, ...]) -> None:
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
+        if len(entries) != rows * cols:
             raise ValueError(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
-                f"entries, got {len(self.entries)}"
+                f"{rows}x{cols} matrix needs {rows * cols} "
+                f"entries, got {len(entries)}"
             )
+        self._set(rows=rows, cols=cols, entries=entries)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[Rat | int]]) -> "RatMatrix":

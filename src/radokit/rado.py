@@ -13,18 +13,16 @@ Column indices are 0-based throughout the API (the CLI renders them
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import RatMatrix, _clear, _integer_rows
-from .rings import Rat
+from .rings import Rat, _Record
 
 # Hard cap on column count: each step of the search is exponential in v/2.
 MAX_COLUMNS = 32
 
 
-@dataclass(frozen=True)
-class CCCertificate:
+class CCCertificate(_Record):
     """Ordered column partition with span witnesses.
 
     blocks[0] sums to zero; for t >= 1, witnesses[t-1] lists coefficients
@@ -32,12 +30,14 @@ class CCCertificate:
     column order) reproducing the sum of block t's columns.
     """
 
-    blocks: tuple[tuple[int, ...], ...]
-    witnesses: tuple[tuple[Rat, ...], ...]
+    __slots__ = _fields = ("blocks", "witnesses")
+
+    def __init__(self, blocks: tuple[tuple[int, ...], ...],
+                 witnesses: tuple[tuple[Rat, ...], ...]) -> None:
+        self._set(blocks=blocks, witnesses=witnesses)
 
 
-@dataclass(frozen=True)
-class FirstEntryReport:
+class FirstEntryReport(_Record):
     """Leftmost nonzero entry of every row.
 
     entries holds (row, column, value) triples for the nonzero rows;
@@ -46,10 +46,13 @@ class FirstEntryReport:
     first entries across the whole matrix coincide, else None.
     """
 
-    entries: tuple[tuple[int, int, Rat], ...]
-    zero_rows: tuple[int, ...]
-    all_equal: bool
-    common_value: Rat | None
+    __slots__ = _fields = ("entries", "zero_rows", "all_equal", "common_value")
+
+    def __init__(self, entries: tuple[tuple[int, int, Rat], ...],
+                 zero_rows: tuple[int, ...], all_equal: bool,
+                 common_value: Rat | None) -> None:
+        self._set(entries=entries, zero_rows=zero_rows, all_equal=all_equal,
+                  common_value=common_value)
 
     def condition_holds(self, strict: bool = False) -> bool:
         """Whether the reported matrix satisfies the weak first entries

@@ -15,9 +15,8 @@ maintain the canonical reduced form (gcd 1, positive denominator, zero as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 Rat = Fraction
 
@@ -30,6 +29,46 @@ PRIMALITY_LIMIT = 3317044064679887385961981
 # int_max_str_digits), so radokit prints no number longer than that.
 DIGIT_LIMIT = 4300
 TOO_LONG = f"cannot print a number of more than {DIGIT_LIMIT} digits"
+
+
+class _Record:
+    """Base of the package's immutable records.  A subclass lists its
+    fields, in constructor order, in `_fields`, and its constructor
+    validates, then sets every slot through `_set`.  Equality (same class,
+    equal fields), hash, repr, the refusal to assign or delete and
+    pickling, which calls the constructor again, are derived from
+    `_fields` as a frozen dataclass derives them; slots outside `_fields`
+    hold values derived from the fields."""
+
+    __slots__ = ()
+
+    def _set(self, **values) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 def parse_rat(text: str) -> Rat:
@@ -103,8 +142,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeSet:
+class PrimeSet(_Record):
     """Decidable set of primes: a finite set of primes, or its complement.
 
     ``primes`` holds the listed primes, or the excluded ones when
@@ -112,13 +150,14 @@ class PrimeSet:
     enumeration, so infinite sets are first-class.
     """
 
-    primes: frozenset[int] = frozenset()
-    complement: bool = False
+    __slots__ = _fields = ("primes", "complement")
 
-    def __post_init__(self) -> None:
-        for p in self.primes:
+    def __init__(self, primes: frozenset[int] = frozenset(),
+                 complement: bool = False) -> None:
+        for p in primes:
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
+        self._set(primes=primes, complement=complement)
 
     @classmethod
     def empty(cls) -> "PrimeSet":

@@ -59,14 +59,14 @@ runs the same kernel, collecting the solved values in (t, n_max].
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import chain
 from math import gcd
-from typing import NamedTuple, Sequence
 
 from .linalg import RatMatrix, _integer_rows
-from .rings import Rat
+from .rings import Rat, _Record
 
 
 class BudgetExceededError(RuntimeError):
@@ -97,30 +97,28 @@ def log2_parity_colour(x: Rat) -> int:
     return _floor_log2(abs(x.numerator), x.denominator) & 1
 
 
-@dataclass(frozen=True)
-class Colouring:
+class Colouring(_Record):
     """Finite table colouring or the log2-parity rule; colours are 0..r-1."""
 
-    kind: str
-    r: int
-    assignments: tuple[tuple[Rat, int], ...] = ()
-    _map: dict = field(init=False, repr=False, compare=False)
+    _fields = ("kind", "r", "assignments")
+    __slots__ = (*_fields, "_map")
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("table", "log2parity"):
-            raise ValueError(f"unknown colouring kind: {self.kind!r}")
-        if self.r < 1:
-            raise ValueError(f"colour count must be positive, got {self.r}")
+    def __init__(self, kind: str, r: int,
+                 assignments: tuple[tuple[Rat, int], ...] = ()) -> None:
+        if kind not in ("table", "log2parity"):
+            raise ValueError(f"unknown colouring kind: {kind!r}")
+        if r < 1:
+            raise ValueError(f"colour count must be positive, got {r}")
         mapping: dict[Rat, int] = {}
-        for x, c in self.assignments:
+        for x, c in assignments:
             if x == 0:
                 raise ValueError("0 cannot be coloured")
             if x in mapping:
                 raise ValueError(f"{x} coloured twice")
-            if not 0 <= c < self.r:
-                raise ValueError(f"colour {c} outside 0..{self.r - 1}")
+            if not 0 <= c < r:
+                raise ValueError(f"colour {c} outside 0..{r - 1}")
             mapping[x] = c
-        object.__setattr__(self, "_map", mapping)
+        self._set(kind=kind, r=r, assignments=assignments, _map=mapping)
 
     @classmethod
     def table(cls, elements: Sequence[Rat | int], colours: Sequence[int],
@@ -145,19 +143,19 @@ class Colouring:
             raise ValueError(f"{x} is not coloured") from None
 
 
-@dataclass(frozen=True)
-class GroundSet:
+class GroundSet(_Record):
     """The slice {a/s : 1 <= a <= n} of the subring whose primes cover s,
     held as `span` = (n, s) and listed, in increasing order, only when
     iterated: a search sizes its colour classes before making any element.
     """
 
-    span: tuple[int, int]
+    __slots__ = _fields = ("span",)
 
-    def __post_init__(self) -> None:
-        n, s = self.span
+    def __init__(self, span: tuple[int, int]) -> None:
+        n, s = span
         if n < 1 or s < 1:
             raise ValueError("slice needs positive numerator bound and denominator")
+        self._set(span=span)
 
     def __iter__(self):
         n, s = self.span
@@ -199,7 +197,7 @@ def _colour_classes(c: Colouring, g: GroundSet) -> tuple[int, list[list[int] | _
     return den, [_Runs(cls) for cls in runs if cls]
 
 
-class _Plan(NamedTuple):
+class _Plan(namedtuple("_Plan", "heads checks solved pivot others fixed spread")):
     """How `_search` assigns a list of columns: each column but the
     last is enumerated, and the last is solved for from row `pivot`.
 
@@ -213,17 +211,20 @@ class _Plan(NamedTuple):
     solved column's coefficient.
     """
 
-    heads: tuple[tuple[int, ...], ...]
-    checks: tuple[tuple[int, ...], ...]
-    solved: tuple[int, ...]
-    pivot: int
-    others: tuple[int, ...]
-    fixed: tuple[int, ...]
-    spread: tuple[tuple[int, int, int, int], ...]
+    __slots__ = ()
+
+
+# `_extend` recurses once per enumerated column, so a plan that enumerates
+# more columns than this is refused before any search.
+MAX_ENUMERATED = 500
 
 
 def _plan(rows: list[list[int]], columns: Sequence[int]) -> _Plan:
-    """The plan for `columns`, whose last member must be nonzero in some row."""
+    """The plan for `columns`, whose last member must be nonzero in some row.
+    Raises ValueError when it would enumerate more than MAX_ENUMERATED."""
+    if len(columns) > MAX_ENUMERATED + 1:
+        raise ValueError(f"the search would enumerate {len(columns) - 1} columns, "
+                         f"more than the limit of {MAX_ENUMERATED}")
     if not columns:
         return _Plan((), (), (), -1, (), tuple(range(len(rows))), ())
     *head, last = columns
@@ -430,22 +431,17 @@ class _Runs:
                 yield from range(start + (first - start) % step, stop, step)
 
 
-# `_extend` recurses once per enumerated column, so the merged count, which
-# admits far deeper searches than the tuple count, applies up to this depth.
-_MERGED_DEPTH = 500
-
-
 def _walk_bound(rows: list[list[int]], k_max: int, spans: list[tuple[int, int]],
                 sizes: list[int], distinct: bool, cap: int) -> int:
     """A bound on the candidates the kernel walks over k_max enumerated
-    columns: the tuples, sum |class|^k_max, or, when smaller, values need
-    not be distinct and k_max <= _MERGED_DEPTH, the merged states' walks:
+    columns: the tuples, sum |class|^k_max, or, when smaller and values need
+    not be distinct, the merged states' walks:
     level k expands at most S_k = prod_i (sum_{j<k} |a_ij| * (hi - lo) + 1)
     states, one per row-sum vector, each walking the class once.  Past cap,
     counting stops and the result is only known to exceed cap if the
     tuples do too."""
     tuples = sum(size ** k_max for size in sizes)
-    if distinct or k_max > _MERGED_DEPTH:
+    if distinct:
         return tuples
     levels, ws = [], [0] * len(rows)    # the nonzero sum_{j<k} |a_ij|
     for k in range(k_max):
@@ -479,10 +475,10 @@ def monochromatic_solution(
     values in column order, or None.
 
     Deterministic: colour classes in colour order, candidates in ground-set
-    order, first witness wins.  Raises BudgetExceededError, before any
-    search and before a slice is listed, when `_walk_bound` over the
-    columns before the last nonzero one (the columns the kernel enumerates)
-    exceeds `budget`.
+    order, first witness wins.  Before any search and before a slice is
+    listed, raises ValueError when the kernel would enumerate more than
+    MAX_ENUMERATED columns (those before the last nonzero one), and
+    BudgetExceededError when `_walk_bound` over them exceeds `budget`.
     """
     v = A.cols
     if v == 0:
@@ -495,11 +491,11 @@ def monochromatic_solution(
              for cls in classes]
     # the columns before the last nonzero one are enumerated; the last is
     # solved for, and the all-zero ones after it are filled without a search
-    if _walk_bound(rows, max(last, 0), spans, sizes, distinct, budget) > budget:
+    plan = _plan(rows, range(last + 1))
+    if _walk_bound(rows, len(plan.heads), spans, sizes, distinct, budget) > budget:
         raise BudgetExceededError(
             f"search space exceeds budget of {budget} candidate tuples"
         )
-    plan = _plan(rows, range(last + 1))
     for cls, size, (lo, hi) in zip(classes, sizes, spans):
         if distinct and size < v:
             continue
@@ -514,8 +510,7 @@ def monochromatic_solution(
     return None
 
 
-@dataclass(frozen=True)
-class RadoNumberResult:
+class RadoNumberResult(_Record):
     """Outcome of a Rado-number search.
 
     number is the least N such that every colouring of {1..N} admits a
@@ -525,8 +520,10 @@ class RadoNumberResult:
     otherwise.  Either way it is the lexicographically least one.
     """
 
-    number: int | None
-    witness: tuple[int, ...]
+    __slots__ = _fields = ("number", "witness")
+
+    def __init__(self, number: int | None, witness: tuple[int, ...]) -> None:
+        self._set(number=number, witness=witness)
 
 
 _Pinned = list[tuple[tuple[int, ...], _Plan]]
@@ -628,7 +625,8 @@ def min_rado_number(A: RatMatrix, r: int, n_max: int) -> RadoNumberResult:
     x + y = z this keeps t + y = u and drops u = z - t and u = t - y.
 
     The search is exhaustive at desk scale only; hence the caps r <= 4 and
-    n_max <= 64.
+    n_max <= 64.  A plan of more than MAX_ENUMERATED enumerated columns
+    raises ValueError before any search.
     """
     if not 1 <= r <= 4:
         raise ValueError(f"colour count must be 1..4, got {r}")

@@ -11,17 +11,16 @@ denominator obstruction that refutes solvability over a localized subring.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import chain, combinations, count, islice, repeat
-from pathlib import Path
-from typing import Iterator, Sequence
 
 from .linalg import parse_matrix
 from .rings import (
     DIGIT_LIMIT,
     PrimeSet,
     Rat,
+    _Record,
     format_rat,
     in_subring,
     is_prime,
@@ -63,8 +62,7 @@ _BUILTIN_SCHEDULES = {
 _SCHEDULE_KINDS = (*_BUILTIN_SCHEDULES, "explicit")
 
 
-@dataclass(frozen=True)
-class CoefficientSchedule:
+class CoefficientSchedule(_Record):
     """Rule producing the coefficients d_{n,i} for every equation index n >= 2.
 
     Built-in kinds:
@@ -77,38 +75,33 @@ class CoefficientSchedule:
     A built-in kind is held as data: numerators `c`, so d_{n,i} = c_i / D(n)
     with D(n) = q^n, or (p_1 ... p_n)^n when `over_all_primes`.  The pair
     kinds are tuned so that d_{n,1}*2 + d_{n,2}*1 = 0 for every n: their
-    `kernel` is y = (2, 1).  `kind` is a label for messages.
+    `kernel` is y = (2, 1).  `kind` is a label for messages.  An explicit
+    schedule has c = (), over_all_primes False and kernel None.
     """
 
-    kind: str
-    q: int | None = None
-    table: tuple[tuple[Rat, ...], ...] | None = None
-    c: tuple[int, ...] = field(init=False, repr=False, compare=False, default=())
-    over_all_primes: bool = field(init=False, repr=False, compare=False, default=False)
-    kernel: tuple[int, ...] | None = field(init=False, repr=False, compare=False,
-                                           default=None)
+    _fields = ("kind", "q", "table")
+    __slots__ = (*_fields, "c", "over_all_primes", "kernel")
 
-    def __post_init__(self) -> None:
-        if self.kind not in _SCHEDULE_KINDS:
-            raise ValueError(f"unknown schedule kind: {self.kind!r}")
-        if self.kind in ("qpow", "qpowpair"):
-            if self.q is None or not is_prime(self.q):
-                raise ValueError(f"schedule {self.kind} needs a prime q, got {self.q}")
-        elif self.q is not None:
-            raise ValueError(f"schedule {self.kind} takes no q")
-        if self.kind == "explicit":
-            if not self.table or not self.table[0]:
+    def __init__(self, kind: str, q: int | None = None,
+                 table: tuple[tuple[Rat, ...], ...] | None = None) -> None:
+        if kind not in _SCHEDULE_KINDS:
+            raise ValueError(f"unknown schedule kind: {kind!r}")
+        if kind in ("qpow", "qpowpair"):
+            if q is None or not is_prime(q):
+                raise ValueError(f"schedule {kind} needs a prime q, got {q}")
+        elif q is not None:
+            raise ValueError(f"schedule {kind} takes no q")
+        if kind == "explicit":
+            if not table or not table[0]:
                 raise ValueError("explicit schedule needs a nonempty table")
-            width = len(self.table[0])
-            if any(len(row) != width for row in self.table):
+            width = len(table[0])
+            if any(len(row) != width for row in table):
                 raise ValueError("explicit schedule table must be rectangular")
-            return
-        if self.table is not None:
-            raise ValueError(f"schedule {self.kind} takes no table")
-        c, over_all_primes, kernel = _BUILTIN_SCHEDULES[self.kind]
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "over_all_primes", over_all_primes)
-        object.__setattr__(self, "kernel", kernel)
+        elif table is not None:
+            raise ValueError(f"schedule {kind} takes no table")
+        c, over_all_primes, kernel = _BUILTIN_SCHEDULES.get(kind, ((), False, None))
+        self._set(kind=kind, q=q, table=table, c=c, over_all_primes=over_all_primes,
+                  kernel=kernel)
 
     @classmethod
     def qpow(cls, q: int) -> "CoefficientSchedule":
@@ -185,30 +178,26 @@ def _schedule_row(s: CoefficientSchedule, n: int) -> Sequence[Rat]:
     return [Fraction(c, den) for c in s.c]
 
 
-@dataclass(frozen=True)
-class SystemSpec:
+class SystemSpec(_Record):
     """A truncation depth k >= 2, the y-arity, and a coefficient schedule.
 
     Fixes the variable order used by every builder: the x-block in
     lexicographic (n, j) order, then y_1..y_alpha, then z_2..z_k.
     """
 
-    alpha: int
-    depth: int
-    schedule: CoefficientSchedule
+    __slots__ = _fields = ("alpha", "depth", "schedule")
 
-    def __post_init__(self) -> None:
-        if self.alpha < 1:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.depth < 2:
-            raise ValueError(f"depth must be at least 2, got {self.depth}")
-        if self.schedule.arity != self.alpha:
-            raise ValueError(
-                f"schedule arity {self.schedule.arity} != alpha {self.alpha}"
-            )
-        limit = self.schedule.max_depth
-        if limit is not None and self.depth > limit:
+    def __init__(self, alpha: int, depth: int, schedule: CoefficientSchedule) -> None:
+        if alpha < 1:
+            raise ValueError(f"alpha must be positive, got {alpha}")
+        if depth < 2:
+            raise ValueError(f"depth must be at least 2, got {depth}")
+        if schedule.arity != alpha:
+            raise ValueError(f"schedule arity {schedule.arity} != alpha {alpha}")
+        limit = schedule.max_depth
+        if limit is not None and depth > limit:
             raise ValueError(f"explicit schedule covers n up to {limit} only")
+        self._set(alpha=alpha, depth=depth, schedule=schedule)
 
     @property
     def x_count(self) -> int:
@@ -420,7 +409,8 @@ def parse_schedule(text: str) -> CoefficientSchedule:
     if t.startswith("qpowpair:"):
         return CoefficientSchedule.qpowpair(_parse_prime_arg(t[len("qpowpair:"):]))
     if t.startswith("file:"):
-        table = parse_matrix(Path(t[len("file:"):]).read_text())
+        with open(t[len("file:"):]) as f:
+            table = parse_matrix(f.read())
         return CoefficientSchedule.explicit(table.to_lists())
     raise ValueError(f"unknown schedule: {text!r}")
 

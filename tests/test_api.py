@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import radokit
@@ -22,3 +25,15 @@ def test_systems_does_not_import_search():
     modules += [a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                 for a in node.names]
     assert modules and not any(m and m.split(".")[-1] == "search" for m in modules)
+
+
+def test_import_loads_no_dataclasses_typing_or_pathlib():
+    # each CLI call pays the import: without site, which may preload them,
+    # none of these heavy modules is loaded by radokit itself
+    src = str(Path(radokit.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, radokit, radokit.cli; print(sorted(m for m in "
+         "('dataclasses', 'inspect', 'typing', 'pathlib') if m in sys.modules))"],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

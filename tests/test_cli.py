@@ -672,6 +672,14 @@ class TestMonoSearch:
                      "--colouring", f"file:{colouring}", "--ground", "88"]) == 1
         assert capsys.readouterr() == ("no monochromatic solution\n", "")
 
+    def test_deep_search_refused(self, tmp_path, capsys):
+        matrix = write(tmp_path, "m.txt", "0 " * 1500 + "1 -1\n")
+        colouring = write(tmp_path, "c.txt", "1 0\n")
+        assert main(["mono-search", "--matrix", matrix,
+                     "--colouring", f"file:{colouring}", "--ground", "1"]) == 2
+        assert capsys.readouterr() == ("", "error: the search would enumerate "
+                                       "1501 columns, more than the limit of 500\n")
+
 
 class TestRadoNumber:
     def test_schur(self, tmp_path, capsys):
@@ -732,6 +740,13 @@ class TestRadoNumber:
         matrix = write(tmp_path, "m.txt", "1 1 -1\n")
         assert main(["rado-number", "--matrix", matrix,
                      "--colours", "9", "--nmax", "10"]) == 2
+
+    def test_deep_plans_refused(self, tmp_path, capsys):
+        matrix = write(tmp_path, "m.txt", "1 " * 1000 + "-1 " * 500 + "\n")
+        assert main(["rado-number", "--matrix", matrix,
+                     "--colours", "2", "--nmax", "30"]) == 2
+        assert capsys.readouterr() == ("", "error: the search would enumerate "
+                                       "1497 columns, more than the limit of 500\n")
 
     @pytest.mark.parametrize("m, number", [(m, m * m - m - 1) for m in range(3, 9)])
     def test_sum_equation_number_and_witness(self, tmp_path, capsys, m, number):

@@ -187,16 +187,19 @@ class TestMonochromaticSolution:
         with pytest.raises(BudgetExceededError):
             monochromatic_solution(M, c, g, budget=bound - 1)
 
-    def test_deep_searches_keep_the_tuple_count(self):
+    def test_deep_searches_meet_the_depth_limit(self):
         # the kernel recurses once per enumerated column: the merged count
-        # admits x_401 = x_402 after 400 free columns, but past 500 columns
-        # the tuples refuse, as before, rather than overflow the stack
+        # admits x_500 = x_501 after 499 free columns (500 enumerated), but
+        # a search that enumerates more than 500 columns is refused rather
+        # than overflow the stack, before its budget is counted
         g = GroundSet.slice(100)
-        M = RatMatrix.from_rows([[0] * 400 + [1, -1]])
-        assert monochromatic_solution(M, Colouring.log2_parity(), g) == (F(1),) * 402
-        M = RatMatrix.from_rows([[0] * 1500 + [1, -1]])
-        with pytest.raises(BudgetExceededError):
-            monochromatic_solution(M, Colouring.log2_parity(), g)
+        M = RatMatrix.from_rows([[0] * 499 + [1, -1]])
+        assert monochromatic_solution(M, Colouring.log2_parity(), g) == (F(1),) * 501
+        for zeros in (500, 1500):
+            M = RatMatrix.from_rows([[0] * zeros + [1, -1]])
+            with pytest.raises(ValueError, match=f"enumerate {zeros + 1} columns, "
+                               "more than the limit of 500"):
+                monochromatic_solution(M, Colouring.log2_parity(), g, budget=1)
 
     def test_budget_check_is_cheap_on_wide_matrices(self):
         # 500 enumerated columns in 600 rows, and 200 one-value classes
