@@ -38,7 +38,6 @@ from .systems import (
     natural_solution_witness,
     parse_schedule,
     refute_over_subring,
-    schedule_value,
 )
 
 __version__ = "0.1.0"
@@ -73,6 +72,5 @@ __all__ = [
     "parse_schedule",
     "pigeonhole_subset",
     "refute_over_subring",
-    "schedule_value",
     "verify_cc_certificate",
 ]

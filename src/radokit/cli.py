@@ -60,8 +60,8 @@ def _read_matrix(path: str) -> RatMatrix:
 def _write_matrix(header: list[str], rows: Iterable[dict[int, Rat]], cols: int,
                   out: str | None) -> None:
     """Write the header as '#' lines, then each sparse row as it arrives:
-    its entries, formatted in column order, and between them its runs of
-    zeros as slices of one "0 " * cols string."""
+    its entries, which the builders yield in column order, and between
+    them its runs of zeros as slices of one "0 " * cols string."""
     with (contextlib.nullcontext(sys.stdout) if out is None
           else open(out, "w")) as f:
         f.write("".join(f"# {line}\n" for line in header))
@@ -69,8 +69,8 @@ def _write_matrix(header: list[str], rows: Iterable[dict[int, Rat]], cols: int,
         for row in rows:
             parts = []
             done = 0
-            for j in sorted(row):
-                parts += zeros[: 2 * (j - done)], format_rat(row[j]), " "
+            for j, x in row.items():
+                parts += zeros[: 2 * (j - done)], format_rat(x), " "
                 done = j + 1
             parts.append(zeros[: 2 * (cols - done)])
             f.write("".join(parts)[:-1] + "\n")

@@ -59,21 +59,17 @@ class RatMatrix(_Record):
         return [list(self.row(i)) for i in range(self.rows)]
 
 
-def _integer_rows(rows: Iterable[Sequence[Rat | int]]) -> list[list[int]]:
+def _integer_rows(rows: Iterable[Sequence[Rat]]) -> list[list[int]]:
     """Each row times the lcm of its denominators: a list of ints.
 
     The package's one row normalizer.  Scaling a row by a positive constant
     keeps the vectors it annihilates and the row space, so neither a
-    zero-sum test nor an elimination can tell the scaled rows apart.  A row
-    whose entries are all of type int is copied as it is, with one type test
-    per entry and no attribute read.  Any other row reads each denominator
-    once, and an integral row (lcm 1) is returned as its numerators.
+    zero-sum test nor an elimination can tell the scaled rows apart.  Each
+    denominator is read once, and an integral row (lcm 1) is returned as its
+    numerators.  The lists are new, so a caller may change them in place.
     """
     out = []
     for row in rows:
-        if not set(map(type, row)) - {int}:
-            out.append(list(row))
-            continue
         dens = [x.denominator for x in row]
         m = lcm(*dens)
         if m == 1:

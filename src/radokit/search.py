@@ -43,17 +43,10 @@ newest value t can be new.  It colours with restricted growth (colour c
 only once colour c-1 is used): renaming colours in order of first use turns
 any colouring into one that is no larger lexicographically and has the same
 solutions, so the least solution-free colourings it finds are the least of
-all.  It also checks forward: once t takes colour c, each uncoloured u that
-would complete a solution in class c with t, u filling one column, is
-marked against c.  The marks are one bitmask per colour, passed down the
-recursion, so backtracking undoes nothing.  A branch is cut when some u in
-the whole window above t, up to one past the longest colouring found, has
-every colour marked.  Past that horizon a cut could lose the least
-witness.  The marks are complete for the solutions in
-which t fills exactly one nonzero column: the greatest value in the other
-columns marked t when it was coloured.  So the kernel decides only the
-solutions with t in two nonzero columns, pinned there.  The forward step
-runs the same kernel, collecting the solved values in (t, n_max].
+all.  Its forward checking, which marks the values above t that would
+complete a solution, and the one-column lemma, which leaves the kernel only
+the solutions with t in two nonzero columns, are stated and proved once,
+in its docstring.
 """
 
 from __future__ import annotations

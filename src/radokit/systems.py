@@ -43,11 +43,6 @@ def _primes() -> Iterator[int]:
         yield _primes_cache[j]
 
 
-def _first_primes(n: int) -> list[int]:
-    """The n smallest primes, in increasing order."""
-    return list(islice(_primes(), n))
-
-
 # The built-in kinds as data: d_{n,i} = c_i / D(n), where D(n) is q^n, or
 # (p_1 ... p_n)^n when the denominators run over all primes; the positive
 # integer y with c.y = 0, when there is one, gives `natural_solution_witness`.
@@ -135,7 +130,7 @@ class CoefficientSchedule(_Record):
 
     def denominator(self, n: int) -> int:
         """D(n) of a built-in schedule: q^n or (p_1 ... p_n)^n."""
-        base = math.prod(_first_primes(n)) if self.over_all_primes else self.q
+        base = math.prod(islice(_primes(), n)) if self.over_all_primes else self.q
         return base**n
 
     def denominator_exceeds(self, n: int, digits: int) -> bool:
@@ -158,21 +153,13 @@ class CoefficientSchedule(_Record):
         return self.denominator(n) >= 10**digits
 
 
-def schedule_value(s: CoefficientSchedule, n: int, i: int) -> Rat:
-    """The coefficient d_{n,i}; n is the equation index (>= 2), i the slot
-    (1 <= i <= arity)."""
-    if n < 2:
-        raise ValueError(f"equation index starts at 2, got {n}")
-    if not 1 <= i <= s.arity:
-        raise ValueError(f"slot {i} outside 1..{s.arity}")
-    if s.table is not None and n - 2 >= len(s.table):
-        raise ValueError(f"explicit schedule defines n up to {s.max_depth}, got {n}")
-    return _schedule_row(s, n)[i - 1]
-
-
 def _schedule_row(s: CoefficientSchedule, n: int) -> Sequence[Rat]:
-    """d_{n,1}, ..., d_{n,arity}, with D(n) built once for the row."""
+    """d_{n,1}, ..., d_{n,arity} of equation n >= 2, with D(n) built once
+    for the row.  An explicit table past its last row raises ValueError."""
     if s.table is not None:
+        if n - 2 >= len(s.table):
+            raise ValueError(
+                f"explicit schedule defines n up to {s.max_depth}, got {n}")
         return s.table[n - 2]
     den = s.denominator(n)
     return [Fraction(c, den) for c in s.c]
@@ -287,8 +274,7 @@ def d_combination(s: CoefficientSchedule, n: int, y: Sequence[Rat]) -> Rat:
     D(n) / |numerator of c.y|.
     """
     if s.table is not None:
-        return sum((schedule_value(s, n, i) * y[i - 1] for i in range(1, s.arity + 1)),
-                   start=Fraction(0))
+        return _dot(_schedule_row(s, n), y)
     total = _dot(s.c, y)
     if not total:
         return total
@@ -340,7 +326,7 @@ def _exact_sum(values: Sequence[Rat]) -> Rat:
                          for (x, k), d in zip(runs, dens)]), den)
 
 
-def _dot(c: Sequence[int], y: Sequence[Rat]) -> Rat:
+def _dot(c: Sequence[int | Rat], y: Sequence[Rat]) -> Rat:
     return sum((ci * yi for ci, yi in zip(c, y)), start=Fraction(0))
 
 
@@ -399,19 +385,14 @@ def parse_schedule(text: str) -> CoefficientSchedule:
     """Parse a schedule flag: qpow:Q, allprimes, qpowpair:Q, allprimespair,
     or file:PATH where the file holds an explicit d-table in the matrix
     text format (row n-2 lists d_{n,1..alpha})."""
-    t = text.strip()
-    if t == "allprimes":
-        return CoefficientSchedule.allprimes()
-    if t == "allprimespair":
-        return CoefficientSchedule.allprimespair()
-    if t.startswith("qpow:"):
-        return CoefficientSchedule.qpow(_parse_prime_arg(t[len("qpow:"):]))
-    if t.startswith("qpowpair:"):
-        return CoefficientSchedule.qpowpair(_parse_prime_arg(t[len("qpowpair:"):]))
-    if t.startswith("file:"):
-        with open(t[len("file:"):]) as f:
+    kind, colon, arg = text.strip().partition(":")
+    if kind == "file" and colon:
+        with open(arg) as f:
             table = parse_matrix(f.read())
         return CoefficientSchedule.explicit(table.to_lists())
+    # a built-in kind takes :Q exactly when it is not over all primes ([1])
+    if kind in _BUILTIN_SCHEDULES and bool(colon) != _BUILTIN_SCHEDULES[kind][1]:
+        return CoefficientSchedule(kind, _parse_prime_arg(arg) if colon else None)
     raise ValueError(f"unknown schedule: {text!r}")
 
 

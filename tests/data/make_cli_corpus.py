@@ -1,0 +1,254 @@
+"""Write cli_corpus.json: the exact output of the `radokit` commands that
+neither of the other corpora covers.
+
+Each entry is one `radokit` run of `fe-check`, `membership`, `pigeonhole`,
+`mono-search` or `rado-number`: the argv, the files it reads (by name,
+relative to the working directory, with their text), and the exit code,
+stdout and stderr it gave.  The cases are seeded random inputs plus every
+`error:` path of these commands: bad tokens, zero denominators, numbers
+too long to read, ragged rows, missing files, malformed colouring files,
+bad ground sets and prime lists, out-of-subring elements, the budget and
+enumeration-depth refusals, and the colour-count and nmax caps of
+`rado-number`.  test_cli_corpus.py replays every run in an empty
+directory and holds the output to it byte for byte.  Rerunning this
+script rewrites the file from whatever radokit is installed; do that only
+on purpose.
+
+    PYTHONPATH=src python tests/data/make_cli_corpus.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+from radokit.cli import main
+
+OUT = Path(__file__).with_name("cli_corpus.json")
+PRIME_SETS = ["", "all", "2", "3", "2,3", "2,5,7", "all-except:2",
+              "all-except:3,5", "11,13"]
+LONG = "1" * 4301
+
+
+def run(argv: list[str], files: dict[str, str]) -> dict:
+    """Run the CLI on argv in an empty directory holding the files."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as folder:
+        os.chdir(folder)
+        try:
+            for name, text in files.items():
+                Path(name).write_text(text)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main(argv)
+        finally:
+            os.chdir(cwd)
+    return {"argv": argv, "files": files, "exit": rc,
+            "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def random_rat(rng: random.Random, size: int = 4, den: int = 4) -> str:
+    a = rng.randint(-size, size)
+    if rng.random() < 0.3:
+        return f"{a}/{rng.randint(1, den)}"
+    return str(a)
+
+
+def random_matrix(rng: random.Random, rows: int, cols: int) -> str:
+    lines = []
+    for _ in range(rows):
+        if rng.random() < 0.15:
+            lines.append(" ".join("0" for _ in range(cols)))
+        else:
+            lines.append(" ".join(random_rat(rng) for _ in range(cols)))
+    if rng.random() < 0.3:
+        lines.insert(0, "# a comment")
+    return "\n".join(lines) + "\n"
+
+
+def fe_check_cases(rng: random.Random) -> list[tuple[list[str], dict[str, str]]]:
+    cases = []
+    for _ in range(34):
+        matrix = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 5))
+        strict = ["--strict"] if rng.random() < 0.5 else []
+        cases.append((["fe-check", "--matrix", "m.txt", *strict], {"m.txt": matrix}))
+    # common first entries that the weak and the strict condition tell apart
+    for matrix in ("1 1 -1\n", "2 0 -1\n0 2 1\n", "1 2\n3 1\n", "0 0\n1 0\n",
+                   "1/2 1\n0 1/2\n", "-3 1\n0 -3\n"):
+        for strict in ([], ["--strict"]):
+            cases.append((["fe-check", "--matrix", "m.txt", *strict],
+                          {"m.txt": matrix}))
+    for bad in ("1 1.5 -1\n", "+1 1 -1\n", "1 x\n", "1 1/0\n", "1_0 1\n",
+                "1 2\n3\n", "1 1/-2\n", f"{LONG} 1\n", "٣ 1/２\n", "# only\n", ""):
+        cases.append((["fe-check", "--matrix", "m.txt"], {"m.txt": bad}))
+    cases.append((["fe-check", "--matrix", "missing.txt"], {}))
+    return cases
+
+
+def membership_cases(rng: random.Random) -> list[tuple[list[str], dict[str, str]]]:
+    cases = []
+    for _ in range(30):
+        value = random_rat(rng, 40, 60)
+        primes = rng.choice(PRIME_SETS)
+        scale = [f"--scale={rng.choice((1, 2, 3, 6))}"] if rng.random() < 0.4 else []
+        cases.append((["membership", f"--value={value}", f"--primes={primes}",
+                       *scale], {}))
+    for value, primes, scale in (
+        ("1.5", "2", 1), ("1/0", "2", 1), ("x", "all", 1), (LONG, "2", 1),
+        (f"1/{LONG}", "all", 1), ("1/2", "4", 1), ("1/2", "2,x", 1),
+        ("1/2", "all-except:9", 1), ("1/2", "3317044064679887385961981", 1),
+        ("1/2", "2", 0), ("1/2", "2", -3), ("-7/30", "2,3,5", 1),
+        ("1/6", "2", 1), ("5/9", "3", 5), ("7/1000000007", "1000000007", 7),
+    ):
+        cases.append((["membership", f"--value={value}", f"--primes={primes}",
+                       f"--scale={scale}"], {}))
+    return cases
+
+
+def pigeonhole_cases(rng: random.Random) -> list[tuple[list[str], dict[str, str]]]:
+    cases = []
+    for _ in range(30):
+        m = rng.randint(1, 5)
+        primes = rng.choice(["2", "2,3", "all", "all-except:5", ""])
+        if primes == "":
+            dens = [1]
+        elif primes == "2":
+            dens = [1, 2, 4]
+        elif primes == "all-except:5":
+            dens = [1, 2, 3, 7]
+        else:
+            dens = [1, 2, 3, 6]
+        count = (m - 1) ** 2 + 1 + rng.randint(0, 3)
+        values = []
+        for _ in range(count):
+            a, d = rng.randint(-30, 30), rng.choice(dens)
+            values.append(f"{a}/{d}" if d != 1 else str(a))
+        cases.append((["pigeonhole", f"--m={m}", f"--primes={primes}",
+                       "--values=" + ",".join(values)], {}))
+    for m, primes, values in (
+        (0, "2", "1"), (-2, "2", "1,2"), (3, "2", "1,2,3,4"), (2, "", "1/2,1"),
+        (2, "2", "1,1/3"), (2, "2", "1,1.5"), (2, "2", "1,1/0"),
+        (2, "x", "1,2"), (2, "2", f"1,{LONG}"), (2, "2", "1,,2"),
+        (2, "2", "1/2,3/2,5"), (2, "all", ",".join(["9" * 4300] * 2)),
+    ):
+        cases.append((["pigeonhole", f"--m={m}", f"--primes={primes}",
+                       f"--values={values}"], {}))
+    return cases
+
+
+MONO_MATRICES = ["1 1 -1\n", "1 -2\n", "1 1 -3\n", "1 1 1 -1\n", "2 -1 -1\n",
+                 "1 1 -1 0\n0 1 1 -1\n", "1 2 -3\n", "1/2 1/2 -1\n"]
+
+
+def colouring_file(rng: random.Random, n: int, colours: int) -> str:
+    lines = [f"{a} {rng.randrange(colours)}" for a in range(1, n + 1)]
+    if rng.random() < 0.3:
+        lines.append(f"{2 * n + 1}/2 {rng.randrange(colours)}")
+    return "\n".join(lines) + "\n"
+
+
+def mono_search_cases(rng: random.Random) -> list[tuple[list[str], dict[str, str]]]:
+    cases = []
+    for _ in range(30):
+        files = {"m.txt": rng.choice(MONO_MATRICES)}
+        if rng.random() < 0.5:
+            colouring = "log2parity"
+        else:
+            colouring = "file:c.txt"
+            files["c.txt"] = colouring_file(rng, rng.randint(3, 14), rng.randint(1, 3))
+        ground = str(rng.randint(1, 20))
+        if rng.random() < 0.25:
+            ground += f",{rng.choice((1, 2, 3))}"
+        flags = ["--distinct"] if rng.random() < 0.3 else []
+        if rng.random() < 0.2:
+            flags.append(f"--budget={rng.choice((10, 100, 1000))}")
+        cases.append((["mono-search", "--matrix", "m.txt", "--colouring", colouring,
+                       "--ground", ground, *flags], files))
+    schur = {"m.txt": "1 1 -1\n"}
+    for extra, flags in (
+        ({}, ["--colouring", "log2parity", "--ground", "8", "--budget=0"]),
+        ({}, ["--colouring", "log2parity", "--ground", "8", "--budget=-5"]),
+        ({}, ["--colouring", "log2parity", "--ground", "100", "--budget=10"]),
+        ({}, ["--colouring", "rainbow", "--ground", "8"]),
+        ({}, ["--colouring", "file:missing.txt", "--ground", "8"]),
+        ({"c.txt": "1\n"}, ["--colouring", "file:c.txt", "--ground", "8"]),
+        ({"c.txt": "1 a\n"}, ["--colouring", "file:c.txt", "--ground", "8"]),
+        ({"c.txt": "1 0 2\n"}, ["--colouring", "file:c.txt", "--ground", "8"]),
+        ({"c.txt": "1.5 0\n"}, ["--colouring", "file:c.txt", "--ground", "8"]),
+        ({"c.txt": "1/0 0\n"}, ["--colouring", "file:c.txt", "--ground", "8"]),
+        ({"c.txt": "0 0\n"}, ["--colouring", "file:c.txt", "--ground", "8"]),
+        ({"c.txt": "1 0\n2/2 1\n"}, ["--colouring", "file:c.txt", "--ground", "8"]),
+        ({"c.txt": "1 -1\n"}, ["--colouring", "file:c.txt", "--ground", "8"]),
+        ({"c.txt": "# c\n\n1 0\n2 1\n3 1\n4 0\n"},
+         ["--colouring", "file:c.txt", "--ground", "4"]),
+        ({}, ["--colouring", "log2parity", "--ground", "0"]),
+        ({}, ["--colouring", "log2parity", "--ground", "5,0"]),
+        ({}, ["--colouring", "log2parity", "--ground", "a"]),
+        ({}, ["--colouring", "log2parity", "--ground", "1,2,3"]),
+        ({}, ["--colouring", "log2parity", "--ground", "8", "--distinct"]),
+    ):
+        cases.append((["mono-search", "--matrix", "m.txt", *flags], {**schur, **extra}))
+    for matrix in ("", "# nothing\n", "1 x\n", "1 1/0\n", "1 2\n1\n",
+                   "0 " * 1500 + "1 -1\n", "0 0 0\n"):
+        cases.append((["mono-search", "--matrix", "m.txt", "--colouring",
+                       "log2parity", "--ground", "6"], {"m.txt": matrix}))
+    cases.append((["mono-search", "--matrix", "missing.txt", "--colouring",
+                   "log2parity", "--ground", "6"], {}))
+    return cases
+
+
+RADO_MATRICES = ["1 1 -1\n", "1 -2\n", "1 1 -3\n", "1 1 1 -1\n", "1 2 -1\n",
+                 "1 1 -1 0\n0 1 1 -1\n", "2 -1\n", "1 -1\n", "0 0\n", "1 1 1\n"]
+
+
+def rado_number_cases(rng: random.Random) -> list[tuple[list[str], dict[str, str]]]:
+    cases = []
+    for _ in range(30):
+        matrix = rng.choice(RADO_MATRICES)
+        colours = rng.randint(1, 3)
+        nmax = rng.randint(1, 24 if colours < 3 else 14)
+        cases.append((["rado-number", "--matrix", "m.txt", "--colours", str(colours),
+                       "--nmax", str(nmax)], {"m.txt": matrix}))
+    for matrix, colours, nmax in (
+        ("1 1 -1\n", 0, 10), ("1 1 -1\n", 5, 10), ("1 1 -1\n", -1, 10),
+        ("1 1 -1\n", 2, 0), ("1 1 -1\n", 2, 65), ("1 1 -1\n", 2, -3),
+        ("", 2, 10), ("1 x\n", 2, 10), ("1 1/0\n", 2, 10),
+        ("1 " * 1000 + "-1 " * 500 + "\n", 2, 10), ("1 1 -1\n", 2, 64),
+        ("1 1 -1\n", 3, 20),
+    ):
+        cases.append((["rado-number", "--matrix", "m.txt", f"--colours={colours}",
+                       f"--nmax={nmax}"], {"m.txt": matrix}))
+    cases.append((["rado-number", "--matrix", "missing.txt", "--colours", "2",
+                   "--nmax", "5"], {}))
+    return cases
+
+
+def corpus() -> list[tuple[list[str], dict[str, str]]]:
+    rng = random.Random(20261019)
+    return [case for make in (fe_check_cases, membership_cases, pigeonhole_cases,
+                              mono_search_cases, rado_number_cases)
+            for case in make(rng)]
+
+
+def write() -> None:
+    entries = [run(argv, files) for argv, files in corpus()]
+    OUT.write_text(json.dumps(entries, indent=0, ensure_ascii=False) + "\n")
+    counts = {rc: sum(e["exit"] == rc for e in entries) for rc in (0, 1, 2)}
+    print(f"{len(entries)} cases, exit codes {counts} -> {OUT}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] in (["-h"], ["--help"]):
+        print(__doc__)
+    elif sys.argv[1:]:
+        print(f"usage: {Path(sys.argv[0]).name} takes no arguments "
+              "(-h prints its description)", file=sys.stderr)
+        sys.exit(2)
+    else:
+        write()

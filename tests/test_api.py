@@ -14,8 +14,9 @@ def test_public_names():
         getattr(radokit, name)
     for gone in ("rref", "rank", "build_truncated_system", "build_stacked_matrix",
                  "format_matrix", "SolutionAssignment", "in_span",
-                 "weak_first_entries_condition"):
+                 "weak_first_entries_condition", "schedule_value"):
         assert gone not in radokit.__all__ and not hasattr(radokit, gone)
+    assert not hasattr(radokit.systems, "schedule_value")
 
 
 def test_systems_does_not_import_search():
@@ -37,3 +38,35 @@ def test_import_loads_no_dataclasses_typing_or_pathlib():
          "('dataclasses', 'inspect', 'typing', 'pathlib') if m in sys.modules))"],
         capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+def test_every_private_name_has_a_caller():
+    # a module-level name starting with _ (not a dunder) is read somewhere
+    # in the package outside its own definition: a private path whose
+    # callers are gone is deleted with them
+    package = Path(radokit.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in package.glob("*.py")}
+    defined = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined.append((module, name, node))
+    assert len(defined) > 20
+    unread = []
+    for module, name, own in defined:
+        inside = {id(n) for n in ast.walk(own)}
+        if not any(isinstance(n, ast.Name) and n.id == name
+                   and isinstance(n.ctx, ast.Load) and id(n) not in inside
+                   for tree in trees.values() for n in ast.walk(tree)):
+            unread.append(f"{module}: {name}")
+    assert unread == []

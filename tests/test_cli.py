@@ -432,6 +432,20 @@ class TestRefute:
         assert capsys.readouterr().out == (
             "obstruction at n=14285: d-combination 1/2 is outside the subring\n")
 
+    @pytest.mark.parametrize("primes,code,out,err", [
+        ("3", 0, "obstruction at n=2: d-combination 1/2 is outside the subring\n", ""),
+        ("2", 2, "", "error: explicit schedule defines n up to 3, got 4\n"),
+    ])
+    def test_schedule_file_shorter_than_nmax(self, primes, code, out, err,
+                                             tmp_path, capsys):
+        # the table defines n = 2 and 3 only: an obstruction inside it is
+        # reported, and a scan that runs past it is refused
+        table = write(tmp_path, "d.txt", "1/2\n1/4\n")
+        assert main(["refute", "--alpha", "1", "--depth", "2",
+                     "--schedule", f"file:{table}", f"--primes={primes}",
+                     "--y", "1", "--nmax", "10"]) == code
+        assert capsys.readouterr() == (out, err)
+
     def test_negative_nmax(self, capsys):
         assert main(["refute", "--alpha", "1", "--depth", "2",
                      "--schedule", "qpow:2", "--primes", "",

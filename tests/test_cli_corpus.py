@@ -1,0 +1,51 @@
+"""Differential test against a frozen corpus of the `radokit` commands
+that the cc and systems corpora leave out: `fe-check`, `membership`,
+`pigeonhole`, `mono-search` and `rado-number`.
+
+tests/data/cli_corpus.json holds each run's argv, the files it reads and
+the exit code, stdout and stderr it gave (see tests/data/make_cli_corpus.py),
+so every answer and every `error:` line must come out byte for byte the
+same.  Each run is replayed in an empty directory holding its files, since
+the argv names them relative to the working directory.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from radokit.cli import main
+
+CORPUS = json.loads((Path(__file__).parent / "data" / "cli_corpus.json").read_text())
+COMMANDS = sorted({entry["argv"][0] for entry in CORPUS})
+
+
+def test_corpus_covers_every_command_and_outcome():
+    assert len(CORPUS) == 245
+    assert COMMANDS == ["fe-check", "membership", "mono-search", "pigeonhole",
+                        "rado-number"]
+    for command in COMMANDS:
+        assert {e["exit"] for e in CORPUS if e["argv"][0] == command} == {0, 1, 2} - (
+            {1} if command == "pigeonhole" else set()), command
+    errors = "".join(e["stderr"] for e in CORPUS)
+    for text in ("not a rational", "zero denominator", "more than 4300 digits",
+                 "No such file", "exceeds budget", "more than the limit of 500",
+                 "outside the subring", "colour count must be 1..4",
+                 "n_max must be 1..64", "coloured twice", "ground set is"):
+        assert text in errors, text
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_output_is_frozen(command, tmp_path, monkeypatch, capsys):
+    for k, entry in enumerate(CORPUS):
+        if entry["argv"][0] != command:
+            continue
+        folder = tmp_path / str(k)
+        folder.mkdir()
+        monkeypatch.chdir(folder)
+        for name, text in entry["files"].items():
+            (folder / name).write_text(text)
+        assert main(entry["argv"]) == entry["exit"], entry["argv"]
+        captured = capsys.readouterr()
+        assert captured.out == entry["stdout"], entry["argv"]
+        assert captured.err == entry["stderr"], entry["argv"]

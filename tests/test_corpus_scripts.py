@@ -24,7 +24,8 @@ def run_copy(script: str, tmp_path: Path, *args: str) -> subprocess.CompletedPro
                           capture_output=True, text=True, env=env, timeout=60)
 
 
-@pytest.mark.parametrize("script", ["make_cc_corpus.py", "make_systems_corpus.py"])
+@pytest.mark.parametrize("script", ["make_cc_corpus.py", "make_systems_corpus.py",
+                                    "make_cli_corpus.py"])
 class TestCorpusScripts:
     @pytest.mark.parametrize("flag", ["-h", "--help"])
     def test_help_prints_the_docstring_and_writes_nothing(self, script, flag,

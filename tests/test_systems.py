@@ -11,10 +11,10 @@ from radokit.rings import PrimeSet, padic_valuation
 from radokit.systems import (
     CoefficientSchedule,
     SystemSpec,
+    d_combination,
     natural_solution_witness,
     parse_schedule,
     refute_over_subring,
-    schedule_value,
     stacked_rows,
     truncated_residuals,
     truncated_rows,
@@ -35,49 +35,52 @@ def every_kind(rng, depth):
              for _ in range(depth - 1)])
 
 
+def coefficient(s, n, i):
+    """d_{n,i} as row n of the truncation holds it, checked against the
+    d-combination of the i-th unit vector."""
+    spec = SystemSpec(s.arity, n, s)
+    d = list(truncated_rows(spec))[-1].get(spec.y_index(i), F(0))
+    unit = [F(int(k == i)) for k in range(1, s.arity + 1)]
+    assert d_combination(s, n, unit) == d
+    return d
+
+
 class TestScheduleValue:
     def test_qpow(self):
-        assert schedule_value(CoefficientSchedule.qpow(2), 3, 1) == F(1, 8)
+        assert coefficient(CoefficientSchedule.qpow(2), 3, 1) == F(1, 8)
 
     def test_qpowpair(self):
         s = CoefficientSchedule.qpowpair(2)
-        assert schedule_value(s, 2, 1) == F(-1, 4)
-        assert schedule_value(s, 2, 2) == F(1, 2)
+        assert coefficient(s, 2, 1) == F(-1, 4)
+        assert coefficient(s, 2, 2) == F(1, 2)
 
     def test_allprimes(self):
-        assert schedule_value(CoefficientSchedule.allprimes(), 2, 1) == F(1, 36)
+        assert coefficient(CoefficientSchedule.allprimes(), 2, 1) == F(1, 36)
         # n=3: (2*3*5)^3 = 27000
-        assert schedule_value(CoefficientSchedule.allprimes(), 3, 1) == F(1, 27000)
+        assert coefficient(CoefficientSchedule.allprimes(), 3, 1) == F(1, 27000)
 
     def test_allprimespair(self):
         s = CoefficientSchedule.allprimespair()
-        assert schedule_value(s, 2, 1) == F(-1, 36)
-        assert schedule_value(s, 2, 2) == F(1, 18)
+        assert coefficient(s, 2, 1) == F(-1, 36)
+        assert coefficient(s, 2, 2) == F(1, 18)
 
     def test_explicit(self):
         s = CoefficientSchedule.explicit([[F(1, 5)], [F(2, 5)]])
-        assert schedule_value(s, 2, 1) == F(1, 5)
-        assert schedule_value(s, 3, 1) == F(2, 5)
+        assert coefficient(s, 2, 1) == F(1, 5)
+        assert coefficient(s, 3, 1) == F(2, 5)
 
     def test_explicit_beyond_table(self):
         s = CoefficientSchedule.explicit([[F(1, 5)]])
-        with pytest.raises(ValueError):
-            schedule_value(s, 3, 1)
-
-    def test_slot_out_of_arity(self):
-        with pytest.raises(ValueError):
-            schedule_value(CoefficientSchedule.qpow(2), 2, 2)
-
-    def test_equation_index_starts_at_two(self):
-        with pytest.raises(ValueError):
-            schedule_value(CoefficientSchedule.qpow(2), 1, 1)
+        with pytest.raises(ValueError,
+                           match="explicit schedule defines n up to 2, got 3"):
+            d_combination(s, 3, [F(1)])
 
     def test_pair_combination_vanishes(self):
         for s in (CoefficientSchedule.qpowpair(2),
                   CoefficientSchedule.qpowpair(5),
                   CoefficientSchedule.allprimespair()):
             for n in range(2, 8):
-                combo = schedule_value(s, n, 1) * 2 + schedule_value(s, n, 2) * 1
+                combo = coefficient(s, n, 1) * 2 + coefficient(s, n, 2) * 1
                 assert combo == 0
 
 
@@ -284,6 +287,23 @@ class TestSparseRows:
                     assert list(sparse) == [j for j, x in enumerate(dense) if x]
                     assert all(sparse[j] == dense[j] for j in sparse)
 
+    @pytest.mark.parametrize("rows", [truncated_rows, stacked_rows])
+    def test_columns_in_ascending_order(self, rows):
+        # the CLI writes each row's entries in the order they come, so the
+        # builders must yield the columns of every row strictly ascending
+        rng = random.Random(11)
+        for depth in range(2, 10):
+            kinds = list(every_kind(rng, depth))
+            for alpha in (1, 2, 3):
+                # explicit tables with zeros in every position of a row
+                kinds.append((alpha, CoefficientSchedule.explicit(
+                    [[F(int(t == n % (alpha + 1)), n) for t in range(alpha)]
+                     for n in range(2, depth + 1)])))
+            for alpha, schedule in kinds:
+                for row in rows(SystemSpec(alpha, depth, schedule)):
+                    columns = list(row)
+                    assert all(a < b for a, b in zip(columns, columns[1:])), row
+
     def test_rows_are_produced_lazily(self):
         # the first row of a truncation far past any printable size
         spec = SystemSpec(1, 10**6, CoefficientSchedule.qpow(2))
@@ -423,10 +443,37 @@ class TestParseSchedule:
         table.write_text("1/5 2/5\n3/5 4/5\n")
         s = parse_schedule(f"file:{table}")
         assert s.kind == "explicit"
-        assert schedule_value(s, 3, 2) == F(4, 5)
+        assert coefficient(s, 3, 2) == F(4, 5)
 
     def test_rejects_unknown(self):
         with pytest.raises(ValueError):
             parse_schedule("fancy")
         with pytest.raises(ValueError):
             parse_schedule("qpow:x")
+
+    @pytest.mark.parametrize("text,want", [
+        ("qpow", "unknown schedule: 'qpow'"),
+        ("qpow:", "not an integer prime: ''"),
+        ("qpow:x", "not an integer prime: 'x'"),
+        ("qpow:4", "schedule qpow needs a prime q, got 4"),
+        ("allprimes:3", "unknown schedule: 'allprimes:3'"),
+        ("allprimespair:", "unknown schedule: 'allprimespair:'"),
+        ("qpowpair", "unknown schedule: 'qpowpair'"),
+        ("qpowpair:2:3", "not an integer prime: '2:3'"),
+        ("QPOW:2", "unknown schedule: 'QPOW:2'"),
+        ("qpow :3", "unknown schedule: 'qpow :3'"),
+        ("explicit", "unknown schedule: 'explicit'"),
+        ("file", "unknown schedule: 'file'"),
+        (" qpow: 3 ", CoefficientSchedule.qpow(3)),
+        ("qpowpair:+5", CoefficientSchedule.qpowpair(5)),
+        (" allprimes\n", CoefficientSchedule.allprimes()),
+    ])
+    def test_spellings(self, text, want):
+        # the kind is the text before the first colon; :Q follows exactly
+        # the kinds whose denominators are powers of one prime
+        if isinstance(want, str):
+            with pytest.raises(ValueError) as error:
+                parse_schedule(text)
+            assert str(error.value) == want
+        else:
+            assert parse_schedule(text) == want
