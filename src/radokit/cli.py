@@ -133,8 +133,12 @@ def _parse_colouring(spec: str) -> Colouring:
                     raise ValueError(f"expected 'value colour', got {stripped!r}")
                 yield parts[0]
                 try:
+                    # a colour is a string of decimal digits, as a value's
+                    # integers are; int() alone would read "+0", "-1", "1_0"
+                    if not parts[1].isdecimal():
+                        raise ValueError
                     colours.append(int(parts[1]))
-                except ValueError:
+                except ValueError:  # or past the text-to-int digit limit
                     raise ValueError(
                         f"expected 'value colour', got {stripped!r}") from None
 
@@ -167,6 +171,8 @@ def _cmd_cc_check(args: argparse.Namespace) -> int:
 
 def _cmd_fe_check(args: argparse.Namespace) -> int:
     M = _read_matrix(args.matrix)
+    if M.rows == 0:
+        raise ValueError("matrix has no rows")
     report = first_entries(M)
     for i, j, value in report.entries:
         print(f"row {i + 1}: first entry {format_rat(value)} at column {j + 1}")
@@ -298,16 +304,24 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, handler, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
+    # the options that several commands share, each declared once
+    matrix = argparse.ArgumentParser(add_help=False)
+    matrix.add_argument("--matrix", required=True, help="matrix file")
+    system = argparse.ArgumentParser(add_help=False)
+    system.add_argument("--alpha", type=int, required=True)
+    system.add_argument("--depth", type=int, required=True)
+    system.add_argument("--schedule", required=True,
+                        help="qpow:Q | allprimes | qpowpair:Q | allprimespair "
+                             "| file:PATH")
+
+    def add(name: str, handler, help_text: str, *parents) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_text, parents=parents)
         p.set_defaults(handler=handler)
         return p
 
-    p = add("cc-check", _cmd_cc_check, "decide the columns condition")
-    p.add_argument("--matrix", required=True, help="matrix file")
+    add("cc-check", _cmd_cc_check, "decide the columns condition", matrix)
 
-    p = add("fe-check", _cmd_fe_check, "report first entries")
-    p.add_argument("--matrix", required=True, help="matrix file")
+    p = add("fe-check", _cmd_fe_check, "report first entries", matrix)
     p.add_argument("--strict", action="store_true",
                    help="demand one constant across all first entries")
 
@@ -315,12 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("build-system", _cmd_build_system, "emit a truncated system matrix"),
         ("build-iab", _cmd_build_iab, "emit the stacked (I; A; B) matrix"),
     ):
-        p = add(name, handler, help_text)
-        p.add_argument("--alpha", type=int, required=True)
-        p.add_argument("--depth", type=int, required=True)
-        p.add_argument("--schedule", required=True,
-                       help="qpow:Q | allprimes | qpowpair:Q | allprimespair "
-                            "| file:PATH")
+        p = add(name, handler, help_text, system)
         p.add_argument("--out", help="write to this file instead of stdout")
 
     p = add("membership", _cmd_membership, "test subring membership")
@@ -337,23 +346,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", required=True, help="comma-separated rationals")
 
     p = add("refute", _cmd_refute,
-            "search for a denominator obstruction to subring solvability")
-    p.add_argument("--alpha", type=int, required=True)
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--schedule", required=True)
+            "search for a denominator obstruction to subring solvability", system)
     p.add_argument("--primes", required=True)
     p.add_argument("--y", required=True, help="comma-separated y values")
     p.add_argument("--nmax", type=int, required=True)
 
-    p = add("nat-witness", _cmd_nat_witness,
-            "positive-integer solution for a pair schedule")
-    p.add_argument("--alpha", type=int, required=True)
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--schedule", required=True)
+    add("nat-witness", _cmd_nat_witness,
+        "positive-integer solution for a pair schedule", system)
 
     p = add("mono-search", _cmd_mono_search,
-            "exhaustive monochromatic-solution search")
-    p.add_argument("--matrix", required=True)
+            "exhaustive monochromatic-solution search", matrix)
     p.add_argument("--colouring", required=True, help="log2parity | file:PATH")
     p.add_argument("--ground", required=True,
                    help="num_bound or num_bound,denominator")
@@ -362,8 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=10**8)
 
     p = add("rado-number", _cmd_rado_number,
-            "least N forcing a monochromatic solution")
-    p.add_argument("--matrix", required=True)
+            "least N forcing a monochromatic solution", matrix)
     p.add_argument("--colours", type=int, required=True)
     p.add_argument("--nmax", type=int, required=True)
 

@@ -91,41 +91,36 @@ def log2_parity_colour(x: Rat) -> int:
 
 
 class Colouring(_Record):
-    """Finite table colouring or the log2-parity rule; colours are 0..r-1."""
+    """Finite table colouring or the log2-parity rule; colours are 0..r-1,
+    where r is 2 under log2parity and 1 + the largest colour of a table."""
 
-    _fields = ("kind", "r", "assignments")
-    __slots__ = (*_fields, "_map")
+    _fields = ("kind", "assignments")
+    __slots__ = (*_fields, "r", "_map")
 
-    def __init__(self, kind: str, r: int,
-                 assignments: tuple[tuple[Rat, int], ...] = ()) -> None:
+    def __init__(self, kind: str, assignments: tuple[tuple[Rat, int], ...] = ()) -> None:
         if kind not in ("table", "log2parity"):
             raise ValueError(f"unknown colouring kind: {kind!r}")
-        if r < 1:
-            raise ValueError(f"colour count must be positive, got {r}")
         mapping: dict[Rat, int] = {}
         for x, c in assignments:
             if x == 0:
                 raise ValueError("0 cannot be coloured")
             if x in mapping:
                 raise ValueError(f"{x} coloured twice")
-            if not 0 <= c < r:
-                raise ValueError(f"colour {c} outside 0..{r - 1}")
+            if c < 0:
+                raise ValueError(f"{x} has negative colour {c}")
             mapping[x] = c
-        self._set(kind=kind, r=r, assignments=assignments, _map=mapping)
+        r = 2 if kind == "log2parity" else max(mapping.values(), default=0) + 1
+        self._set(kind=kind, assignments=assignments, r=r, _map=mapping)
 
     @classmethod
-    def table(cls, elements: Sequence[Rat | int], colours: Sequence[int],
-              r: int | None = None) -> "Colouring":
+    def table(cls, elements: Sequence[Rat | int], colours: Sequence[int]) -> "Colouring":
         if len(elements) != len(colours):
             raise ValueError("need one colour per element")
-        if r is None:
-            r = max(colours, default=0) + 1
-        pairs = tuple((Fraction(x), c) for x, c in zip(elements, colours))
-        return cls("table", r, pairs)
+        return cls("table", tuple((Fraction(x), c) for x, c in zip(elements, colours)))
 
     @classmethod
     def log2_parity(cls) -> "Colouring":
-        return cls("log2parity", 2)
+        return cls("log2parity")
 
     def colour_of(self, x: Rat) -> int:
         if self.kind == "log2parity":

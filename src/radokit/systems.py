@@ -54,9 +54,6 @@ _BUILTIN_SCHEDULES = {
     "allprimespair": ((-1, 2), True, (2, 1)),
 }
 
-_SCHEDULE_KINDS = (*_BUILTIN_SCHEDULES, "explicit")
-
-
 class CoefficientSchedule(_Record):
     """Rule producing the coefficients d_{n,i} for every equation index n >= 2.
 
@@ -79,9 +76,11 @@ class CoefficientSchedule(_Record):
 
     def __init__(self, kind: str, q: int | None = None,
                  table: tuple[tuple[Rat, ...], ...] | None = None) -> None:
-        if kind not in _SCHEDULE_KINDS:
+        if kind != "explicit" and kind not in _BUILTIN_SCHEDULES:
             raise ValueError(f"unknown schedule kind: {kind!r}")
-        if kind in ("qpow", "qpowpair"):
+        c, over_all_primes, kernel = _BUILTIN_SCHEDULES.get(kind, ((), False, None))
+        # a built-in kind takes q exactly when it is not over all primes
+        if kind != "explicit" and not over_all_primes:
             if q is None or not is_prime(q):
                 raise ValueError(f"schedule {kind} needs a prime q, got {q}")
         elif q is not None:
@@ -94,25 +93,8 @@ class CoefficientSchedule(_Record):
                 raise ValueError("explicit schedule table must be rectangular")
         elif table is not None:
             raise ValueError(f"schedule {kind} takes no table")
-        c, over_all_primes, kernel = _BUILTIN_SCHEDULES.get(kind, ((), False, None))
         self._set(kind=kind, q=q, table=table, c=c, over_all_primes=over_all_primes,
                   kernel=kernel)
-
-    @classmethod
-    def qpow(cls, q: int) -> "CoefficientSchedule":
-        return cls("qpow", q=q)
-
-    @classmethod
-    def allprimes(cls) -> "CoefficientSchedule":
-        return cls("allprimes")
-
-    @classmethod
-    def qpowpair(cls, q: int) -> "CoefficientSchedule":
-        return cls("qpowpair", q=q)
-
-    @classmethod
-    def allprimespair(cls) -> "CoefficientSchedule":
-        return cls("allprimespair")
 
     @classmethod
     def explicit(cls, rows) -> "CoefficientSchedule":

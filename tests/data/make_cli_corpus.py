@@ -1,18 +1,21 @@
-"""Write cli_corpus.json: the exact output of the `radokit` commands that
+"""Write cli_corpus.json: the exact output of the `radokit` runs that
 neither of the other corpora covers.
 
 Each entry is one `radokit` run of `fe-check`, `membership`, `pigeonhole`,
-`mono-search` or `rado-number`: the argv, the files it reads (by name,
+`mono-search`, `rado-number`, `cc-check`, `build-system`, `build-iab`,
+`refute` or `nat-witness`: the argv, the files it reads (by name,
 relative to the working directory, with their text), and the exit code,
 stdout and stderr it gave.  The cases are seeded random inputs plus every
 `error:` path of these commands: bad tokens, zero denominators, numbers
 too long to read, ragged rows, missing files, malformed colouring files,
 bad ground sets and prime lists, out-of-subring elements, the budget and
-enumeration-depth refusals, and the colour-count and nmax caps of
-`rado-number`.  test_cli_corpus.py replays every run in an empty
-directory and holds the output to it byte for byte.  Rerunning this
-script rewrites the file from whatever radokit is installed; do that only
-on purpose.
+enumeration-depth refusals, the colour-count and nmax caps of
+`rado-number`, the 33-column refusal of `cc-check`, the digit and entry
+limits of the system commands, bad and `file:` schedules, a schedule that
+runs past its table, and y values outside the subring or not matching
+alpha.  test_cli_corpus.py replays every run in an empty directory and
+holds the output to it byte for byte.  Rerunning this script rewrites the
+file from whatever radokit is installed; do that only on purpose.
 
     PYTHONPATH=src python tests/data/make_cli_corpus.py
 """
@@ -229,10 +232,122 @@ def rado_number_cases(rng: random.Random) -> list[tuple[list[str], dict[str, str
     return cases
 
 
+def cc_check_cases(rng: random.Random) -> list[tuple[list[str], dict[str, str]]]:
+    cases = []
+    for _ in range(25):
+        matrix = random_matrix(rng, rng.randint(1, 3), rng.randint(1, 6))
+        cases.append((["cc-check", "--matrix", "m.txt"], {"m.txt": matrix}))
+    for matrix in ("1 1 -1\n", "1 1 1\n", "1 -1 2 -2\n0 1 -1 0\n",
+                   "1 2 -3 0\n0 0 1 -1\n", "0 0\n", "1 " * 16 + "-1 " * 16 + "\n",
+                   "0 " * 33 + "\n", "1 " * 33 + "\n", "1 x\n", "1 1/0\n",
+                   "1 2\n3\n", f"{LONG} 1\n", "", "# only\n"):
+        cases.append((["cc-check", "--matrix", "m.txt"], {"m.txt": matrix}))
+    cases.append((["cc-check", "--matrix", "missing.txt"], {}))
+    return cases
+
+
+SCHEDULES = ["qpow:2", "qpow:3", "qpow:5", "allprimes", "qpowpair:2",
+             "qpowpair:3", "allprimespair", "file:d.txt"]
+TABLES = ["1/2\n1/4\n1/8\n1/16\n1/32\n", "-1 2\n0 1/3\n5 -1/9\n1 1\n2 0\n"]
+
+
+def random_schedule(rng: random.Random) -> tuple[str, str, dict[str, str]]:
+    """A schedule flag, its arity as --alpha, and the files it reads."""
+    schedule = rng.choice(SCHEDULES)
+    if schedule == "file:d.txt":
+        table = rng.choice(TABLES)
+        return schedule, str(len(table.split("\n")[0].split())), {"d.txt": table}
+    return schedule, "2" if "pair" in schedule else "1", {}
+
+
+# (alpha, depth, schedule, files) for every command that builds a system
+BAD_SYSTEMS = [
+    ("1", "3", "qpow", {}), ("1", "3", "qpow:", {}), ("1", "3", "qpow:4", {}),
+    ("1", "3", "qpow:x", {}), ("1", "3", "allprimes:3", {}),
+    ("2", "3", "qpowpair:2:3", {}), ("1", "3", "bogus", {}),
+    ("1", "3", "file:missing.txt", {}),
+    ("1", "3", "file:d.txt", {"d.txt": "1 x\n"}),
+    ("1", "3", "file:d.txt", {"d.txt": ""}),
+    ("2", "3", "file:d.txt", {"d.txt": "1 2\n3\n"}),
+    ("1", "7", "file:d.txt", {"d.txt": TABLES[0]}),
+    ("2", "3", "qpow:2", {}), ("1", "3", "qpowpair:2", {}),
+    ("0", "3", "qpow:2", {}), ("1", "1", "qpow:2", {}), ("1", "-4", "qpow:2", {}),
+]
+
+
+def build_cases(rng: random.Random) -> list[tuple[list[str], dict[str, str]]]:
+    cases = []
+    for command in ("build-system", "build-iab"):
+        for _ in range(12):
+            schedule, alpha, files = random_schedule(rng)
+            depth = str(rng.randint(2, 6))
+            cases.append(([command, "--alpha", alpha, "--depth", depth,
+                           "--schedule", schedule], files))
+        for alpha, depth, schedule, files in BAD_SYSTEMS + [
+            # D(depth) too long to print, then an output over the entry limit
+            ("1", "20000", "qpow:2", {}), ("1", "60", "allprimes", {}),
+            ("1", "3000", "qpow:2", {}), ("2", "3000", "allprimespair", {}),
+        ]:
+            cases.append(([command, "--alpha", alpha, "--depth", depth,
+                           "--schedule", schedule], files))
+        cases.append(([command, "--alpha", "1", "--depth", "3", "--schedule",
+                       "qpow:2", "--out", "missing/m.txt"], {}))
+    return cases
+
+
+def refute_cases(rng: random.Random) -> list[tuple[list[str], dict[str, str]]]:
+    cases = []
+    for _ in range(25):
+        schedule, alpha, files = random_schedule(rng)
+        primes = rng.choice(PRIME_SETS)
+        y = ",".join(random_rat(rng, 12, 9) for _ in range(int(alpha)))
+        cases.append((["refute", "--alpha", alpha, "--depth", "3", "--schedule",
+                       schedule, f"--primes={primes}", f"--y={y}",
+                       f"--nmax={rng.randint(0, 8)}"], files))
+    for alpha, depth, schedule, files in BAD_SYSTEMS:
+        cases.append((["refute", "--alpha", alpha, "--depth", depth, "--schedule",
+                       schedule, "--primes=2", "--y=1", "--nmax=5"], files))
+    table = {"d.txt": "1/3\n1/9\n"}
+    for alpha, schedule, primes, y, nmax, files in (
+        ("1", "qpow:3", "2", "1/3", "5", {}), ("1", "qpow:3", "2", "1/6", "5", {}),
+        ("1", "qpow:2", "2", "1,2", "5", {}), ("2", "qpowpair:2", "", "1", "5", {}),
+        ("2", "qpowpair:2", "", "2,1", "5", {}), ("1", "qpow:2", "2", "1.5", "5", {}),
+        ("1", "qpow:2", "2", LONG, "5", {}), ("1", "qpow:2", "2", "1", "-1", {}),
+        ("1", "qpow:2", "x", "1", "5", {}),
+        ("1", "allprimes", "all-except:7919", "1", "2000", {}),
+        ("1", "allprimes", "all-except:3", "1", "1", {}),
+        ("1", "file:d.txt", "2", "1", "10", table),
+        ("1", "file:d.txt", "3", "1", "10", table),
+        ("1", "file:d.txt", "2", "1", "2", table),
+    ):
+        cases.append((["refute", "--alpha", alpha, "--depth", "2", "--schedule",
+                       schedule, f"--primes={primes}", f"--y={y}",
+                       f"--nmax={nmax}"], files))
+    return cases
+
+
+def nat_witness_cases(rng: random.Random) -> list[tuple[list[str], dict[str, str]]]:
+    cases = []
+    for _ in range(12):
+        schedule = rng.choice(("qpowpair:2", "qpowpair:3", "qpowpair:5",
+                               "allprimespair"))
+        cases.append((["nat-witness", "--alpha", "2", "--depth",
+                       str(rng.randint(2, 6)), "--schedule", schedule], {}))
+    for alpha, depth, schedule, files in BAD_SYSTEMS + [
+        ("1", "3", "qpow:2", {}), ("1", "3", "allprimes", {}),
+        ("1", "3", "file:d.txt", {"d.txt": TABLES[0]}),
+        ("2", "3000", "allprimespair", {}),
+    ]:
+        cases.append((["nat-witness", "--alpha", alpha, "--depth", depth,
+                       "--schedule", schedule], files))
+    return cases
+
+
 def corpus() -> list[tuple[list[str], dict[str, str]]]:
     rng = random.Random(20261019)
     return [case for make in (fe_check_cases, membership_cases, pigeonhole_cases,
-                              mono_search_cases, rado_number_cases)
+                              mono_search_cases, rado_number_cases, cc_check_cases,
+                              build_cases, refute_cases, nat_witness_cases)
             for case in make(rng)]
 
 

@@ -89,7 +89,7 @@ def test_criterion_3_schur_number():
     result = min_rado_number(schur, 2, 10)
     assert result.number == 5
     assert result.witness == (0, 1, 1, 0)
-    colouring = Colouring.table([1, 2, 3, 4], list(result.witness), r=2)
+    colouring = Colouring.table([1, 2, 3, 4], list(result.witness))
     assert monochromatic_solution(schur, colouring, GroundSet.slice(4)) is None
     report(3, time.perf_counter() - start, 5,
            "Schur number 5 with its witness colouring re-verified solution-free")
@@ -112,11 +112,11 @@ def test_criterion_4_pigeonhole_property():
 
 def test_criterion_5_obstruction_vs_witness():
     start = time.perf_counter()
-    spec = SystemSpec(2, 2, CoefficientSchedule.qpowpair(2))
+    spec = SystemSpec(2, 2, CoefficientSchedule("qpowpair", 2))
     assert refute_over_subring(spec, PrimeSet.empty(), (F(2), F(1)), 10**4) is None
     assert refute_over_subring(spec, PrimeSet.empty(), (F(1), F(1)), 10**4) == 2
     for k in range(2, 21):
-        deep = SystemSpec(2, k, CoefficientSchedule.qpowpair(2))
+        deep = SystemSpec(2, k, CoefficientSchedule("qpowpair", 2))
         witness = natural_solution_witness(deep)
         assert solves(witness, RatMatrix.from_rows(dense_truncated_system(deep)))
     report(5, time.perf_counter() - start, 5,

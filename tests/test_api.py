@@ -17,6 +17,10 @@ def test_public_names():
                  "weak_first_entries_condition", "schedule_value"):
         assert gone not in radokit.__all__ and not hasattr(radokit, gone)
     assert not hasattr(radokit.systems, "schedule_value")
+    assert not hasattr(radokit.systems, "_SCHEDULE_KINDS")
+    # a built-in schedule is CoefficientSchedule(kind, q), as parse_schedule builds it
+    for gone in ("qpow", "allprimes", "qpowpair", "allprimespair"):
+        assert not hasattr(radokit.systems.CoefficientSchedule, gone)
 
 
 def test_systems_does_not_import_search():

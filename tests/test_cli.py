@@ -131,6 +131,14 @@ class TestFeCheck:
             "row 3: first entry 1 at column 1\n"
             "strict first entries condition: fails\n")
 
+    @pytest.mark.parametrize("text", ["", "# only a comment\n\n"])
+    @pytest.mark.parametrize("strict", [[], ["--strict"]])
+    def test_empty_matrix_refused(self, tmp_path, capsys, text, strict):
+        # as mono-search and rado-number refuse it; no condition is vacuous
+        matrix = write(tmp_path, "m.txt", text)
+        assert main(["fe-check", "--matrix", matrix, *strict]) == 2
+        assert capsys.readouterr() == ("", "error: matrix has no rows\n")
+
 
 class TestBuilders:
     def test_build_system_stdout(self, capsys):
@@ -146,7 +154,7 @@ class TestBuilders:
         code = main(["build-system", "--alpha", "2", "--depth", "3",
                      "--schedule", "qpowpair:3", "--out", str(out_file)])
         assert code == 0
-        spec = SystemSpec(2, 3, CoefficientSchedule.qpowpair(3))
+        spec = SystemSpec(2, 3, CoefficientSchedule("qpowpair", 3))
         assert parse_matrix(out_file.read_text()) \
             == RatMatrix.from_rows(dense_truncated_system(spec))
 
@@ -499,7 +507,7 @@ class TestNatWitness:
         assert "\nx_1000_1000 = 1\ny_1 = 2\ny_2 = 1\nz_2 = 2\n" in out
         assert out.endswith("\nz_1000 = 1000\nverified: all residuals zero\n")
         assert out.count("\n") == SystemSpec(
-            2, 1000, CoefficientSchedule.allprimespair()).var_count + 1
+            2, 1000, CoefficientSchedule("allprimespair")).var_count + 1
 
 
 class TestMonoSearch:
@@ -635,6 +643,24 @@ class TestMonoSearch:
         assert main(["mono-search", "--matrix", matrix,
                      "--colouring", f"file:{colouring}", "--ground", "4"]) == 2
         assert capsys.readouterr() == ("", f"error: {error}\n")
+
+    @pytest.mark.parametrize("text,line", [
+        ("1 -1\n", "1 -1"),
+        ("1 -1\n2 0\n", "1 -1"),
+        ("1 +0\n", "1 +0"),
+        ("2 1_0\n", "2 1_0"),
+        ("1 " + "1" * 4301 + "\n", "1 " + "1" * 4301),
+    ])
+    def test_colour_is_a_string_of_decimal_digits(self, tmp_path, capsys,
+                                                  text, line):
+        # the grammar of a value's integers: no sign, no underscore, and a
+        # colour too long for int() gets the same message
+        matrix = write(tmp_path, "m.txt", "1 1 -1\n")
+        colouring = write(tmp_path, "c.txt", text)
+        assert main(["mono-search", "--matrix", matrix,
+                     "--colouring", f"file:{colouring}", "--ground", "4"]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: expected 'value colour', got {line!r}\n")
 
     @pytest.mark.parametrize("ground", ["5,abc", "x", "", "5,", "1.5"])
     def test_ground_set_that_is_not_integers(self, tmp_path, capsys, ground):
@@ -795,6 +821,68 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["cc-check"])
         assert exc.value.code == 2
+
+    # each command's usage and missing-argument error at 80 columns, as
+    # argparse printed them when every command declared its own options
+    @pytest.mark.parametrize("command,usage,required", [
+        ("cc-check", "[-h] --matrix MATRIX\n", "--matrix"),
+        ("fe-check", "[-h] --matrix MATRIX [--strict]\n", "--matrix"),
+        ("build-system",
+         "[-h] --alpha ALPHA --depth DEPTH --schedule\n"
+         "                            SCHEDULE [--out OUT]\n",
+         "--alpha, --depth, --schedule"),
+        ("build-iab",
+         "[-h] --alpha ALPHA --depth DEPTH --schedule SCHEDULE\n"
+         "                         [--out OUT]\n",
+         "--alpha, --depth, --schedule"),
+        ("membership", "[-h] --value VALUE --primes PRIMES [--scale SCALE]\n",
+         "--value, --primes"),
+        ("pigeonhole", "[-h] --m M --primes PRIMES --values VALUES\n",
+         "--m, --primes, --values"),
+        ("refute",
+         "[-h] --alpha ALPHA --depth DEPTH --schedule SCHEDULE\n"
+         "                      --primes PRIMES --y Y --nmax NMAX\n",
+         "--alpha, --depth, --schedule, --primes, --y, --nmax"),
+        ("nat-witness",
+         "[-h] --alpha ALPHA --depth DEPTH --schedule\n"
+         "                           SCHEDULE\n",
+         "--alpha, --depth, --schedule"),
+        ("mono-search",
+         "[-h] --matrix MATRIX --colouring COLOURING --ground\n"
+         "                           GROUND [--distinct] [--budget BUDGET]\n",
+         "--matrix, --colouring, --ground"),
+        ("rado-number", "[-h] --matrix MATRIX --colours COLOURS --nmax NMAX\n",
+         "--matrix, --colours, --nmax"),
+    ])
+    def test_usage_and_missing_arguments(self, command, usage, required,
+                                         monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main([command])
+        assert exc.value.code == 2
+        assert capsys.readouterr() == ("", (
+            f"usage: radokit {command} {usage}radokit {command}: error: the "
+            f"following arguments are required: {required}\n"))
+
+    @pytest.mark.parametrize("commands,line", [
+        (["build-system", "build-iab", "refute", "nat-witness"],
+         "--schedule SCHEDULE qpow:Q | allprimes | qpowpair:Q | allprimespair "
+         "| file:PATH"),
+        (["cc-check", "fe-check", "mono-search", "rado-number"],
+         "--matrix MATRIX matrix file"),
+    ])
+    def test_shared_options_print_one_help(self, commands, line, monkeypatch,
+                                           capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        for command in commands:
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            assert line in " ".join(capsys.readouterr().out.split()), command
+
+    def test_shared_options_declared_once(self):
+        source = Path(radokit.cli.__file__).read_text()
+        for option in ("--matrix", "--alpha", "--depth", "--schedule"):
+            assert source.count(f'add_argument("{option}"') == 1, option
 
 
 class TestRepeatedCalls:

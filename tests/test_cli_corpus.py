@@ -1,6 +1,8 @@
-"""Differential test against a frozen corpus of the `radokit` commands
-that the cc and systems corpora leave out: `fe-check`, `membership`,
-`pigeonhole`, `mono-search` and `rado-number`.
+"""Differential test against a frozen corpus of `radokit` runs that the
+cc and systems corpora leave out: every run of `fe-check`, `membership`,
+`pigeonhole`, `mono-search` and `rado-number`, and the `cc-check`,
+`build-system`, `build-iab`, `refute` and `nat-witness` runs on inputs
+those corpora do not hold (`file:` schedules, limits and error paths).
 
 tests/data/cli_corpus.json holds each run's argv, the files it reads and
 the exit code, stdout and stderr it gave (see tests/data/make_cli_corpus.py),
@@ -21,17 +23,24 @@ COMMANDS = sorted({entry["argv"][0] for entry in CORPUS})
 
 
 def test_corpus_covers_every_command_and_outcome():
-    assert len(CORPUS) == 245
-    assert COMMANDS == ["fe-check", "membership", "mono-search", "pigeonhole",
-                        "rado-number"]
+    assert len(CORPUS) == 442
+    assert COMMANDS == ["build-iab", "build-system", "cc-check", "fe-check",
+                        "membership", "mono-search", "nat-witness", "pigeonhole",
+                        "rado-number", "refute"]
+    never_1 = {"build-iab", "build-system", "nat-witness", "pigeonhole"}
     for command in COMMANDS:
         assert {e["exit"] for e in CORPUS if e["argv"][0] == command} == {0, 1, 2} - (
-            {1} if command == "pigeonhole" else set()), command
+            {1} if command in never_1 else set()), command
     errors = "".join(e["stderr"] for e in CORPUS)
     for text in ("not a rational", "zero denominator", "more than 4300 digits",
                  "No such file", "exceeds budget", "more than the limit of 500",
                  "outside the subring", "colour count must be 1..4",
-                 "n_max must be 1..64", "coloured twice", "ground set is"):
+                 "n_max must be 1..64", "coloured twice", "ground set is",
+                 "matrix has no rows", "handles at most 32 columns",
+                 "too many to print", "more than the limit of 4500000",
+                 "unknown schedule", "not an integer prime",
+                 "explicit schedule defines n up to", "explicit schedule covers",
+                 "y-values", "!= alpha", "needs a pair schedule"):
         assert text in errors, text
 
 

@@ -2,7 +2,8 @@
 no arguments.  Each run here is of a copy of the script in a temporary
 directory, so the JSON it would write lands there, never over the
 committed corpus.  The copy gets tests/ on its PYTHONPATH, since the
-script imports the test references from there."""
+script imports the test references from there.  tests/code_lines.py,
+which only reads src/, refuses arguments in the same way."""
 
 import os
 import shutil
@@ -44,3 +45,21 @@ class TestCorpusScripts:
         assert done.stdout == ""
         assert "takes no arguments" in done.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == [script]
+
+
+def test_code_lines_counts_every_module():
+    done = subprocess.run([sys.executable, str(TESTS / "code_lines.py")],
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    rows = [line.split() for line in done.stdout.splitlines()]
+    names = [name for name, _ in rows]
+    assert names == sorted(p.name for p in (SRC / "radokit").glob("*.py")) + ["total"]
+    counts = [int(count) for _, count in rows]
+    assert all(counts) and counts[-1] == sum(counts[:-1])
+
+
+def test_code_lines_refuses_arguments():
+    done = subprocess.run([sys.executable, str(TESTS / "code_lines.py"), "src"],
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "takes no arguments" in done.stderr

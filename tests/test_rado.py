@@ -223,8 +223,8 @@ class TestWideMatrices:
         assert verify_cc_certificate(M, cert)
 
     @pytest.mark.parametrize("schedule,alpha,cols", [
-        (CoefficientSchedule.qpow(2), 1, 26),
-        (CoefficientSchedule.allprimespair(), 2, 27),
+        (CoefficientSchedule("qpow", 2), 1, 26),
+        (CoefficientSchedule("allprimespair"), 2, 27),
     ])
     def test_depth_6_truncations(self, schedule, alpha, cols):
         M = RatMatrix.from_rows(dense_truncated_system(SystemSpec(alpha, 6, schedule)))

@@ -19,9 +19,9 @@ LARGE = [10007, 104729, 1299709]      # the 1230th, 10000th and 100000th primes
 
 def random_schedule(rng):
     q = rng.choice((2, 3, 5, 7, 11))
-    return rng.choice((CoefficientSchedule.qpow(q), CoefficientSchedule.qpowpair(q),
-                       CoefficientSchedule.allprimes(),
-                       CoefficientSchedule.allprimespair()))
+    return rng.choice((CoefficientSchedule("qpow", q), CoefficientSchedule("qpowpair", q),
+                       CoefficientSchedule("allprimes"),
+                       CoefficientSchedule("allprimespair")))
 
 
 def random_primes(rng, schedule):
@@ -113,7 +113,7 @@ def test_errors_match_scan():
 def test_large_excluded_prime_is_not_reached():
     # the 100000th prime is outside the set, but n_max stops the search
     # long before it; so do the small primes that cancel y's denominators
-    spec = SystemSpec(1, 2, CoefficientSchedule.allprimes())
+    spec = SystemSpec(1, 2, CoefficientSchedule("allprimes"))
     primes = PrimeSet.cofinite([1299709])
     start = time.perf_counter()
     assert refute_over_subring(spec, primes, (F(1),), 1000) is None

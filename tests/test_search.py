@@ -66,6 +66,7 @@ class TestColouring:
     def test_table_lookup(self):
         c = Colouring.table([1, 2], [0, 1])
         assert c.r == 2
+        assert Colouring.table([1, 2], [0, 3]).r == 4
         assert c.colour_of(F(1)) == 0 and c.colour_of(F(2)) == 1
         with pytest.raises(ValueError):
             c.colour_of(F(3))
@@ -80,10 +81,10 @@ class TestColouring:
             Colouring.table([0], [0])
         with pytest.raises(ValueError):
             Colouring.table([1, 1], [0, 1])
+        with pytest.raises(ValueError, match="^1 has negative colour -1$"):
+            Colouring.table([1], [-1])
         with pytest.raises(ValueError):
-            Colouring.table([1], [2], r=2)
-        with pytest.raises(ValueError):
-            Colouring("spots", 2)
+            Colouring("spots")
         with pytest.raises(ValueError):
             Colouring.table([1, 2], [0])
 
@@ -241,7 +242,7 @@ class TestMonochromaticSolution:
                                      for _ in range(rng.randint(1, 2))])
             n, r = rng.randint(1, 14), rng.randint(1, 3)
             c = Colouring.table(range(1, n + 1),
-                                [rng.randrange(r) for _ in range(n)], r)
+                                [rng.randrange(r) for _ in range(n)])
             walked.clear()
             counts.clear()
             distinct = rng.random() < 0.3
@@ -309,7 +310,7 @@ class TestMonochromaticSolution:
         for _ in range(30):
             n = rng.randint(3, 8)
             colours = [rng.randint(0, 1) for _ in range(n)]
-            c = Colouring.table(list(range(1, n + 1)), colours, r=2)
+            c = Colouring.table(list(range(1, n + 1)), colours)
             g = GroundSet.slice(n)
             found = monochromatic_solution(SCHUR, c, g, distinct=rng.random() < 0.5)
             if found is not None:
@@ -325,7 +326,7 @@ class TestMinRadoNumber:
 
     def test_schur_witness_is_solution_free(self):
         result = min_rado_number(SCHUR, 2, 10)
-        c = Colouring.table([1, 2, 3, 4], list(result.witness), r=2)
+        c = Colouring.table([1, 2, 3, 4], list(result.witness))
         assert monochromatic_solution(SCHUR, c, GroundSet.slice(4)) is None
 
     def test_single_colour(self):
@@ -341,7 +342,7 @@ class TestMinRadoNumber:
         result = min_rado_number(M, 2, 12)
         assert result.number == 9
         assert result.witness == (0, 1, 0, 0, 1, 1, 0, 1)
-        c = Colouring.table(list(range(1, 9)), list(result.witness), r=2)
+        c = Colouring.table(list(range(1, 9)), list(result.witness))
         assert monochromatic_solution(M, c, GroundSet.slice(8)) is None
 
     def test_survivor_when_no_positive_solutions(self):
@@ -354,7 +355,7 @@ class TestMinRadoNumber:
         M = RatMatrix.from_rows([[1, -2]])
         result = min_rado_number(M, 2, 64)
         assert result.number is None
-        c = Colouring.table(list(range(1, 65)), list(result.witness), r=2)
+        c = Colouring.table(list(range(1, 65)), list(result.witness))
         assert monochromatic_solution(M, c, GroundSet.slice(64)) is None
 
     def test_regular_matrices_reach_a_number(self):
@@ -379,7 +380,7 @@ class TestMinRadoNumber:
         assert time.perf_counter() - start < 1.5
         assert result.number == 19
         assert len(result.witness) == 18
-        c = Colouring.table(list(range(1, 19)), list(result.witness), r=2)
+        c = Colouring.table(list(range(1, 19)), list(result.witness))
         start = time.perf_counter()
         assert monochromatic_solution(M, c, GroundSet.slice(18)) is None
         assert time.perf_counter() - start < 1.5
@@ -390,7 +391,7 @@ class TestMinRadoNumber:
         assert time.perf_counter() - start < 1.5
         assert result.number is None
         assert len(result.witness) == 28 and set(result.witness) == {0, 1, 2, 3}
-        c = Colouring.table(list(range(1, 29)), list(result.witness), r=4)
+        c = Colouring.table(list(range(1, 29)), list(result.witness))
         assert monochromatic_solution(SCHUR, c, GroundSet.slice(28)) is None
 
     def test_four_colour_schur_survivor_of_43_in_time(self):
@@ -400,7 +401,7 @@ class TestMinRadoNumber:
         assert time.perf_counter() - start < 1.5
         assert result.number is None
         assert len(result.witness) == 43 and set(result.witness) == {0, 1, 2, 3}
-        c = Colouring.table(list(range(1, 44)), list(result.witness), r=4)
+        c = Colouring.table(list(range(1, 44)), list(result.witness))
         assert monochromatic_solution(SCHUR, c, GroundSet.slice(43)) is None
 
     def test_bounds_rejected(self):

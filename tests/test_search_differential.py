@@ -64,7 +64,7 @@ def random_ground_and_colouring(rng: random.Random, size: int):
     coloured = list(dict.fromkeys(coloured))
     rng.shuffle(coloured)
     return (GroundSet.slice(size, den),
-            Colouring.table(coloured, [rng.randrange(r) for _ in coloured], r=r))
+            Colouring.table(coloured, [rng.randrange(r) for _ in coloured]))
 
 
 def budget_count(A: RatMatrix, c: Colouring, g: GroundSet, distinct: bool) -> int:

@@ -25,10 +25,10 @@ from systems_reference import dense_stacked_matrix, dense_truncated_system
 def every_kind(rng, depth):
     """One schedule of each kind, with (alpha, schedule) pairs; the explicit
     tables hold zeros, negatives and fractions, one to three columns wide."""
-    yield 1, CoefficientSchedule.qpow(rng.choice((2, 3, 5, 7)))
-    yield 1, CoefficientSchedule.allprimes()
-    yield 2, CoefficientSchedule.qpowpair(rng.choice((2, 3, 5)))
-    yield 2, CoefficientSchedule.allprimespair()
+    yield 1, CoefficientSchedule("qpow", rng.choice((2, 3, 5, 7)))
+    yield 1, CoefficientSchedule("allprimes")
+    yield 2, CoefficientSchedule("qpowpair", rng.choice((2, 3, 5)))
+    yield 2, CoefficientSchedule("allprimespair")
     for alpha in (1, 2, 3):
         yield alpha, CoefficientSchedule.explicit(
             [[F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(alpha)]
@@ -47,20 +47,20 @@ def coefficient(s, n, i):
 
 class TestScheduleValue:
     def test_qpow(self):
-        assert coefficient(CoefficientSchedule.qpow(2), 3, 1) == F(1, 8)
+        assert coefficient(CoefficientSchedule("qpow", 2), 3, 1) == F(1, 8)
 
     def test_qpowpair(self):
-        s = CoefficientSchedule.qpowpair(2)
+        s = CoefficientSchedule("qpowpair", 2)
         assert coefficient(s, 2, 1) == F(-1, 4)
         assert coefficient(s, 2, 2) == F(1, 2)
 
     def test_allprimes(self):
-        assert coefficient(CoefficientSchedule.allprimes(), 2, 1) == F(1, 36)
+        assert coefficient(CoefficientSchedule("allprimes"), 2, 1) == F(1, 36)
         # n=3: (2*3*5)^3 = 27000
-        assert coefficient(CoefficientSchedule.allprimes(), 3, 1) == F(1, 27000)
+        assert coefficient(CoefficientSchedule("allprimes"), 3, 1) == F(1, 27000)
 
     def test_allprimespair(self):
-        s = CoefficientSchedule.allprimespair()
+        s = CoefficientSchedule("allprimespair")
         assert coefficient(s, 2, 1) == F(-1, 36)
         assert coefficient(s, 2, 2) == F(1, 18)
 
@@ -76,9 +76,9 @@ class TestScheduleValue:
             d_combination(s, 3, [F(1)])
 
     def test_pair_combination_vanishes(self):
-        for s in (CoefficientSchedule.qpowpair(2),
-                  CoefficientSchedule.qpowpair(5),
-                  CoefficientSchedule.allprimespair()):
+        for s in (CoefficientSchedule("qpowpair", 2),
+                  CoefficientSchedule("qpowpair", 5),
+                  CoefficientSchedule("allprimespair")):
             for n in range(2, 8):
                 combo = coefficient(s, n, 1) * 2 + coefficient(s, n, 2) * 1
                 assert combo == 0
@@ -86,10 +86,10 @@ class TestScheduleValue:
 
 class TestDenominatorExceeds:
     @pytest.mark.parametrize("schedule,ns", [
-        (CoefficientSchedule.allprimes(), range(2, 60)),
-        (CoefficientSchedule.qpowpair(3), range(2, 60)),
+        (CoefficientSchedule("allprimes"), range(2, 60)),
+        (CoefficientSchedule("qpowpair", 3), range(2, 60)),
         # 2^14284 has 4300 digits, 2^14285 has 4301
-        (CoefficientSchedule.qpow(2), range(14280, 14290)),
+        (CoefficientSchedule("qpow", 2), range(14280, 14290)),
     ])
     def test_agrees_with_the_built_denominator(self, schedule, ns):
         for n in ns:
@@ -99,9 +99,9 @@ class TestDenominatorExceeds:
 
     def test_decides_huge_n_without_building(self):
         start = time.perf_counter()
-        assert CoefficientSchedule.allprimes().denominator_exceeds(10**9, 4300)
-        assert not CoefficientSchedule.qpow(7).denominator_exceeds(5088, 4300)
-        assert CoefficientSchedule.qpow(7).denominator_exceeds(10**12, 4300)
+        assert CoefficientSchedule("allprimes").denominator_exceeds(10**9, 4300)
+        assert not CoefficientSchedule("qpow", 7).denominator_exceeds(5088, 4300)
+        assert CoefficientSchedule("qpow", 7).denominator_exceeds(10**12, 4300)
         assert time.perf_counter() - start < 0.1
 
 
@@ -112,7 +112,7 @@ class TestScheduleValidation:
 
     def test_qpow_needs_prime(self):
         with pytest.raises(ValueError):
-            CoefficientSchedule.qpow(4)
+            CoefficientSchedule("qpow", 4)
 
     def test_stray_parameters(self):
         with pytest.raises(ValueError):
@@ -127,16 +127,16 @@ class TestScheduleValidation:
             CoefficientSchedule.explicit([[F(1)], [F(1), F(2)]])
 
     def test_arities(self):
-        assert CoefficientSchedule.qpow(2).arity == 1
-        assert CoefficientSchedule.allprimes().arity == 1
-        assert CoefficientSchedule.qpowpair(3).arity == 2
-        assert CoefficientSchedule.allprimespair().arity == 2
+        assert CoefficientSchedule("qpow", 2).arity == 1
+        assert CoefficientSchedule("allprimes").arity == 1
+        assert CoefficientSchedule("qpowpair", 3).arity == 2
+        assert CoefficientSchedule("allprimespair").arity == 2
         assert CoefficientSchedule.explicit([[F(1), F(2), F(3)]]).arity == 3
 
 
 class TestSystemSpec:
     def test_variable_bookkeeping(self):
-        spec = SystemSpec(1, 3, CoefficientSchedule.qpow(2))
+        spec = SystemSpec(1, 3, CoefficientSchedule("qpow", 2))
         assert spec.var_count == 2 + 3 + 1 + 2
         assert list(spec.iter_variable_names()) == [
             "x_2_1", "x_2_2", "x_3_1", "x_3_2", "x_3_3", "y_1", "z_2", "z_3",
@@ -144,15 +144,15 @@ class TestSystemSpec:
 
     def test_arity_must_match_alpha(self):
         with pytest.raises(ValueError):
-            SystemSpec(2, 2, CoefficientSchedule.qpow(2))
+            SystemSpec(2, 2, CoefficientSchedule("qpow", 2))
 
     def test_depth_at_least_two(self):
         with pytest.raises(ValueError):
-            SystemSpec(1, 1, CoefficientSchedule.qpow(2))
+            SystemSpec(1, 1, CoefficientSchedule("qpow", 2))
 
     def test_alpha_positive(self):
         with pytest.raises(ValueError):
-            SystemSpec(0, 2, CoefficientSchedule.qpow(2))
+            SystemSpec(0, 2, CoefficientSchedule("qpow", 2))
 
     def test_explicit_table_must_cover_depth(self):
         s = CoefficientSchedule.explicit([[F(1)]])
@@ -170,7 +170,7 @@ def stacked_matrix(spec):
 
 class TestTruncatedRows:
     def test_single_equation(self):
-        spec = SystemSpec(1, 2, CoefficientSchedule.qpow(2))
+        spec = SystemSpec(1, 2, CoefficientSchedule("qpow", 2))
         M = truncated_matrix(spec)
         assert M.to_lists() == [[1, 1, F(1, 4), -1]]
 
@@ -183,7 +183,7 @@ class TestTruncatedRows:
         ]
 
     def test_pair_equation(self):
-        spec = SystemSpec(2, 2, CoefficientSchedule.qpowpair(2))
+        spec = SystemSpec(2, 2, CoefficientSchedule("qpowpair", 2))
         M = truncated_matrix(spec)
         assert M.to_lists() == [[1, 1, F(-1, 4), F(1, 2), -1]]
 
@@ -196,9 +196,9 @@ class TestTruncatedRows:
             return denominator(schedule, n)
 
         monkeypatch.setattr(CoefficientSchedule, "denominator", counting)
-        for schedule in (CoefficientSchedule.qpow(3), CoefficientSchedule.allprimes(),
-                         CoefficientSchedule.qpowpair(2),
-                         CoefficientSchedule.allprimespair()):
+        for schedule in (CoefficientSchedule("qpow", 3), CoefficientSchedule("allprimes"),
+                         CoefficientSchedule("qpowpair", 2),
+                         CoefficientSchedule("allprimespair")):
             calls.clear()
             rows = list(truncated_rows(SystemSpec(schedule.arity, 12, schedule)))
             assert len(rows) == 11
@@ -207,7 +207,7 @@ class TestTruncatedRows:
 
 class TestStackedRows:
     def test_minimal(self):
-        M = stacked_matrix(SystemSpec(1, 2, CoefficientSchedule.qpow(2)))
+        M = stacked_matrix(SystemSpec(1, 2, CoefficientSchedule("qpow", 2)))
         assert M.to_lists() == [
             [1, 0, 0],
             [0, 1, 0],
@@ -238,8 +238,8 @@ class TestStackedRows:
 
     def test_first_entries_hold_across_shapes(self):
         tables = {
-            1: CoefficientSchedule.qpow(3),
-            2: CoefficientSchedule.qpowpair(3),
+            1: CoefficientSchedule("qpow", 3),
+            2: CoefficientSchedule("qpowpair", 3),
         }
         for k in range(2, 9):
             for alpha in range(1, 5):
@@ -253,7 +253,7 @@ class TestStackedRows:
 
     def test_a_block_matches_truncated_rows(self):
         rng = random.Random(41)
-        spec = SystemSpec(2, 5, CoefficientSchedule.qpowpair(3))
+        spec = SystemSpec(2, 5, CoefficientSchedule("qpowpair", 3))
         stack = stacked_matrix(spec)
         system = truncated_matrix(spec)
         v = stack.cols
@@ -306,7 +306,7 @@ class TestSparseRows:
 
     def test_rows_are_produced_lazily(self):
         # the first row of a truncation far past any printable size
-        spec = SystemSpec(1, 10**6, CoefficientSchedule.qpow(2))
+        spec = SystemSpec(1, 10**6, CoefficientSchedule("qpow", 2))
         assert next(truncated_rows(spec)) == {0: 1, 1: 1, spec.y_index(1): F(1, 4),
                                               spec.z_index(2): -1}
         assert next(stacked_rows(spec)) == {0: 1}
@@ -314,13 +314,13 @@ class TestSparseRows:
 
 class TestNaturalSolutionWitness:
     def test_minimal_pair(self):
-        spec = SystemSpec(2, 2, CoefficientSchedule.qpowpair(2))
+        spec = SystemSpec(2, 2, CoefficientSchedule("qpowpair", 2))
         w = natural_solution_witness(spec)
         assert w == (F(1), F(1), F(2), F(1), F(2))
         assert solves(w, RatMatrix.from_rows(dense_truncated_system(spec)))
 
     def test_depth_three(self):
-        spec = SystemSpec(2, 3, CoefficientSchedule.qpowpair(3))
+        spec = SystemSpec(2, 3, CoefficientSchedule("qpowpair", 3))
         w = natural_solution_witness(spec)
         names = list(spec.iter_variable_names())
         byname = dict(zip(names, w))
@@ -329,24 +329,24 @@ class TestNaturalSolutionWitness:
         assert solves(w, RatMatrix.from_rows(dense_truncated_system(spec)))
 
     def test_allprimespair(self):
-        spec = SystemSpec(2, 2, CoefficientSchedule.allprimespair())
+        spec = SystemSpec(2, 2, CoefficientSchedule("allprimespair"))
         w = natural_solution_witness(spec)
         assert solves(w, RatMatrix.from_rows(dense_truncated_system(spec)))
 
     def test_positive_integers_only(self):
-        spec = SystemSpec(2, 6, CoefficientSchedule.qpowpair(5))
+        spec = SystemSpec(2, 6, CoefficientSchedule("qpowpair", 5))
         w = natural_solution_witness(spec)
         assert all(x.denominator == 1 and x > 0 for x in w)
 
     def test_a_plain_value_tuple(self):
-        spec = SystemSpec(2, 4, CoefficientSchedule.qpowpair(3))
+        spec = SystemSpec(2, 4, CoefficientSchedule("qpowpair", 3))
         w = natural_solution_witness(spec)
         assert type(w) is tuple and len(w) == spec.var_count
         assert all(type(x) is F for x in w)
 
     def test_rejects_single_schedules(self):
         with pytest.raises(ValueError):
-            natural_solution_witness(SystemSpec(1, 2, CoefficientSchedule.qpow(2)))
+            natural_solution_witness(SystemSpec(1, 2, CoefficientSchedule("qpow", 2)))
 
 
 class TestTruncatedResiduals:
@@ -385,36 +385,36 @@ class TestTruncatedResiduals:
                 assert tuple(truncated_residuals(spec, values)) == residuals(values, M)
 
     def test_witness_residuals_vanish(self):
-        spec = SystemSpec(2, 30, CoefficientSchedule.allprimespair())
+        spec = SystemSpec(2, 30, CoefficientSchedule("allprimespair"))
         w = natural_solution_witness(spec)
         assert set(truncated_residuals(spec, w)) == {0}
 
     def test_wrong_length(self):
-        spec = SystemSpec(2, 3, CoefficientSchedule.qpowpair(2))
+        spec = SystemSpec(2, 3, CoefficientSchedule("qpowpair", 2))
         with pytest.raises(ValueError):
             next(truncated_residuals(spec, [F(1)] * 3))
 
 
 class TestRefuteOverSubring:
     def test_unit_y_obstructed_immediately(self):
-        spec = SystemSpec(1, 2, CoefficientSchedule.qpow(2))
+        spec = SystemSpec(1, 2, CoefficientSchedule("qpow", 2))
         assert refute_over_subring(spec, PrimeSet.empty(), (F(1),), 5) == 2
 
     def test_pair_witness_never_obstructed(self):
-        spec = SystemSpec(2, 2, CoefficientSchedule.qpowpair(2))
+        spec = SystemSpec(2, 2, CoefficientSchedule("qpowpair", 2))
         assert refute_over_subring(spec, PrimeSet.empty(), (F(2), F(1)), 50) is None
 
     def test_obstruction_waits_for_valuation(self):
-        spec = SystemSpec(1, 2, CoefficientSchedule.qpow(2))
+        spec = SystemSpec(1, 2, CoefficientSchedule("qpow", 2))
         assert refute_over_subring(spec, PrimeSet.empty(), (F(8),), 10) == 4
 
     def test_rejects_outside_y(self):
-        spec = SystemSpec(1, 2, CoefficientSchedule.qpow(2))
+        spec = SystemSpec(1, 2, CoefficientSchedule("qpow", 2))
         with pytest.raises(ValueError):
             refute_over_subring(spec, PrimeSet.empty(), (F(1, 3),), 5)
 
     def test_rejects_wrong_arity(self):
-        spec = SystemSpec(1, 2, CoefficientSchedule.qpow(2))
+        spec = SystemSpec(1, 2, CoefficientSchedule("qpow", 2))
         with pytest.raises(ValueError):
             refute_over_subring(spec, PrimeSet.empty(), (F(1), F(1)), 5)
 
@@ -426,17 +426,17 @@ class TestRefuteOverSubring:
             ps = PrimeSet.finite(rng.sample(others, rng.randint(0, 2)))
             y1 = F(rng.choice([-1, 1]) * q ** rng.randint(0, 6)
                    * rng.choice([1, 3, 7, 11]))
-            spec = SystemSpec(1, 2, CoefficientSchedule.qpow(q))
+            spec = SystemSpec(1, 2, CoefficientSchedule("qpow", q))
             n = refute_over_subring(spec, ps, (y1,), 30)
             assert n == max(2, padic_valuation(y1, q) + 1)
 
 
 class TestParseSchedule:
     def test_builtin_forms(self):
-        assert parse_schedule("qpow:2") == CoefficientSchedule.qpow(2)
-        assert parse_schedule("allprimes") == CoefficientSchedule.allprimes()
-        assert parse_schedule("qpowpair:3") == CoefficientSchedule.qpowpair(3)
-        assert parse_schedule("allprimespair") == CoefficientSchedule.allprimespair()
+        assert parse_schedule("qpow:2") == CoefficientSchedule("qpow", 2)
+        assert parse_schedule("allprimes") == CoefficientSchedule("allprimes")
+        assert parse_schedule("qpowpair:3") == CoefficientSchedule("qpowpair", 3)
+        assert parse_schedule("allprimespair") == CoefficientSchedule("allprimespair")
 
     def test_file_form(self, tmp_path):
         table = tmp_path / "d.txt"
@@ -464,9 +464,9 @@ class TestParseSchedule:
         ("qpow :3", "unknown schedule: 'qpow :3'"),
         ("explicit", "unknown schedule: 'explicit'"),
         ("file", "unknown schedule: 'file'"),
-        (" qpow: 3 ", CoefficientSchedule.qpow(3)),
-        ("qpowpair:+5", CoefficientSchedule.qpowpair(5)),
-        (" allprimes\n", CoefficientSchedule.allprimes()),
+        (" qpow: 3 ", CoefficientSchedule("qpow", 3)),
+        ("qpowpair:+5", CoefficientSchedule("qpowpair", 5)),
+        (" allprimes\n", CoefficientSchedule("allprimes")),
     ])
     def test_spellings(self, text, want):
         # the kind is the text before the first colon; :Q follows exactly
