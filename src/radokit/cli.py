@@ -15,7 +15,7 @@ import functools
 import math
 import sys
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import chain, islice, repeat
+from itertools import chain, islice, repeat, tee
 
 from .linalg import RatMatrix, parse_matrix
 from .rado import columns_condition, first_entries
@@ -61,16 +61,23 @@ def _write_matrix(header: list[str], rows: Iterable[dict[int, Rat]], cols: int,
                   out: str | None) -> None:
     """Write the header as '#' lines, then each sparse row as it arrives:
     its entries, which the builders yield in column order, and between
-    them its runs of zeros as slices of one "0 " * cols string."""
+    them its runs of zeros as slices of one "0 " * cols string.  The
+    entries' texts come from one _texts stream over all rows, which reads
+    them through a tee of `rows`: nearly every entry is the shared 1 or -1,
+    and a run of one object is formatted once, across rows too."""
     with (contextlib.nullcontext(sys.stdout) if out is None
           else open(out, "w")) as f:
         f.write("".join(f"# {line}\n" for line in header))
         zeros = "0 " * cols
+        rows, again = tee(rows)
+        texts = _texts(chain.from_iterable(map(dict.values, again)))
         for row in rows:
             parts = []
             done = 0
-            for j, x in row.items():
-                parts += zeros[: 2 * (j - done)], format_rat(x), " "
+            # zip reads the row's column first, so it stops at the row's end
+            # without taking the next row's first text
+            for j, text in zip(row, texts):
+                parts += zeros[: 2 * (j - done)], text, " "
                 done = j + 1
             parts.append(zeros[: 2 * (cols - done)])
             f.write("".join(parts)[:-1] + "\n")
@@ -294,9 +301,11 @@ def _cmd_rado_number(args: argparse.Namespace) -> int:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built on the first call and reused: parse_args returns a
-    fresh Namespace each time, and nothing changes the parsers once built."""
+def _build_parser() -> tuple[argparse.ArgumentParser,
+                             dict[str, argparse.ArgumentParser]]:
+    """The parser and its table from command name to that command's parser,
+    built on the first call and reused: parsing returns a fresh Namespace
+    each time, and nothing changes the parsers once built."""
     parser = argparse.ArgumentParser(
         prog="radokit",
         description="columns-condition certificates, localized-subring "
@@ -368,11 +377,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--colours", type=int, required=True)
     p.add_argument("--nmax", type=int, required=True)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv: Sequence[str] | None) -> argparse.Namespace:
+    """Parse argv once.  An argv that names a command goes straight to that
+    command's parser, and the tokens it leaves to the top-level error, as
+    the top-level pass, which only hands the rest to the same parser, would
+    report them.  Any other argv (empty, -h, an unknown command, a leading
+    --) can only print help or a usage error; the top-level parser reads it."""
+    parser, commands = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:
+        parser.error("unrecognized arguments: " + " ".join(extra))
+    return args
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse(argv)
     try:
         return args.handler(args)
     except (BudgetExceededError, ValueError, OSError) as exc:

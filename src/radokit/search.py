@@ -100,6 +100,8 @@ class Colouring(_Record):
     def __init__(self, kind: str, assignments: tuple[tuple[Rat, int], ...] = ()) -> None:
         if kind not in ("table", "log2parity"):
             raise ValueError(f"unknown colouring kind: {kind!r}")
+        if kind == "log2parity" and assignments:
+            raise ValueError("log2parity colouring takes no table")
         mapping: dict[Rat, int] = {}
         for x, c in assignments:
             if x == 0:

@@ -242,6 +242,29 @@ class TestStreamedBuilders:
         assert capsys.readouterr() == ("", "")
         assert out_file.read_bytes() == out.encode()
 
+    @pytest.mark.parametrize("command,alpha,depth,schedule,calls", [
+        ("build-iab", 1, 30, "qpow:5", 58),
+        ("build-system", 2, 30, "allprimespair", 116),
+        ("build-iab", 1, 20, "qpow:3", 38),
+    ])
+    def test_each_run_of_one_object_formatted_once(
+            self, command, alpha, depth, schedule, calls, monkeypatch, capsys):
+        # the entries are mostly the one shared 1 and -1, within a row and
+        # from the end of one row to the start of the next; one call per
+        # entry would be 958, 551 and 438 calls
+        formatted = []
+
+        def counting(x):
+            formatted.append(x)
+            return radokit.rings.format_rat(x)
+
+        monkeypatch.setattr(radokit.cli, "format_rat", counting)
+        assert main([command, "--alpha", str(alpha), "--depth", str(depth),
+                     "--schedule", schedule]) == 0
+        assert len(formatted) == calls
+        assert capsys.readouterr().out == expected_matrix_output(
+            command, alpha, depth, schedule)
+
     @pytest.mark.parametrize("command", ["build-system", "build-iab"])
     def test_schedule_file_of_zeros(self, command, tmp_path, capsys):
         schedule = "file:" + write(tmp_path, "d.txt", "0 0\n" * 6)
@@ -928,7 +951,7 @@ class TestRepeatedCalls:
                 main(["--help"])
             assert exc.value.code == 0
             helps.append(capsys.readouterr().out)
-        assert helps[0] == helps[1] == _build_parser.__wrapped__().format_help()
+        assert helps[0] == helps[1] == _build_parser.__wrapped__()[0].format_help()
         assert "cc-check" in helps[0]
 
     def test_parser_built_once(self, tmp_path, capsys):

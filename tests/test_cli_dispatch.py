@@ -1,0 +1,229 @@
+"""Differential test of the CLI's one-pass parse.
+
+`cli._parse(argv)` hands an argv that names a command straight to that
+command's parser, and every other argv to the top-level parser.  The
+reference here is the top-level parser's full `parse_args`, which reads the
+command name and passes the rest to the same command parser.  On seeded
+random argvs over every command, every option string, abbreviations, `=`
+forms, `--`, `-h`, negative numbers and unknown tokens, both must give the
+same exit code, stdout, stderr and namespace (less `command`, which only
+the top-level pass sets and nothing reads).  A few outcomes are also pinned
+as literal text.
+
+This file runs under pytest, and also as a plain script that needs only the
+standard library, so that the parse can be checked on every interpreter the
+project supports:
+
+    PYTHONPATH=src python3 tests/test_cli_dispatch.py
+
+Run that way, it checks the differential and the pinned outcomes, replays
+tests/data/cli_corpus.json through `cli.main`, prints one line per check
+and exits 1 on any difference.
+"""
+
+import contextlib
+import io
+import json
+import os
+import random
+import sys
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+from radokit import cli
+
+SEED = 20240611
+COUNT = 20000
+CORPUS = Path(__file__).parent / "data" / "cli_corpus.json"
+
+# Each command with an argv that parses, so that mutations of it reach
+# every outcome: success, a missing or bad option, unknown tokens and help.
+VALID = {
+    "cc-check": ["--matrix", "m.txt"],
+    "fe-check": ["--matrix", "m.txt", "--strict"],
+    "build-system": ["--alpha", "1", "--depth", "3", "--schedule", "qpow:2",
+                     "--out", "o.txt"],
+    "build-iab": ["--alpha", "2", "--depth", "4", "--schedule", "allprimespair"],
+    "membership": ["--value", "1/3", "--primes", "3", "--scale", "2"],
+    "pigeonhole": ["--m", "3", "--primes", "all", "--values", "1,2,3"],
+    "refute": ["--alpha", "1", "--depth", "3", "--schedule", "qpow:2",
+               "--primes", "2", "--y", "1", "--nmax", "10"],
+    "nat-witness": ["--alpha", "2", "--depth", "3", "--schedule", "qpowpair:3"],
+    "mono-search": ["--matrix", "m.txt", "--colouring", "log2parity",
+                    "--ground", "10", "--distinct", "--budget", "100"],
+    "rado-number": ["--matrix", "m.txt", "--colours", "2", "--nmax", "10"],
+}
+OPTIONS = sorted({tok for argv in VALID.values() for tok in argv
+                  if tok.startswith("--")} | {"-h", "--help"})
+VALUES = ["m.txt", "1", "0", "3", "10", "-1", "-7/30", "-2", "1/2", "qpow:2",
+          "log2parity", "all", "", "2,3", "1,-1", "x"]
+UNKNOWN = ["extra", "--bogus", "-x", "-", "--", "cc-chek", "--cc-check",
+           "--matrix-file", "-1x", "--=1", "---matrix"]
+
+
+def random_argv(rng: random.Random) -> list[str]:
+    """A valid argv mutated at random, or a short argv of random tokens."""
+    commands = sorted(VALID)
+    if rng.random() < 0.6:
+        command = rng.choice(commands)
+        argv = [command] + VALID[command]
+        for _ in range(rng.randrange(4)):
+            edit = rng.randrange(3)
+            k = rng.randrange(len(argv) + 1)
+            if edit == 0 and len(argv) > 1:
+                del argv[max(k - 1, 1)]
+            elif edit == 1:
+                argv.insert(max(k, 1), token(rng))
+            elif len(argv) > 1:
+                argv[max(k - 1, 1)] = token(rng)
+        return argv
+    argv = [token(rng) for _ in range(rng.randrange(5))]
+    if argv and rng.random() < 0.7:
+        argv[0] = rng.choice(commands)
+    return argv
+
+
+def token(rng: random.Random) -> str:
+    kind = rng.randrange(7)
+    if kind == 0:
+        return rng.choice(OPTIONS)
+    if kind == 1:  # an abbreviation, maybe ambiguous or too short to be one
+        option = rng.choice(OPTIONS)
+        return option[: rng.randrange(2, len(option) + 1)]
+    if kind == 2:
+        option = rng.choice(OPTIONS)
+        cut = rng.randrange(min(3, len(option)), len(option) + 1)
+        return f"{option[:cut]}={rng.choice(VALUES)}"
+    if kind == 3:
+        return rng.choice(VALUES)
+    if kind == 4:
+        return rng.choice(UNKNOWN)
+    if kind == 5:
+        return rng.choice(sorted(VALID))
+    return rng.choice(["-h", "--help", "--", "-1", "-7/30"])
+
+
+def reference(argv):
+    return cli._build_parser()[0].parse_args(argv)
+
+
+def outcome(parse, argv):
+    """(exit code, stdout, stderr, namespace less `command`) of one parse;
+    the exit code is None when the parse returns."""
+    out, err = io.StringIO(), io.StringIO()
+    code = fields = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = parse(argv)
+        except SystemExit as exc:
+            code = exc.code
+        else:
+            fields = {k: v for k, v in vars(args).items() if k != "command"}
+    return code, out.getvalue(), err.getvalue(), fields
+
+
+def columns(width: str):
+    """argparse wraps its help and usage text to COLUMNS."""
+    return mock.patch.dict(os.environ, COLUMNS=width)
+
+
+def test_dispatch_matches_the_full_parse():
+    rng = random.Random(SEED)
+    codes = {}
+    with columns("80"):
+        for _ in range(COUNT):
+            argv = random_argv(rng)
+            expected = outcome(reference, argv)
+            assert outcome(cli._parse, argv) == expected, argv
+            command = argv[0] if argv and argv[0] in VALID else None
+            codes.setdefault(command, set()).add(expected[0])
+    # every command reaches a parse (None), help (0) and a usage error (2);
+    # an argv that names no command only help and usage errors
+    assert codes == {**dict.fromkeys(VALID, {None, 0, 2}), None: {0, 2}}
+
+
+# The top-level usage, as the parent printed it at COLUMNS=80; Python 3.13's
+# argparse ends its second line with the "..." that earlier ones wrap.
+COMMAND_LIST = ("{cc-check,fe-check,build-system,build-iab,membership,"
+                "pigeonhole,refute,nat-witness,mono-search,rado-number}")
+USAGE = (f"usage: radokit [-h]\n               {COMMAND_LIST} ...\n"
+         if sys.version_info >= (3, 13) else
+         f"usage: radokit [-h]\n               {COMMAND_LIST}\n               ...\n")
+CHOICES = ("(choose from 'cc-check', 'fe-check', 'build-system', 'build-iab', "
+           "'membership', 'pigeonhole', 'refute', 'nat-witness', 'mono-search', "
+           "'rado-number')")
+PINNED = [
+    (["cc-check", "--matrix", "m.txt", "extra"],
+     (2, "", USAGE + "radokit: error: unrecognized arguments: extra\n", None)),
+    (["frobnicate"],
+     (2, "", USAGE + "radokit: error: argument command: invalid choice: "
+      f"'frobnicate' {CHOICES}\n", None)),
+    ([],
+     (2, "", USAGE + "radokit: error: the following arguments are required: "
+      "command\n", None)),
+    (["cc-check", "--mat", "m.txt"],
+     (None, "", "", {"matrix": "m.txt", "handler": cli._cmd_cc_check})),
+    (["cc-check", "-h"],
+     (0, "usage: radokit cc-check [-h] --matrix MATRIX\n\n"
+      "options:\n"
+      "  -h, --help       show this help message and exit\n"
+      "  --matrix MATRIX  matrix file\n", "", None)),
+    (["--", "cc-check"],
+     (2, "", USAGE + "radokit: error: argument command: invalid choice: "
+      f"'--' {CHOICES}\n", None)),
+]
+
+
+def test_pinned_outcomes():
+    with columns("80"):
+        for argv, expected in PINNED:
+            assert outcome(cli._parse, argv) == expected, argv
+            assert outcome(reference, argv) == expected, argv
+
+
+def corpus_differences() -> list[str]:
+    """The argv of each cli_corpus.json run whose exit code, stdout or stderr
+    through cli.main differs from the corpus, each run in an empty directory
+    holding its files."""
+    bad = []
+    cwd = os.getcwd()
+    for entry in json.loads(CORPUS.read_text()):
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as folder:
+            os.chdir(folder)
+            try:
+                for name, text in entry["files"].items():
+                    Path(name).write_text(text)
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli.main(entry["argv"])
+            finally:
+                os.chdir(cwd)
+        if (code, out.getvalue(), err.getvalue()) != (
+                entry["exit"], entry["stdout"], entry["stderr"]):
+            bad.append(" ".join(entry["argv"]))
+    return bad
+
+
+def main() -> int:
+    failed = 0
+    version = sys.version.split()[0]
+    for test in (test_dispatch_matches_the_full_parse, test_pinned_outcomes):
+        try:
+            test()
+        except AssertionError as exc:
+            failed += 1
+            print(f"FAIL {test.__name__} on Python {version}: {exc}")
+        else:
+            print(f"ok   {test.__name__} on Python {version}")
+    bad = corpus_differences()
+    failed += len(bad)
+    for argv in bad:
+        print(f"FAIL cli_corpus.json run {argv!r} on Python {version}")
+    if not bad:
+        print(f"ok   cli_corpus.json replay on Python {version}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

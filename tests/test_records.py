@@ -142,3 +142,12 @@ def test_keywords_and_defaults():
     assert Colouring("log2parity") == Colouring(kind="log2parity", assignments=())
     assert FirstEntryReport(entries=(), zero_rows=(0,), all_equal=True,
                             common_value=None).zero_rows == (0,)
+
+
+def test_log2parity_colouring_refuses_a_table():
+    """log2parity reads no table, so a record holding one would answer as
+    log2parity yet compare unequal to Colouring.log2_parity()."""
+    for assignments in (((F(1), 5),), ((F(1), 0),)):
+        with pytest.raises(ValueError, match="^log2parity colouring takes no table$"):
+            Colouring("log2parity", assignments)
+    assert Colouring("log2parity", ()) == Colouring.log2_parity()
