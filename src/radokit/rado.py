@@ -18,8 +18,12 @@ from fractions import Fraction
 from .linalg import RatMatrix, _clear, _integer_rows
 from .rings import Rat, _Record
 
-# Hard cap on column count: each step of the search is exponential in v/2.
+# Hard cap on column count: a step's search is exponential in half its
+# candidate columns, and no lemma drops a column of a matrix whose residual
+# rows all mix signs, so the cap still bounds the worst case.
 MAX_COLUMNS = 32
+
+_ZERO = Fraction(0)
 
 
 class CCCertificate(_Record):
@@ -97,24 +101,35 @@ def _least_zero_sum(values: list[int]) -> int | None:
     return None
 
 
-def _pack(vectors: list[list[int]]) -> list[int]:
-    """One int per vector, digits in a balanced base W, so that a sum of any
-    subset of the vectors is zero exactly when the packed sum is zero.
+def _pack(rest: list[list[int]], cols: list[int]) -> tuple[list[int], list[int]]:
+    """The candidate columns among cols and one int per candidate: its
+    residuals, the entries of the rest rows, as digits in a balanced base W,
+    so that a sum of any subset of the candidates' residual vectors is zero
+    exactly when the packed sum is zero.
 
-    Every coordinate of such a sum lies strictly inside (-W/2, W/2), and
-    balanced base-W digits in that range determine the vector.  Each packed
-    int is built by Horner's rule, one multiply and one add per coordinate,
-    with no power of W computed.
+    Each row's residuals are listed once.  A row whose nonzero residuals
+    over the candidates share one sign drops those columns, by the sign
+    lemma in columns_condition, until no row cuts.  Every coordinate of a
+    packed subset sum lies strictly inside (-W/2, W/2), and balanced base-W
+    digits in that range determine the vector.  The packed ints are built
+    by Horner's rule over the rows, with no power of W.
     """
-    bound = max((abs(x) for vec in vectors for x in vec), default=0)
-    base = 2 * len(vectors) * bound + 1
-    packed = []
-    for vec in vectors:
-        n = 0
-        for x in reversed(vec):
-            n = n * base + x
-        packed.append(n)
-    return packed
+    rows = [[row[j] for j in cols] for row in rest]
+    while cols:
+        for vals in rows:
+            if (min(vals) >= 0 or max(vals) <= 0) and any(vals):
+                cols = [j for j, x in zip(cols, vals) if not x]
+                rows = [[y for y, x in zip(other, vals) if not x]
+                        for other in rows]
+                break
+        else:
+            break
+    bound = max([max(map(abs, vals), default=0) for vals in rows], default=0)
+    base = 2 * len(cols) * bound + 1
+    packed = [0] * len(cols)
+    for vals in reversed(rows):
+        packed = [n * base + x for n, x in zip(packed, vals)]
+    return cols, packed
 
 
 def _insert(basis: list[tuple[int, list[int]]], rest: list[list[int]],
@@ -122,19 +137,23 @@ def _insert(basis: list[tuple[int, list[int]]], rest: list[list[int]],
     """Add column j to columns_condition's rows by its insertion lemma:
     basis holds (pivot column, row) pairs in pivot order, rest the other
     rows.  True in case (a), the one case that changes rest."""
-    i = next((i for i, row in enumerate(rest) if row[j]), None)
-    if i is not None:
-        top = rest.pop(i)
-        rest[:] = [_clear(row, top, j) if row[j] else row for row in rest]
+    before = len(rest)
+    for i, row in enumerate(rest):
+        if row[j]:
+            top = rest.pop(i)
+            cleared = [_clear(r, top, j) if r[j] else r for r in rest]
+            rest[:] = [r for r in cleared if any(r)]
+            break
     else:
-        k = max((k for k, (c, row) in enumerate(basis) if c > j and row[j]),
-                default=None)
-        if k is None:
+        k = len(basis) - 1
+        while k >= 0 and basis[k][0] > j and not basis[k][1][j]:
+            k -= 1
+        if k < 0 or basis[k][0] < j:
             return False
         top = basis.pop(k)[1]
     basis[:] = [(c, _clear(row, top, j) if row[j] else row) for c, row in basis]
     insort(basis, (j, top))
-    return i is not None
+    return len(rest) < before
 
 
 def columns_condition(A: RatMatrix) -> CCCertificate | None:
@@ -162,12 +181,28 @@ def columns_condition(A: RatMatrix) -> CCCertificate | None:
     The rows of A, scaled to integers, are carried through the chain in
     reduced row echelon form over the used columns in ascending order, each
     a multiple of its reduced row: pivot rows in pivot order, and rest rows,
-    zero on the used columns.  A block sums into span(used) exactly when its
-    rest-row entries, the residuals, sum to zero: each step seeks the least
-    nonempty zero-sum submask, by meet in the middle.  A later block's
+    zero on the used columns and nonzero (a row cleared to zero is dropped).
+    A block sums into span(used) exactly when its rest-row entries, the
+    residuals, sum to zero: each step seeks the least nonempty zero-sum
+    submask of its candidate columns, by meet in the middle.  A later block's
     witness, the solution with every free variable zero, gives each pivot
     column the block's sum in its row over the pivot entry; scaling a row
     of A by a positive constant changes neither the pivots nor these ratios.
+
+    Sign lemma: if a rest row's nonzero residuals over the candidates share
+    one sign, no zero-sum block holds any of those columns.  Proof: every
+    zero-sum block lies within the candidates, and its sum in that row is
+    the sum over the columns it holds of that row's one-signed entries,
+    since the other candidates are zero there; that sum is zero only if it
+    holds none.  Each packing (`_pack`) starts from the unused columns and
+    drops such columns until no row cuts.  Reading masks over the
+    candidates keeps their numeric order, so the least zero-sum mask over
+    the candidates is the least one overall, and an empty candidate set
+    means None.
+    Zero-residual lemma: with no rest row left every residual is zero, so
+    every set of unused columns sums into span(used), and the least block is
+    the least unused column, taken with no packing and no search.  Only
+    case (a) below changes the rest rows, and it needs one, so none returns.
 
     Insertion lemma: a taken block's columns j go in one at a time
     (`_insert`), each by one of three cases.
@@ -182,10 +217,14 @@ def columns_condition(A: RatMatrix) -> CCCertificate | None:
           with e_i nonzero, so A_p alone becomes dependent.
     The reduced form is unique for a column order, so pivots and witnesses
     are those of an elimination from scratch.  In (b) and (c) the rest rows
-    are untouched and the packed residuals are reused minus the block;
-    only a step with an (a) packs again.  A call costs at most v steps of
-    2^floor(v/2) + 2^ceil(v/2) subset sums, a row scan and a row operation
-    per row cleared for each inserted column, and at most rank + 1 packings.
+    are untouched, so a block whose columns all go in by (b) or (c) has only
+    zero residuals: the packed residuals are reused minus the block, and no
+    row's signs over the candidates change.  Only a step with an (a) packs
+    again.  A call costs at most
+    v steps of 2^floor(c/2) + 2^ceil(c/2) subset sums, for c <= v the
+    step's candidate columns (none once no rest row is left), a row scan and
+    a row operation per row cleared for each inserted column, and at most
+    rank + 1 packings.
     """
     if A.cols > MAX_COLUMNS:
         raise ValueError(
@@ -193,7 +232,7 @@ def columns_condition(A: RatMatrix) -> CCCertificate | None:
         )
     if A.cols == 0:
         return None
-    rest = _integer_rows(map(A.row, range(A.rows)))
+    rest = [row for row in _integer_rows(map(A.row, range(A.rows))) if any(row)]
     basis: list[tuple[int, list[int]]] = []
     used: list[int] = []
     unused = list(range(A.cols))
@@ -201,22 +240,30 @@ def columns_condition(A: RatMatrix) -> CCCertificate | None:
     witnesses: list[tuple[Rat, ...]] = []
     packed = None
     while unused:
-        if packed is None:
-            packed = _pack([[row[j] for row in rest] for j in unused])
-        mask = _least_zero_sum(packed)
-        if mask is None:
-            return None
-        block = tuple(j for p, j in enumerate(unused) if mask >> p & 1)
+        if not rest:
+            block = (unused[0],)
+        else:
+            if packed is None:
+                cand, packed = _pack(rest, unused)
+            if not cand:
+                return None
+            mask = _least_zero_sum(packed)
+            if mask is None:
+                return None
+            block = tuple([j for p, j in enumerate(cand) if mask >> p & 1])
         if used:
-            zero = Fraction(0)
-            coeffs = {c: Fraction(sum(row[j] for j in block), row[c])
-                      for c, row in basis}
-            witnesses.append(tuple(coeffs.get(c, zero) for c in used))
+            coeffs = {}
+            for c, row in basis:
+                s = sum([row[j] for j in block])
+                if s:
+                    coeffs[c] = Fraction(s, row[c])
+            witnesses.append(tuple([coeffs.get(c, _ZERO) for c in used]))
         blocks.append(block)
         for j in block:
             if _insert(basis, rest, j):
                 packed = None
         if packed is not None:
+            cand = [j for p, j in enumerate(cand) if not mask >> p & 1]
             packed = [n for p, n in enumerate(packed) if not mask >> p & 1]
         used = sorted(used + list(block))
         unused = [j for j in unused if j not in block]

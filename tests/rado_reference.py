@@ -1,7 +1,8 @@
 """The columns_condition that eliminated the used columns from scratch at
-every step, the Gauss-Jordan elimination and the mask reader it called,
-kept verbatim as the reference of the differential test of the carried
-reduced rows."""
+every step, the Gauss-Jordan elimination, the packing and the mask reader
+it called, kept verbatim as the reference of the differential tests of the
+carried reduced rows and of the sign and zero-residual lemmas.  It packs
+every unused column and searches at every step, with no pruning."""
 
 from __future__ import annotations
 
@@ -9,8 +10,28 @@ from fractions import Fraction
 from math import gcd
 
 from radokit.linalg import RatMatrix, _integer_rows
-from radokit.rado import MAX_COLUMNS, CCCertificate, _least_zero_sum, _pack
+from radokit.rado import MAX_COLUMNS, CCCertificate, _least_zero_sum
 from radokit.rings import Rat
+
+
+def _pack(vectors: list[list[int]]) -> list[int]:
+    """One int per vector, digits in a balanced base W, so that a sum of any
+    subset of the vectors is zero exactly when the packed sum is zero.
+
+    Every coordinate of such a sum lies strictly inside (-W/2, W/2), and
+    balanced base-W digits in that range determine the vector.  Each packed
+    int is built by Horner's rule, one multiply and one add per coordinate,
+    with no power of W computed.
+    """
+    bound = max((abs(x) for vec in vectors for x in vec), default=0)
+    base = 2 * len(vectors) * bound + 1
+    packed = []
+    for vec in vectors:
+        n = 0
+        for x in reversed(vec):
+            n = n * base + x
+        packed.append(n)
+    return packed
 
 
 def _mask_bits(mask: int) -> list[int]:

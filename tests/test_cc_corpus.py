@@ -43,7 +43,8 @@ def test_cc_check_output_is_frozen(family, tmp_path, capsys):
 def test_each_column_inserted_once_and_at_most_rank_plus_one_packings(monkeypatch):
     """The carried rows take each column once, when its block is taken, and
     the residuals are packed once at the start and once after each step
-    that adds a pivot, so at most rank + 1 times."""
+    that adds a pivot and leaves a nonzero rest row, so at most rank + 1
+    times, and at least once when a row of the matrix is nonzero."""
     inserted, packings = [], []
     insert, pack = radokit.rado._insert, radokit.rado._pack
 
@@ -51,13 +52,13 @@ def test_each_column_inserted_once_and_at_most_rank_plus_one_packings(monkeypatc
         inserted.append(j)
         return insert(basis, rest, j)
 
-    def counting_pack(vectors):
+    def counting_pack(rest, cols):
         packings.append(1)
-        return pack(vectors)
+        return pack(rest, cols)
 
     monkeypatch.setattr(radokit.rado, "_insert", counting_insert)
     monkeypatch.setattr(radokit.rado, "_pack", counting_pack)
-    certified = 0
+    certified = packed = 0
     for entry in CORPUS:
         M = parse_matrix(entry["matrix"])
         inserted.clear()
@@ -65,6 +66,9 @@ def test_each_column_inserted_once_and_at_most_rank_plus_one_packings(monkeypatc
         cert = columns_condition(M)
         assert (cert is not None) == (entry["exit"] == 0)
         assert len(packings) <= rank(M) + 1, entry["matrix"]
+        if any(M.entries):
+            assert packings, entry["matrix"]
+            packed += 1
         assert len(set(inserted)) == len(inserted), entry["matrix"]
         if cert is not None:
             certified += 1
@@ -72,3 +76,4 @@ def test_each_column_inserted_once_and_at_most_rank_plus_one_packings(monkeypatc
             assert sorted(inserted) == list(range(M.cols))
             assert verify_cc_certificate(M, cert)
     assert certified == 238
+    assert packed == 581

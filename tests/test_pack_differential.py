@@ -1,10 +1,13 @@
-"""Differential test of rado._pack, which builds each packed int by
-Horner's rule, against the sum of powers of the base that it replaced.
+"""Differential test of rado._pack, which drops columns by the sign lemma
+and builds each candidate's packed int by Horner's rule, against the sum of
+powers of the base that it replaced and against trying every mask.
 
-Both give the same int for every vector, and a subset of the vectors sums
-to the zero vector exactly when its packed ints sum to zero, so the least
-zero-sum mask found on the packed ints is the least one found by trying
-every mask on the vectors themselves.
+Both packings give the same int for every candidate, every zero-sum subset
+of the columns lies within the candidates, and no row is one-signed on
+them.  A subset of the candidates sums to the zero vector exactly when its
+packed ints sum to zero, so the least zero-sum mask found on the packed
+ints, read over the candidates, is the least one found by trying every
+mask on all the columns.
 """
 
 import random
@@ -17,15 +20,6 @@ def old_pack(vectors):
     bound = max((abs(x) for vec in vectors for x in vec), default=0)
     base = 2 * len(vectors) * bound + 1
     return [sum(x * base**i for i, x in enumerate(vec)) for vec in vectors]
-
-
-def least_zero_sum_by_brute_force(vectors):
-    dims = len(vectors[0]) if vectors else 0
-    for mask in range(1, 1 << len(vectors)):
-        members = [vec for j, vec in enumerate(vectors) if mask >> j & 1]
-        if all(sum(vec[i] for vec in members) == 0 for i in range(dims)):
-            return mask
-    return None
 
 
 def random_residuals(rng):
@@ -47,17 +41,55 @@ def random_residuals(rng):
     return vectors
 
 
+def zero_sum_masks(vectors):
+    """Every nonempty mask whose vectors sum to zero, in ascending order."""
+    dims = len(vectors[0]) if vectors else 0
+    for mask in range(1, 1 << len(vectors)):
+        members = [vec for j, vec in enumerate(vectors) if mask >> j & 1]
+        if all(sum(vec[i] for vec in members) == 0 for i in range(dims)):
+            yield mask
+
+
+def one_signed(rng, vectors):
+    """The vectors with one coordinate made nonnegative or nonpositive in
+    all of them, so that the sign lemma cuts."""
+    if not vectors or not vectors[0]:
+        return vectors
+    i, sign = rng.randrange(len(vectors[0])), rng.choice((1, -1))
+    return [vec[:i] + [sign * abs(vec[i])] + vec[i + 1:] for vec in vectors]
+
+
 def test_pack_matches_the_sum_of_powers():
     rng = random.Random(23102026)
     cases = [[], [[]], [[], []], [[0]], [[5], [-5]], [[0, 0], [0, 0]],
-             [[1, -1, 0], [-1, 1, 0], [0, 0, 0]], [[-10**40, 3], [10**40, -3]]]
-    cases += [random_residuals(rng) for _ in range(2000)]
-    found = 0
+             [[1, -1, 0], [-1, 1, 0], [0, 0, 0]], [[-10**40, 3], [10**40, -3]],
+             [[1, 0], [2, 1], [-3, -1]], [[1, -1], [-1, 0], [0, 1]]]
+    cases += [random_residuals(rng) for _ in range(1000)]
+    cases += [one_signed(rng, random_residuals(rng)) for _ in range(1000)]
+    found = cut = 0
     for vectors in cases:
-        packed = _pack(vectors)
-        assert packed == old_pack(vectors), vectors
+        rows = [list(row) for row in zip(*vectors)]
+        width = len(vectors) + rng.randint(0, 3)
+        cols = sorted(rng.sample(range(width), len(vectors)))
+        rest = [[0] * width for _ in rows]
+        for row, full in zip(rows, rest):
+            for j, x in zip(cols, row):
+                full[j] = x
+        cand, packed = _pack(rest, cols)
+        keep = [j in cand for j in cols]
+        assert set(cand) <= set(cols) and cand == sorted(cand), vectors
+        kept = [vec for vec, k in zip(vectors, keep) if k]
+        assert packed == old_pack(kept), vectors
+        for full in rest:
+            signs = {x > 0 for j, x in enumerate(full) if j in cand and x}
+            assert len(signs) != 1, vectors
+        for mask in zero_sum_masks(vectors):
+            assert all(keep[j] for j in range(len(vectors)) if mask >> j & 1), vectors
         mask = _least_zero_sum(packed)
-        assert mask == _least_zero_sum(old_pack(vectors)), vectors
-        assert mask == least_zero_sum_by_brute_force(vectors), vectors
+        if mask is not None:
+            mask = sum(1 << cols.index(j) for p, j in enumerate(cand) if mask >> p & 1)
+        assert mask == next(zero_sum_masks(vectors), None), vectors
         found += mask is not None
+        cut += len(cand) < len(cols)
     assert 500 <= found <= len(cases) - 500, found
+    assert 500 <= cut <= len(cases) - 500, cut

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import radokit.rado
 from conftest import column, oracle_columns_condition, oracle_extends, random_matrix
 from linalg_reference import in_span
 from radokit.linalg import RatMatrix
@@ -15,6 +16,7 @@ from radokit.rado import (
 )
 from radokit.systems import CoefficientSchedule, SystemSpec
 from systems_reference import dense_stacked_matrix, dense_truncated_system
+from test_cc_lemma_differential import search_lengths
 
 SCHUR = RatMatrix.from_rows([[1, 1, -1]])
 
@@ -215,6 +217,25 @@ class TestWideMatrices:
         rng = random.Random(51)
         for _ in range(3):
             assert self.timed(family(rng, 32)) is None
+
+    @staticmethod
+    def mixed_powers_of_two(rng):
+        """+-2^j for j < 32 with both signs: binary expansions are unique, so
+        no nonempty subset sums to zero, and no sign cuts a column."""
+        signs = [1, -1] + [rng.choice((1, -1)) for _ in range(30)]
+        rng.shuffle(signs)
+        return [s * 2**j for j, s in enumerate(signs)]
+
+    def test_1x32_mixed_powers_of_two(self):
+        M = RatMatrix.from_rows([self.mixed_powers_of_two(random.Random(52))])
+        assert search_lengths(self.timed, radokit.rado, M) == (None, [32])
+
+    def test_2x32_mixed_sign_refusal(self):
+        rng = random.Random(53)
+        rows = [self.mixed_powers_of_two(rng),
+                [1, -1] + [rng.randint(-3, 3) for _ in range(30)]]
+        M = RatMatrix.from_rows(rows)
+        assert search_lengths(self.timed, radokit.rado, M) == (None, [32])
 
     def test_all_zero_1x32(self):
         M = RatMatrix.from_rows([[0] * 32])
