@@ -17,11 +17,12 @@ import sys
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, islice, repeat, tee
 
-from .linalg import RatMatrix, parse_matrix
+from .linalg import read_matrix
 from .rado import columns_condition, first_entries
 from .rings import (
     DIGIT_LIMIT,
     Rat,
+    _parse_int,
     format_rat,
     in_scaled_subring,
     parse_prime_set,
@@ -50,11 +51,6 @@ from .systems import (
 # The most entries (rows x columns) that build-system and build-iab print,
 # and the most values that nat-witness prints.
 ENTRY_LIMIT = 4_500_000
-
-
-def _read_matrix(path: str) -> RatMatrix:
-    with open(path) as f:
-        return parse_matrix(f.read())
 
 
 def _write_matrix(header: list[str], rows: Iterable[dict[int, Rat]], cols: int,
@@ -122,7 +118,7 @@ def _parse_rat_list(text: str) -> list:
 
 def _parse_colouring(spec: str) -> Colouring:
     if spec == "log2parity":
-        return Colouring.log2_parity()
+        return Colouring("log2parity")
     if spec.startswith("file:"):
         colours: list[int] = []
 
@@ -155,7 +151,7 @@ def _parse_colouring(spec: str) -> Colouring:
 
 def _parse_ground(spec: str) -> GroundSet:
     try:
-        bounds = [int(part) for part in spec.split(",")]
+        bounds = [_parse_int(part) for part in spec.split(",")]
     except ValueError:
         bounds = []
     if not 1 <= len(bounds) <= 2:
@@ -164,7 +160,7 @@ def _parse_ground(spec: str) -> GroundSet:
 
 
 def _cmd_cc_check(args: argparse.Namespace) -> int:
-    cert = columns_condition(_read_matrix(args.matrix))
+    cert = columns_condition(read_matrix(args.matrix))
     if cert is None:
         print("no certificate")
         return 1
@@ -177,7 +173,7 @@ def _cmd_cc_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_fe_check(args: argparse.Namespace) -> int:
-    M = _read_matrix(args.matrix)
+    M = read_matrix(args.matrix)
     if M.rows == 0:
         raise ValueError("matrix has no rows")
     report = first_entries(M)
@@ -271,7 +267,7 @@ def _cmd_nat_witness(args: argparse.Namespace) -> int:
 def _cmd_mono_search(args: argparse.Namespace) -> int:
     if args.budget < 1:
         raise ValueError(f"--budget must be positive, got {args.budget}")
-    M = _read_matrix(args.matrix)
+    M = read_matrix(args.matrix)
     colouring = _parse_colouring(args.colouring)
     ground = _parse_ground(args.ground)
     found = monochromatic_solution(
@@ -286,7 +282,7 @@ def _cmd_mono_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_rado_number(args: argparse.Namespace) -> int:
-    M = _read_matrix(args.matrix)
+    M = read_matrix(args.matrix)
     result = min_rado_number(M, args.colours, args.nmax)
     if result.number is None:
         print(f"no rado number up to {args.nmax}")

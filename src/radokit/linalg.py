@@ -103,3 +103,9 @@ def parse_matrix(text: str) -> RatMatrix:
              if toks and not toks[0].startswith("#")]
     values = iter(parse_rats(chain.from_iterable(lines)))
     return RatMatrix.from_rows([list(islice(values, len(toks))) for toks in lines])
+
+
+def read_matrix(path: str) -> RatMatrix:
+    """parse_matrix of the text of the file at path."""
+    with open(path) as f:
+        return parse_matrix(f.read())

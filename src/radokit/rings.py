@@ -71,15 +71,29 @@ class _Record:
         return type(self), self._values()
 
 
-def parse_rat(text: str) -> Rat:
-    """Parse ``a`` or ``a/b`` with an optional leading minus sign.
+def _is_integer(text: str) -> bool:
+    """Whether text is an integer token: an optional leading minus sign,
+    then Unicode decimal digits (``str.isdecimal``).  No ``+``, ``_`` or
+    whitespace, which ``int()`` would read."""
+    return (text[1:] if text.startswith("-") else text).isdecimal()
 
-    a and b are strings of Unicode decimal digits (``str.isdecimal``), and
-    surrounding whitespace is ignored.
+
+def _parse_int(text: str) -> int:
+    """The integer of an integer token, surrounding whitespace ignored.
+    A bare ValueError for any other text, and for a token past the
+    text-to-int digit limit: each caller gives its own message."""
+    text = text.strip()
+    if not _is_integer(text):
+        raise ValueError
+    return int(text)
+
+
+def parse_rat(text: str) -> Rat:
+    """Parse ``a`` or ``a/b``: a an integer token, b a string of Unicode
+    decimal digits (``str.isdecimal``), surrounding whitespace ignored.
     """
     num, slash, den = text.strip().partition("/")
-    if not (num[1:] if num.startswith("-") else num).isdecimal() or (
-            slash and not den.isdecimal()):
+    if not _is_integer(num) or (slash and not den.isdecimal()):
         raise ValueError(f"not a rational: {text!r}")
     try:
         a = int(num)
@@ -160,14 +174,6 @@ class PrimeSet(_Record):
         self._set(primes=primes, complement=complement)
 
     @classmethod
-    def empty(cls) -> "PrimeSet":
-        return cls()
-
-    @classmethod
-    def all_primes(cls) -> "PrimeSet":
-        return cls(complement=True)
-
-    @classmethod
     def finite(cls, primes: Iterable[int]) -> "PrimeSet":
         return cls(frozenset(primes))
 
@@ -184,9 +190,9 @@ def parse_prime_set(text: str) -> PrimeSet:
     """Parse ``''`` (empty), ``all``, ``p1,p2,...``, or ``all-except:p1,...``."""
     t = text.strip()
     if t == "":
-        return PrimeSet.empty()
+        return PrimeSet()
     if t == "all":
-        return PrimeSet.all_primes()
+        return PrimeSet(complement=True)
     if t.startswith("all-except:"):
         return PrimeSet.cofinite(_parse_prime_list(t[len("all-except:"):]))
     return PrimeSet.finite(_parse_prime_list(t))
@@ -194,7 +200,7 @@ def parse_prime_set(text: str) -> PrimeSet:
 
 def _parse_prime_list(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [_parse_int(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
         raise ValueError(f"not a comma-separated prime list: {text!r}") from None
 

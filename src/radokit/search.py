@@ -69,17 +69,11 @@ class BudgetExceededError(RuntimeError):
 def _floor_log2(a: int, b: int) -> int:
     """The e with 2^e <= a/b < 2^(e+1), for positive integers a and b.
 
-    The candidate exponent from bit lengths is off by at most one; a single
-    shifted comparison settles it.
+    For a >= b it is floor(log2(a // b)).  For a < b it is -ceil(log2(b/a)),
+    and the least k with 2^k >= ceil(b/a) is the bit length of
+    ceil(b/a) - 1 = (b - 1) // a.
     """
-    e = a.bit_length() - b.bit_length()
-    if e >= 0:
-        if a < (b << e):
-            e -= 1
-    else:
-        if (a << -e) < b:
-            e -= 1
-    return e
+    return (a // b).bit_length() - 1 if a >= b else -((b - 1) // a).bit_length()
 
 
 def log2_parity_colour(x: Rat) -> int:
@@ -119,10 +113,6 @@ class Colouring(_Record):
         if len(elements) != len(colours):
             raise ValueError("need one colour per element")
         return cls("table", tuple((Fraction(x), c) for x, c in zip(elements, colours)))
-
-    @classmethod
-    def log2_parity(cls) -> "Colouring":
-        return cls("log2parity")
 
     def colour_of(self, x: Rat) -> int:
         if self.kind == "log2parity":

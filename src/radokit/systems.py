@@ -11,15 +11,16 @@ denominator obstruction that refutes solvability over a localized subring.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import chain, combinations, count, islice, repeat
 
-from .linalg import parse_matrix
+from .linalg import read_matrix
 from .rings import (
     DIGIT_LIMIT,
     PrimeSet,
     Rat,
+    _parse_int,
     _Record,
     format_rat,
     in_subring,
@@ -105,31 +106,28 @@ class CoefficientSchedule(_Record):
     def arity(self) -> int:
         return len(self.c) if self.table is None else len(self.table[0])
 
-    @property
-    def max_depth(self) -> int | None:
-        """Largest usable equation index n, or None when unbounded."""
-        return None if self.table is None else len(self.table) + 1
+    def _bases(self) -> Iterable[int]:
+        """The primes of a built-in schedule's D(n), in order: D(n) is the
+        product of the first n of them, to the n, so the j-th divides D(n)
+        from n = j on.  Every prime when over all primes, else q alone."""
+        return _primes() if self.over_all_primes else (self.q,)
 
     def denominator(self, n: int) -> int:
         """D(n) of a built-in schedule: q^n or (p_1 ... p_n)^n."""
-        base = math.prod(islice(_primes(), n)) if self.over_all_primes else self.q
-        return base**n
+        return math.prod(islice(self._bases(), n)) ** n
 
     def denominator_exceeds(self, n: int, digits: int) -> bool:
         """Whether D(n) >= 10**digits, that is, D(n) has more than `digits`
         digits.  The primes' logarithms decide it without building D(n),
         unless log10 D(n) lies within a digit of `digits`: then D(n), about
         `digits` digits long, is built and compared."""
-        if self.over_all_primes:
-            # D(n) >= (p_1 ... p_j)^n for every j <= n
-            total = 0.0
-            for p in islice(_primes(), n):
-                total += math.log10(p)
-                if n * total >= digits + 1:
-                    return True
-            log10 = n * total
-        else:
-            log10 = n * math.log10(self.q)
+        # D(n) >= (b_1 ... b_j)^n for every j <= n
+        total = 0.0
+        for p in islice(self._bases(), n):
+            total += math.log10(p)
+            if n * total >= digits + 1:
+                return True
+        log10 = n * total
         if abs(log10 - digits) >= 1:
             return log10 > digits
         return self.denominator(n) >= 10**digits
@@ -141,7 +139,7 @@ def _schedule_row(s: CoefficientSchedule, n: int) -> Sequence[Rat]:
     if s.table is not None:
         if n - 2 >= len(s.table):
             raise ValueError(
-                f"explicit schedule defines n up to {s.max_depth}, got {n}")
+                f"explicit schedule defines n up to {len(s.table) + 1}, got {n}")
         return s.table[n - 2]
     den = s.denominator(n)
     return [Fraction(c, den) for c in s.c]
@@ -163,9 +161,8 @@ class SystemSpec(_Record):
             raise ValueError(f"depth must be at least 2, got {depth}")
         if schedule.arity != alpha:
             raise ValueError(f"schedule arity {schedule.arity} != alpha {alpha}")
-        limit = schedule.max_depth
-        if limit is not None and depth > limit:
-            raise ValueError(f"explicit schedule covers n up to {limit} only")
+        if schedule.table is not None:
+            _schedule_row(schedule, depth)  # refuses a depth past the table
         self._set(alpha=alpha, depth=depth, schedule=schedule)
 
     @property
@@ -346,13 +343,12 @@ def refute_over_subring(
     total = _dot(s.c, y)
     if total == 0:
         return None
-    # (j, p): p divides D(n) from n = j on
-    indexed = enumerate(_primes(), start=1) if s.over_all_primes else [(1, s.q)]
     # a set holding all but finitely many primes has none outside it past
     # the largest one it excludes
     last = max(primes.primes, default=0) if primes.complement else None
     best = None
-    for j, p in indexed:
+    # p divides D(n) from n = j on
+    for j, p in enumerate(s._bases(), start=1):
         # from here on, no prime gives a smaller n within n_max
         if j > n_max or (best is not None and j >= best) or (
                 last is not None and p > last):
@@ -369,9 +365,7 @@ def parse_schedule(text: str) -> CoefficientSchedule:
     text format (row n-2 lists d_{n,1..alpha})."""
     kind, colon, arg = text.strip().partition(":")
     if kind == "file" and colon:
-        with open(arg) as f:
-            table = parse_matrix(f.read())
-        return CoefficientSchedule.explicit(table.to_lists())
+        return CoefficientSchedule.explicit(read_matrix(arg).to_lists())
     # a built-in kind takes :Q exactly when it is not over all primes ([1])
     if kind in _BUILTIN_SCHEDULES and bool(colon) != _BUILTIN_SCHEDULES[kind][1]:
         return CoefficientSchedule(kind, _parse_prime_arg(arg) if colon else None)
@@ -380,6 +374,6 @@ def parse_schedule(text: str) -> CoefficientSchedule:
 
 def _parse_prime_arg(text: str) -> int:
     try:
-        return int(text)
+        return _parse_int(text)
     except ValueError:
         raise ValueError(f"not an integer prime: {text!r}") from None

@@ -29,9 +29,9 @@ def random_prime_set(rng: random.Random):
 
     kind = rng.choice(["empty", "all", "finite", "cofinite"])
     if kind == "empty":
-        return PrimeSet.empty()
+        return PrimeSet()
     if kind == "all":
-        return PrimeSet.all_primes()
+        return PrimeSet(complement=True)
     chosen = rng.sample(SMALL_PRIMES, rng.randint(1, 3))
     return PrimeSet.finite(chosen) if kind == "finite" else PrimeSet.cofinite(chosen)
 

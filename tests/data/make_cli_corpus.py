@@ -8,7 +8,9 @@ relative to the working directory, with their text), and the exit code,
 stdout and stderr it gave.  The cases are seeded random inputs plus every
 `error:` path of these commands: bad tokens, zero denominators, numbers
 too long to read, ragged rows, missing files, malformed colouring files,
-bad ground sets and prime lists, out-of-subring elements, the budget and
+bad ground sets and prime lists, integer tokens of `--primes`, `--ground`
+and `qpow:Q` written with `+`, `_` or more than 4300 digits,
+out-of-subring elements, the budget and
 enumeration-depth refusals, the colour-count and nmax caps of
 `rado-number`, the 33-column refusal of `cc-check`, the digit and entry
 limits of the system commands, bad and `file:` schedules, a schedule that
@@ -108,6 +110,10 @@ def membership_cases(rng: random.Random) -> list[tuple[list[str], dict[str, str]
         ("1/2", "all-except:9", 1), ("1/2", "3317044064679887385961981", 1),
         ("1/2", "2", 0), ("1/2", "2", -3), ("-7/30", "2,3,5", 1),
         ("1/6", "2", 1), ("5/9", "3", 5), ("7/1000000007", "1000000007", 7),
+        # integer tokens: an optional minus sign, then decimal digits
+        ("1/13", "1_3", 1), ("1/13", "+13", 1), ("1/13", "all-except:+13", 1),
+        ("1/6", "2, 3", 1), ("1/6", " 2 ,3 ", 1), ("1/3", "-3", 1),
+        ("1/3", "--3", 1), ("1/3", "3.0", 1), ("1/3", "٣", 1), ("1/2", LONG, 1),
     ):
         cases.append((["membership", f"--value={value}", f"--primes={primes}",
                        f"--scale={scale}"], {}))
@@ -195,6 +201,11 @@ def mono_search_cases(rng: random.Random) -> list[tuple[list[str], dict[str, str
         ({}, ["--colouring", "log2parity", "--ground", "a"]),
         ({}, ["--colouring", "log2parity", "--ground", "1,2,3"]),
         ({}, ["--colouring", "log2parity", "--ground", "8", "--distinct"]),
+        ({}, ["--colouring", "log2parity", "--ground", "1_0"]),
+        ({}, ["--colouring", "log2parity", "--ground", "+8,+1"]),
+        ({}, ["--colouring", "log2parity", "--ground", " 8 , 2 "]),
+        ({}, ["--colouring", "log2parity", "--ground", "-8"]),
+        ({}, ["--colouring", "log2parity", "--ground", LONG]),
     ):
         cases.append((["mono-search", "--matrix", "m.txt", *flags], {**schur, **extra}))
     for matrix in ("", "# nothing\n", "1 x\n", "1 1/0\n", "1 2\n1\n",
@@ -272,6 +283,8 @@ BAD_SYSTEMS = [
     ("1", "7", "file:d.txt", {"d.txt": TABLES[0]}),
     ("2", "3", "qpow:2", {}), ("1", "3", "qpowpair:2", {}),
     ("0", "3", "qpow:2", {}), ("1", "1", "qpow:2", {}), ("1", "-4", "qpow:2", {}),
+    ("1", "2", "qpow:+1_3", {}), ("2", "2", "qpowpair:+3", {}),
+    ("1", "2", "qpow:-3", {}),
 ]
 
 

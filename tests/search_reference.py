@@ -12,7 +12,9 @@ values, copied verbatim; only the plan builder, `_head_range` and `_Runs`
 come from the library.  `min_rado_number_one_pin` is the kernel-based
 Rado-number search as it was before its exact checks pinned t at two
 columns, t pinned at one column of each kind and every forward plan
-built, and it runs on that copy.  Not collected by pytest.
+built, and it runs on that copy.  `floor_log2_shifted` is `_floor_log2`
+as it was before it became one quotient's bit length, verbatim.  Not
+collected by pytest.
 """
 
 from __future__ import annotations
@@ -416,3 +418,19 @@ def min_rado_number_one_pin(A: RatMatrix, r: int, n_max: int) -> RadoNumberResul
             colour += 1
         else:
             return RadoNumberResult(len(best) + 1, best)
+
+
+def floor_log2_shifted(a: int, b: int) -> int:
+    """The e with 2^e <= a/b < 2^(e+1), for positive integers a and b.
+
+    The candidate exponent from bit lengths is off by at most one; a single
+    shifted comparison settles it.
+    """
+    e = a.bit_length() - b.bit_length()
+    if e >= 0:
+        if a < (b << e):
+            e -= 1
+    else:
+        if (a << -e) < b:
+            e -= 1
+    return e

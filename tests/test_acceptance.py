@@ -113,8 +113,8 @@ def test_criterion_4_pigeonhole_property():
 def test_criterion_5_obstruction_vs_witness():
     start = time.perf_counter()
     spec = SystemSpec(2, 2, CoefficientSchedule("qpowpair", 2))
-    assert refute_over_subring(spec, PrimeSet.empty(), (F(2), F(1)), 10**4) is None
-    assert refute_over_subring(spec, PrimeSet.empty(), (F(1), F(1)), 10**4) == 2
+    assert refute_over_subring(spec, PrimeSet(), (F(2), F(1)), 10**4) is None
+    assert refute_over_subring(spec, PrimeSet(), (F(1), F(1)), 10**4) == 2
     for k in range(2, 21):
         deep = SystemSpec(2, k, CoefficientSchedule("qpowpair", 2))
         witness = natural_solution_witness(deep)
@@ -138,9 +138,9 @@ def test_criterion_6_log2_parity_doubling():
 def test_criterion_7_membership_specializations():
     rng = random.Random(SEED + 7)
     start = time.perf_counter()
-    integers = PrimeSet.empty()
+    integers = PrimeSet()
     dyadic = PrimeSet.finite([2])
-    everything = PrimeSet.all_primes()
+    everything = PrimeSet(complement=True)
     for _ in range(10**3):
         x = F(rng.randint(-10**4, 10**4), rng.randint(1, 10**4))
         assert in_subring(x, integers) == (x.denominator == 1)

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import radokit
+import radokit.cli
 import radokit.systems
 
 
@@ -21,6 +22,13 @@ def test_public_names():
     # a built-in schedule is CoefficientSchedule(kind, q), as parse_schedule builds it
     for gone in ("qpow", "allprimes", "qpowpair", "allprimespair"):
         assert not hasattr(radokit.systems.CoefficientSchedule, gone)
+    # constructors that only forwarded to __init__, the depth rule that
+    # _schedule_row states, and the CLI's copy of the matrix-file reader
+    for owner, gone in ((radokit.PrimeSet, "empty"), (radokit.PrimeSet, "all_primes"),
+                        (radokit.Colouring, "log2_parity"),
+                        (radokit.CoefficientSchedule, "max_depth"),
+                        (radokit.cli, "_read_matrix")):
+        assert not hasattr(owner, gone), gone
 
 
 def test_systems_does_not_import_search():

@@ -187,6 +187,18 @@ class TestBuilders:
         assert main(["build-system", "--alpha", "1", "--depth", "2",
                      "--schedule", "fancy"]) == 2
 
+    @pytest.mark.parametrize("q,err", [
+        ("+1_3", "not an integer prime: '+1_3'"),
+        ("1_3", "not an integer prime: '1_3'"),
+        ("+13", "not an integer prime: '+13'"),
+        ("1" * 4301, f"not an integer prime: {'1' * 4301!r}"),
+        ("-3", "schedule qpow needs a prime q, got -3"),
+    ])
+    def test_schedule_q_is_an_integer_token(self, q, err, capsys):
+        assert main(["build-system", "--alpha", "1", "--depth", "2",
+                     "--schedule", f"qpow:{q}"]) == 2
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+
     @pytest.mark.parametrize("command", ["build-system", "build-iab"])
     def test_denominator_too_long_to_print(self, command, capsys):
         # D(49) = (2*3*...*227)^49 has 4358 digits, D(48) 4156
@@ -350,6 +362,27 @@ class TestMembership:
 
     def test_bad_value(self, capsys):
         assert main(["membership", "--value", "1.5", "--primes", "all"]) == 2
+
+    @pytest.mark.parametrize("primes", ["1_3", "+13", "13,+2", "all-except:1_3",
+                                        "3.0", "--3", "1" * 4301])
+    def test_prime_that_is_not_an_integer_token(self, capsys, primes):
+        # the integer grammar of a rational: no +, no _, and a prime too
+        # long for int() gets the same message
+        assert main(["membership", "--value", "1/13", f"--primes={primes}"]) == 2
+        listed = primes.removeprefix("all-except:")
+        assert capsys.readouterr() == (
+            "", f"error: not a comma-separated prime list: {listed!r}\n")
+
+    @pytest.mark.parametrize("primes,code,out,err", [
+        ("2, 3", 0, "member\n", ""),
+        (" 2 ,3 ", 0, "member\n", ""),
+        ("٣,2", 0, "member\n", ""),
+        ("all-except: 3", 1, "not a member\n", ""),
+        ("-3", 2, "", "error: -3 is not prime\n"),
+    ])
+    def test_prime_list_spacing_and_sign(self, capsys, primes, code, out, err):
+        assert main(["membership", "--value", "1/6", f"--primes={primes}"]) == code
+        assert capsys.readouterr() == (out, err)
 
     def test_prime_beyond_the_exact_test(self, capsys):
         big = 4 * 10**24 + 1
@@ -685,7 +718,8 @@ class TestMonoSearch:
         assert capsys.readouterr() == (
             "", f"error: expected 'value colour', got {line!r}\n")
 
-    @pytest.mark.parametrize("ground", ["5,abc", "x", "", "5,", "1.5"])
+    @pytest.mark.parametrize("ground", ["5,abc", "x", "", "5,", "1.5", "1_0",
+                                        "+8,+1", "8,+2", "1" * 4301])
     def test_ground_set_that_is_not_integers(self, tmp_path, capsys, ground):
         matrix = write(tmp_path, "m.txt", "1 1 -1\n")
         assert main(["mono-search", "--matrix", matrix,

@@ -23,7 +23,7 @@ COMMANDS = sorted({entry["argv"][0] for entry in CORPUS})
 
 
 def test_corpus_covers_every_command_and_outcome():
-    assert len(CORPUS) == 442
+    assert len(CORPUS) == 469
     assert COMMANDS == ["build-iab", "build-system", "cc-check", "fe-check",
                         "membership", "mono-search", "nat-witness", "pigeonhole",
                         "rado-number", "refute"]
@@ -39,7 +39,7 @@ def test_corpus_covers_every_command_and_outcome():
                  "matrix has no rows", "handles at most 32 columns",
                  "too many to print", "more than the limit of 4500000",
                  "unknown schedule", "not an integer prime",
-                 "explicit schedule defines n up to", "explicit schedule covers",
+                 "explicit schedule defines n up to",
                  "y-values", "!= alpha", "needs a pair schedule"):
         assert text in errors, text
 

@@ -2,7 +2,9 @@
 lines under it, up to the next example or the end of its code block, are
 its output byte for byte, `error:` lines on stderr and the rest on stdout,
 and the exit code is 2 exactly when there is an `error:` line.
-The examples run in an empty directory whose schur.txt holds x + y = z."""
+The examples run in an empty directory whose schur.txt holds x + y = z.
+The Python quick start runs too, each printed line equal to the value in
+its `print` line's comment."""
 
 import re
 import shlex
@@ -42,3 +44,13 @@ def test_example_output(command, output, tmp_path, monkeypatch, capsys):
     code = main(shlex.split(command)[1:])
     assert (code == 2) == bool(err)
     assert capsys.readouterr() == (out, err)
+
+
+def test_python_quick_start(capsys):
+    [block] = re.findall(r"^```python\n(.*?)^```$", README, re.M | re.S)
+    # the comment opens with the value, then ":" or two spaces and a note
+    comments = re.findall(r"^print\([^#]*#\s*(.*)$", block, re.M)
+    expected = [re.match(r"(.*?)(?::\s|\s{2,}|$)", c).group(1) for c in comments]
+    assert expected == ["((0, 2), (1,))", "True", "5", "(0, 1, 1, 0)"]
+    exec(block, {})
+    assert capsys.readouterr() == ("\n".join(expected) + "\n", "")

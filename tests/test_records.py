@@ -137,8 +137,7 @@ def test_assignment_and_deletion_refused(i):
 
 def test_keywords_and_defaults():
     assert CoefficientSchedule("qpow", q=2) == CoefficientSchedule("qpow", 2)
-    assert PrimeSet() == PrimeSet.empty() == PrimeSet(primes=frozenset(),
-                                                      complement=False)
+    assert PrimeSet() == PrimeSet(primes=frozenset(), complement=False)
     assert Colouring("log2parity") == Colouring(kind="log2parity", assignments=())
     assert FirstEntryReport(entries=(), zero_rows=(0,), all_equal=True,
                             common_value=None).zero_rows == (0,)
@@ -146,8 +145,8 @@ def test_keywords_and_defaults():
 
 def test_log2parity_colouring_refuses_a_table():
     """log2parity reads no table, so a record holding one would answer as
-    log2parity yet compare unequal to Colouring.log2_parity()."""
+    log2parity yet compare unequal to Colouring("log2parity")."""
     for assignments in (((F(1), 5),), ((F(1), 0),)):
         with pytest.raises(ValueError, match="^log2parity colouring takes no table$"):
             Colouring("log2parity", assignments)
-    assert Colouring("log2parity", ()) == Colouring.log2_parity()
+    assert Colouring("log2parity", ()) == Colouring("log2parity")

@@ -29,9 +29,9 @@ def random_primes(rng, schedule):
     schedule's q, and a cofinite one may exclude a prime above 10^4."""
     kind = rng.choice(("empty", "all", "finite", "cofinite"))
     if kind == "empty":
-        return PrimeSet.empty()
+        return PrimeSet()
     if kind == "all":
-        return PrimeSet.all_primes()
+        return PrimeSet(complement=True)
     chosen = set(rng.sample(SMALL, rng.randint(0, 3)))
     if schedule.q is not None and rng.random() < 0.5:
         chosen.add(schedule.q)

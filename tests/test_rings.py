@@ -164,8 +164,8 @@ class TestFactorize:
 
 class TestPrimeSet:
     def test_kinds_and_membership(self):
-        assert 2 not in PrimeSet.empty()
-        assert 2 in PrimeSet.all_primes()
+        assert 2 not in PrimeSet()
+        assert 2 in PrimeSet(complement=True)
         assert 3 in PrimeSet.finite([2, 3]) and 5 not in PrimeSet.finite([2, 3])
         assert 5 in PrimeSet.cofinite([2]) and 2 not in PrimeSet.cofinite([2])
 
@@ -174,11 +174,11 @@ class TestPrimeSet:
             PrimeSet.finite([4])
 
     def test_empty_lists_give_empty_and_all(self):
-        assert PrimeSet.finite([]) == PrimeSet.empty()
-        assert PrimeSet.cofinite([]) == PrimeSet.all_primes()
+        assert PrimeSet.finite([]) == PrimeSet()
+        assert PrimeSet.cofinite([]) == PrimeSet(complement=True)
 
     @pytest.mark.parametrize(
-        "text,expected", [("", PrimeSet.empty()), ("all", PrimeSet.all_primes()),
+        "text,expected", [("", PrimeSet()), ("all", PrimeSet(complement=True)),
                           ("2,3,7", PrimeSet.finite([2, 3, 7])),
                           ("all-except:2", PrimeSet.cofinite([2]))],
         ids=["empty", "all", "finite", "cofinite"]
@@ -196,10 +196,10 @@ class TestSubringMembership:
         assert in_subring(F(1, 2), PrimeSet.finite([2]))
 
     def test_half_is_not_an_integer(self):
-        assert not in_subring(F(1, 2), PrimeSet.empty())
+        assert not in_subring(F(1, 2), PrimeSet())
 
     def test_integers_belong_everywhere(self):
-        for ps in (PrimeSet.empty(), PrimeSet.all_primes(),
+        for ps in (PrimeSet(), PrimeSet(complement=True),
                    PrimeSet.finite([3]), PrimeSet.cofinite([2])):
             assert in_subring(F(5), ps)
 
@@ -209,8 +209,8 @@ class TestSubringMembership:
 
     @given(st.fractions())
     def test_specializations(self, x):
-        assert in_subring(x, PrimeSet.empty()) == (x.denominator == 1)
-        assert in_subring(x, PrimeSet.all_primes())
+        assert in_subring(x, PrimeSet()) == (x.denominator == 1)
+        assert in_subring(x, PrimeSet(complement=True))
 
     def test_ring_closure(self):
         rng = random.Random(7)
@@ -240,14 +240,14 @@ class TestScaledMembership:
         assert in_scaled_subring(F(2, 3), 2, PrimeSet.finite([3]))
 
     def test_scaled_out(self):
-        assert not in_scaled_subring(F(1), 2, PrimeSet.empty())
+        assert not in_scaled_subring(F(1), 2, PrimeSet())
 
     def test_zero_always_in(self):
-        assert in_scaled_subring(F(0), 5, PrimeSet.empty())
+        assert in_scaled_subring(F(0), 5, PrimeSet())
 
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(ValueError):
-            in_scaled_subring(F(1), 0, PrimeSet.empty())
+            in_scaled_subring(F(1), 0, PrimeSet())
 
 
 class TestPadicValuation:
@@ -275,11 +275,11 @@ class TestPadicValuation:
 
 class TestPigeonholeSubset:
     def test_two_ones(self):
-        assert pigeonhole_subset(2, PrimeSet.empty(), [F(1), F(1)]) == [0, 1]
+        assert pigeonhole_subset(2, PrimeSet(), [F(1), F(1)]) == [0, 1]
 
     def test_residue_class_of_three(self):
         xs = [F(1), F(1), F(1), F(2), F(2)]
-        H = pigeonhole_subset(3, PrimeSet.empty(), xs)
+        H = pigeonhole_subset(3, PrimeSet(), xs)
         assert H == [0, 1, 2]
         assert sum(xs[i] for i in H) == 3
 
@@ -293,15 +293,15 @@ class TestPigeonholeSubset:
         # residues mod 3 are (1,1,2,2,0): no class reaches three members,
         # so the multiple-of-3 element stands alone
         xs = [F(1), F(4), F(2), F(5), F(3)]
-        assert pigeonhole_subset(3, PrimeSet.empty(), xs) == [4]
+        assert pigeonhole_subset(3, PrimeSet(), xs) == [4]
 
     def test_rejects_short_input(self):
         with pytest.raises(ValueError):
-            pigeonhole_subset(3, PrimeSet.empty(), [F(1), F(2)])
+            pigeonhole_subset(3, PrimeSet(), [F(1), F(2)])
 
     def test_rejects_outside_elements(self):
         with pytest.raises(ValueError):
-            pigeonhole_subset(2, PrimeSet.empty(), [F(1, 2), F(1)])
+            pigeonhole_subset(2, PrimeSet(), [F(1, 2), F(1)])
 
     def test_outside_element_named_by_its_1_based_position(self):
         with pytest.raises(ValueError, match=r"^element 2 \(1/3\) is outside "

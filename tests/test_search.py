@@ -61,6 +61,18 @@ class TestLog2ParityColour:
     def test_doubling_flips(self, x):
         assert log2_parity_colour(2 * x) == 1 - log2_parity_colour(x)
 
+    def test_floor_log2_matches_the_shifted_comparison(self):
+        # the exponent itself, not only its parity, against the reference
+        pairs = [(a, b) for a in range(1, 300) for b in range(1, 300)]
+        pairs += [(1, b) for b in range(1, 10**4 + 1)]
+        rng = random.Random(20261020)
+        for _ in range(20000):
+            a = rng.randrange(1, 1 << rng.randint(1, 200))
+            b = rng.randrange(1, 1 << rng.randint(1, 200))
+            pairs += [(a, b), (b, a), (a << 7, a), (a, a << 7), (a, a + 1)]
+        for a, b in pairs:
+            assert search._floor_log2(a, b) == ref.floor_log2_shifted(a, b), (a, b)
+
 
 class TestColouring:
     def test_table_lookup(self):
@@ -89,7 +101,7 @@ class TestColouring:
             Colouring.table([1, 2], [0])
 
     def test_log2_parity_kind(self):
-        c = Colouring.log2_parity()
+        c = Colouring("log2parity")
         assert c.r == 2
         assert c.colour_of(F(-7)) == 0 and c.colour_of(F(4)) == 0
         with pytest.raises(ValueError):
@@ -154,7 +166,7 @@ class TestMonochromaticSolution:
     def test_log2_parity_classes(self):
         # {1,4} vs {2,3}: both classes Schur-free within {1..4}
         assert monochromatic_solution(
-            SCHUR, Colouring.log2_parity(), GroundSet.slice(4)
+            SCHUR, Colouring("log2parity"), GroundSet.slice(4)
         ) is None
 
     def test_budget_guard(self):
@@ -167,8 +179,8 @@ class TestMonochromaticSolution:
         M = RatMatrix.from_rows([[1, -2]])
         g = GroundSet.slice(14000)
         with pytest.raises(BudgetExceededError):
-            monochromatic_solution(M, Colouring.log2_parity(), g, budget=13999)
-        assert monochromatic_solution(M, Colouring.log2_parity(), g,
+            monochromatic_solution(M, Colouring("log2parity"), g, budget=13999)
+        assert monochromatic_solution(M, Colouring("log2parity"), g,
                                       budget=14000) is None
 
     @pytest.mark.parametrize("m, bound", [(7, 18840), (10, 233784)])
@@ -195,12 +207,12 @@ class TestMonochromaticSolution:
         # than overflow the stack, before its budget is counted
         g = GroundSet.slice(100)
         M = RatMatrix.from_rows([[0] * 499 + [1, -1]])
-        assert monochromatic_solution(M, Colouring.log2_parity(), g) == (F(1),) * 501
+        assert monochromatic_solution(M, Colouring("log2parity"), g) == (F(1),) * 501
         for zeros in (500, 1500):
             M = RatMatrix.from_rows([[0] * zeros + [1, -1]])
             with pytest.raises(ValueError, match=f"enumerate {zeros + 1} columns, "
                                "more than the limit of 500"):
-                monochromatic_solution(M, Colouring.log2_parity(), g, budget=1)
+                monochromatic_solution(M, Colouring("log2parity"), g, budget=1)
 
     def test_budget_check_is_cheap_on_wide_matrices(self):
         # 500 enumerated columns in 600 rows, and 200 one-value classes
@@ -263,7 +275,7 @@ class TestMonochromaticSolution:
         # of the class is matched against the others arithmetically
         M = RatMatrix.from_rows([row])
         start = time.perf_counter()
-        found = monochromatic_solution(M, Colouring.log2_parity(),
+        found = monochromatic_solution(M, Colouring("log2parity"),
                                        GroundSet.slice(10**8, 3))
         assert time.perf_counter() - start < 1
         if row == [3, -5]:
@@ -277,14 +289,14 @@ class TestMonochromaticSolution:
         # without enumerating 10^12 pairs
         M = RatMatrix.from_rows([[1, 1, 1]])
         start = time.perf_counter()
-        assert monochromatic_solution(M, Colouring.log2_parity(),
+        assert monochromatic_solution(M, Colouring("log2parity"),
                                       GroundSet.slice(10**6), budget=10**12) is None
         assert time.perf_counter() - start < 1
 
     def test_no_columns_rejected(self):
         with pytest.raises(ValueError):
             monochromatic_solution(
-                RatMatrix.from_rows([]), Colouring.log2_parity(),
+                RatMatrix.from_rows([]), Colouring("log2parity"),
                 GroundSet.slice(2)
             )
 

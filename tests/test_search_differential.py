@@ -56,7 +56,7 @@ def random_ground_and_colouring(rng: random.Random, size: int):
     colouring read against a slice (the CLI's file: colourings), with some
     slice values uncoloured and some coloured values off the slice."""
     if rng.random() < 0.5:
-        return GroundSet.slice(size, rng.randint(1, 7)), Colouring.log2_parity()
+        return GroundSet.slice(size, rng.randint(1, 7)), Colouring("log2parity")
     r = rng.randint(1, 4)
     den = rng.randint(1, 4)
     coloured = [F(a, den) for a in range(1, size + 1) if rng.random() < 0.9]

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction as F
@@ -96,6 +97,20 @@ class TestDenominatorExceeds:
             D = schedule.denominator(n)
             for digits in (1, 40, 4299, 4300):
                 assert schedule.denominator_exceeds(n, digits) == (D >= 10**digits)
+
+    @pytest.mark.parametrize("kind", ["qpow", "qpowpair"])
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    def test_denominator_of_one_prime(self, kind, q):
+        s = CoefficientSchedule(kind, q)
+        assert [s.denominator(n) for n in range(1, 61)] == [
+            q**n for n in range(1, 61)]
+
+    @pytest.mark.parametrize("kind", ["allprimes", "allprimespair"])
+    def test_denominator_over_all_primes(self, kind):
+        primes = [p for p in range(2, 300) if all(p % d for d in range(2, p))]
+        s = CoefficientSchedule(kind)
+        assert [s.denominator(n) for n in range(1, 61)] == [
+            math.prod(primes[:n]) ** n for n in range(1, 61)]
 
     def test_decides_huge_n_without_building(self):
         start = time.perf_counter()
@@ -398,25 +413,25 @@ class TestTruncatedResiduals:
 class TestRefuteOverSubring:
     def test_unit_y_obstructed_immediately(self):
         spec = SystemSpec(1, 2, CoefficientSchedule("qpow", 2))
-        assert refute_over_subring(spec, PrimeSet.empty(), (F(1),), 5) == 2
+        assert refute_over_subring(spec, PrimeSet(), (F(1),), 5) == 2
 
     def test_pair_witness_never_obstructed(self):
         spec = SystemSpec(2, 2, CoefficientSchedule("qpowpair", 2))
-        assert refute_over_subring(spec, PrimeSet.empty(), (F(2), F(1)), 50) is None
+        assert refute_over_subring(spec, PrimeSet(), (F(2), F(1)), 50) is None
 
     def test_obstruction_waits_for_valuation(self):
         spec = SystemSpec(1, 2, CoefficientSchedule("qpow", 2))
-        assert refute_over_subring(spec, PrimeSet.empty(), (F(8),), 10) == 4
+        assert refute_over_subring(spec, PrimeSet(), (F(8),), 10) == 4
 
     def test_rejects_outside_y(self):
         spec = SystemSpec(1, 2, CoefficientSchedule("qpow", 2))
         with pytest.raises(ValueError):
-            refute_over_subring(spec, PrimeSet.empty(), (F(1, 3),), 5)
+            refute_over_subring(spec, PrimeSet(), (F(1, 3),), 5)
 
     def test_rejects_wrong_arity(self):
         spec = SystemSpec(1, 2, CoefficientSchedule("qpow", 2))
         with pytest.raises(ValueError):
-            refute_over_subring(spec, PrimeSet.empty(), (F(1), F(1)), 5)
+            refute_over_subring(spec, PrimeSet(), (F(1), F(1)), 5)
 
     def test_obstruction_index_tracks_q_valuation(self):
         rng = random.Random(42)
@@ -465,7 +480,7 @@ class TestParseSchedule:
         ("explicit", "unknown schedule: 'explicit'"),
         ("file", "unknown schedule: 'file'"),
         (" qpow: 3 ", CoefficientSchedule("qpow", 3)),
-        ("qpowpair:+5", CoefficientSchedule("qpowpair", 5)),
+        ("qpowpair:+5", "not an integer prime: '+5'"),
         (" allprimes\n", CoefficientSchedule("allprimes")),
     ])
     def test_spellings(self, text, want):
