@@ -136,11 +136,10 @@ def _parse_colouring(spec: str) -> Colouring:
                     raise ValueError(f"expected 'value colour', got {stripped!r}")
                 yield parts[0]
                 try:
-                    # a colour is a string of decimal digits, as a value's
-                    # integers are; int() alone would read "+0", "-1", "1_0"
-                    if not parts[1].isdecimal():
+                    # a colour is an integer token without a sign
+                    if parts[1].startswith("-"):
                         raise ValueError
-                    colours.append(int(parts[1]))
+                    colours.append(_parse_int(parts[1]))
                 except ValueError:  # or past the text-to-int digit limit
                     raise ValueError(
                         f"expected 'value colour', got {stripped!r}") from None
@@ -313,8 +312,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
     matrix = argparse.ArgumentParser(add_help=False)
     matrix.add_argument("--matrix", required=True, help="matrix file")
     system = argparse.ArgumentParser(add_help=False)
-    system.add_argument("--alpha", type=int, required=True)
-    system.add_argument("--depth", type=int, required=True)
+    system.add_argument("--alpha", type=_parse_int, required=True)
+    system.add_argument("--depth", type=_parse_int, required=True)
     system.add_argument("--schedule", required=True,
                         help="qpow:Q | allprimes | qpowpair:Q | allprimespair "
                              "| file:PATH")
@@ -341,12 +340,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
     p.add_argument("--value", required=True, help="rational to test")
     p.add_argument("--primes", required=True,
                    help="'' | all | 2,3,7 | all-except:2")
-    p.add_argument("--scale", type=int, default=1,
+    p.add_argument("--scale", type=_parse_int, default=1,
                    help="test membership in scale * subring (default 1)")
 
     p = add("pigeonhole", _cmd_pigeonhole,
             "find a subset summing to a multiple of m")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_parse_int, required=True)
     p.add_argument("--primes", required=True)
     p.add_argument("--values", required=True, help="comma-separated rationals")
 
@@ -354,7 +353,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
             "search for a denominator obstruction to subring solvability", system)
     p.add_argument("--primes", required=True)
     p.add_argument("--y", required=True, help="comma-separated y values")
-    p.add_argument("--nmax", type=int, required=True)
+    p.add_argument("--nmax", type=_parse_int, required=True)
 
     add("nat-witness", _cmd_nat_witness,
         "positive-integer solution for a pair schedule", system)
@@ -366,12 +365,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
                    help="num_bound or num_bound,denominator")
     p.add_argument("--distinct", action="store_true",
                    help="demand pairwise distinct values")
-    p.add_argument("--budget", type=int, default=10**8)
+    p.add_argument("--budget", type=_parse_int, default=10**8)
 
     p = add("rado-number", _cmd_rado_number,
             "least N forcing a monochromatic solution", matrix)
-    p.add_argument("--colours", type=int, required=True)
-    p.add_argument("--nmax", type=int, required=True)
+    p.add_argument("--colours", type=_parse_int, required=True)
+    p.add_argument("--nmax", type=_parse_int, required=True)
 
     return parser, sub.choices
 

@@ -88,6 +88,11 @@ def _parse_int(text: str) -> int:
     return int(text)
 
 
+# the CLI's count options take it as their argparse type, and argparse names
+# a type by its __name__ in "invalid int value: '...'"
+_parse_int.__name__ = "int"
+
+
 def parse_rat(text: str) -> Rat:
     """Parse ``a`` or ``a/b``: a an integer token, b a string of Unicode
     decimal digits (``str.isdecimal``), surrounding whitespace ignored.

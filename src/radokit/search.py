@@ -125,8 +125,8 @@ class Colouring(_Record):
 
 class GroundSet(_Record):
     """The slice {a/s : 1 <= a <= n} of the subring whose primes cover s,
-    held as `span` = (n, s) and listed, in increasing order, only when
-    iterated: a search sizes its colour classes before making any element.
+    held as `span` = (n, s) and never listed: a search reads its colour
+    classes as numerators over s straight from the span.
     """
 
     __slots__ = _fields = ("span",)
@@ -136,10 +136,6 @@ class GroundSet(_Record):
         if n < 1 or s < 1:
             raise ValueError("slice needs positive numerator bound and denominator")
         self._set(span=span)
-
-    def __iter__(self):
-        n, s = self.span
-        return (Fraction(a, s) for a in range(1, n + 1))
 
     @classmethod
     def slice(cls, num_bound: int, denominator: int = 1) -> "GroundSet":

@@ -32,6 +32,11 @@ _ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
 
 _primes_cache: list[int] = [2]
 
+# refute_over_subring learns a prime's index by reading the primes up to it,
+# and refuses to read past this limit for the least prime outside a cofinite
+# set; 78,498 primes lie below it
+SCAN_LIMIT = 10**6
+
 
 def _primes() -> Iterator[int]:
     """The primes in increasing order, extending the cache as they are read."""
@@ -328,6 +333,10 @@ def refute_over_subring(
     n = j on (q divides q^n from n = 1 on, so take j = 1 for it), so the
     least n is the least max(j, 2, v_p(s) + 1) over the primes p = p_j
     outside the set; s = 0 gives none.  An explicit table is scanned.
+
+    Learning j means reading the primes up to p_j, so over all primes and a
+    cofinite set whose least excluded prime is past SCAN_LIMIT, an n_max
+    that lets the walk pass SCAN_LIMIT is refused with a ValueError.
     """
     if len(y) != spec.alpha:
         raise ValueError(f"expected {spec.alpha} y-values, got {len(y)}")
@@ -343,6 +352,10 @@ def refute_over_subring(
     total = _dot(s.c, y)
     if total == 0:
         return None
+    if (s.over_all_primes and primes.complement and n_max > 78_498
+            and (least := min(primes.primes, default=0)) > SCAN_LIMIT):
+        raise ValueError(f"the scan would read the primes up to {least}, the least "
+                         f"one outside the set, more than the limit of {SCAN_LIMIT}")
     # a set holding all but finitely many primes has none outside it past
     # the largest one it excludes
     last = max(primes.primes, default=0) if primes.complement else None

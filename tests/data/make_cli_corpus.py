@@ -9,8 +9,9 @@ stdout and stderr it gave.  The cases are seeded random inputs plus every
 `error:` path of these commands: bad tokens, zero denominators, numbers
 too long to read, ragged rows, missing files, malformed colouring files,
 bad ground sets and prime lists, integer tokens of `--primes`, `--ground`
-and `qpow:Q` written with `+`, `_` or more than 4300 digits,
-out-of-subring elements, the budget and
+and `qpow:Q` written with `+`, `_` or more than 4300 digits, the same
+tokens and a few more given to each of the eight count options (argparse's
+usage errors), out-of-subring elements, the budget and
 enumeration-depth refusals, the colour-count and nmax caps of
 `rado-number`, the 33-column refusal of `cc-check`, the digit and entry
 limits of the system commands, bad and `file:` schedules, a schedule that
@@ -32,6 +33,7 @@ import random
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from radokit.cli import main
 
@@ -42,7 +44,9 @@ LONG = "1" * 4301
 
 
 def run(argv: list[str], files: dict[str, str]) -> dict:
-    """Run the CLI on argv in an empty directory holding the files."""
+    """Run the CLI on argv in an empty directory holding the files.  A
+    usage error (exit 2) prints argparse's usage line, at 200 columns, where
+    no command's wraps: Python 3.13 wraps it at other places than 3.10-3.12."""
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as folder:
@@ -50,8 +54,12 @@ def run(argv: list[str], files: dict[str, str]) -> dict:
         try:
             for name, text in files.items():
                 Path(name).write_text(text)
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                rc = main(argv)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                    mock.patch.dict(os.environ, COLUMNS="200"):
+                try:
+                    rc = main(argv)
+                except SystemExit as exc:
+                    rc = exc.code
         finally:
             os.chdir(cwd)
     return {"argv": argv, "files": files, "exit": rc,
@@ -356,11 +364,40 @@ def nat_witness_cases(rng: random.Random) -> list[tuple[list[str], dict[str, str
     return cases
 
 
+# each count option in a command line that reads it, "{}" standing for its
+# token, and the files the command reads
+COUNT_OPTIONS = [
+    (["build-system", "--alpha={}", "--depth=3", "--schedule=file:d.txt"],
+     {"d.txt": "1 1 -2\n1 -1 0\n"}),
+    (["build-iab", "--alpha=1", "--depth={}", "--schedule=qpow:2"], {}),
+    (["membership", "--value=3/2", "--primes=2", "--scale={}"], {}),
+    (["pigeonhole", "--m={}", "--primes=all", "--values=1,2,3,4,5"], {}),
+    (["refute", "--alpha=1", "--depth=2", "--schedule=qpow:3", "--primes=2",
+      "--y=1", "--nmax={}"], {}),
+    (["mono-search", "--matrix=m.txt", "--colouring=log2parity", "--ground=8",
+      "--budget={}"], {"m.txt": "1 1 -1\n"}),
+    (["rado-number", "--matrix=m.txt", "--colours={}", "--nmax=5"],
+     {"m.txt": "1 1 -1\n"}),
+    (["rado-number", "--matrix=m.txt", "--colours=2", "--nmax={}"],
+     {"m.txt": "1 1 -1\n"}),
+]
+
+
+def count_option_cases(rng: random.Random) -> list[tuple[list[str], dict[str, str]]]:
+    """Integer tokens for the count options: `+`, `_`, a decimal point and
+    more than 4300 digits are refused; surrounding whitespace, Unicode
+    digits and a minus sign are read."""
+    return [([arg.format(token) for arg in argv], files)
+            for argv, files in COUNT_OPTIONS
+            for token in ("+3", "1_0", "3.0", LONG, " 3 ", "٣", "-0")]
+
+
 def corpus() -> list[tuple[list[str], dict[str, str]]]:
     rng = random.Random(20261019)
     return [case for make in (fe_check_cases, membership_cases, pigeonhole_cases,
                               mono_search_cases, rado_number_cases, cc_check_cases,
-                              build_cases, refute_cases, nat_witness_cases)
+                              build_cases, refute_cases, nat_witness_cases,
+                              count_option_cases)
             for case in make(rng)]
 
 

@@ -190,9 +190,11 @@ def monochromatic_solution(
     v = A.cols
     if v == 0:
         raise ValueError("matrix has no columns to solve for")
+    n, den = g.span
+    slice_ = [Fraction(a, den) for a in range(1, n + 1)]
     classes = []
     for colour in range(c.r):
-        members = [x for x in g if covers(c, x) and c.colour_of(x) == colour]
+        members = [x for x in slice_ if covers(c, x) and c.colour_of(x) == colour]
         if members:
             classes.append(members)
     if sum(len(cls) ** v for cls in classes) > budget:

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -461,6 +462,16 @@ class TestRefute:
             "obstruction at n=2: d-combination 1/4 is outside the subring\n"
         )
 
+    def test_scan_past_the_limit_refused(self, capsys):
+        # 1000003 is the least prime past 10**6, and 78,498 primes lie below
+        # 10**6: an nmax past that count would walk the primes up to 1000003
+        argv = ["refute", "--alpha", "1", "--depth", "2", "--schedule",
+                "allprimes", "--primes=all-except:1000003", "--y", "1"]
+        assert main(argv + ["--nmax", "78499"]) == 2
+        assert capsys.readouterr() == ("", (
+            "error: the scan would read the primes up to 1000003, the least one "
+            "outside the set, more than the limit of 1000000\n"))
+
     def test_no_obstruction(self, capsys):
         code = main(["refute", "--alpha", "2", "--depth", "2",
                      "--schedule", "qpowpair:2", "--primes", "",
@@ -705,12 +716,13 @@ class TestMonoSearch:
         ("1 -1\n2 0\n", "1 -1"),
         ("1 +0\n", "1 +0"),
         ("2 1_0\n", "2 1_0"),
+        ("1 -0\n", "1 -0"),
         ("1 " + "1" * 4301 + "\n", "1 " + "1" * 4301),
     ])
     def test_colour_is_a_string_of_decimal_digits(self, tmp_path, capsys,
                                                   text, line):
-        # the grammar of a value's integers: no sign, no underscore, and a
-        # colour too long for int() gets the same message
+        # an integer token without a sign: no underscore, and a colour of
+        # more than 4300 digits gets the same message
         matrix = write(tmp_path, "m.txt", "1 1 -1\n")
         colouring = write(tmp_path, "c.txt", text)
         assert main(["mono-search", "--matrix", matrix,
@@ -940,6 +952,54 @@ class TestUsageErrors:
         source = Path(radokit.cli.__file__).read_text()
         for option in ("--matrix", "--alpha", "--depth", "--schedule"):
             assert source.count(f'add_argument("{option}"') == 1, option
+
+    def test_one_integer_reader(self):
+        # every count option reads through rings._parse_int, and no user
+        # text reaches int() in cli.py
+        tree = ast.parse(Path(radokit.cli.__file__).read_text())
+        types = [ast.unparse(node.value) for node in ast.walk(tree)
+                 if isinstance(node, ast.keyword) and node.arg == "type"]
+        assert types == ["_parse_int"] * 8
+        assert not [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name) and node.func.id == "int"]
+
+
+# each count option in a command line that reads it, "{}" standing for its token
+COUNT_OPTIONS = [
+    ("--alpha", ["build-system", "--alpha={}", "--depth=3", "--schedule=qpow:2"]),
+    ("--depth", ["build-iab", "--alpha=1", "--depth={}", "--schedule=qpow:2"]),
+    ("--scale", ["membership", "--value=1", "--primes=2", "--scale={}"]),
+    ("--m", ["pigeonhole", "--m={}", "--primes=all", "--values=1,2"]),
+    ("--nmax", ["refute", "--alpha=1", "--depth=2", "--schedule=qpow:3",
+                "--primes=2", "--y=1", "--nmax={}"]),
+    ("--budget", ["mono-search", "--matrix=m.txt", "--colouring=log2parity",
+                  "--ground=8", "--budget={}"]),
+    ("--colours", ["rado-number", "--matrix=m.txt", "--colours={}", "--nmax=5"]),
+    ("--nmax", ["rado-number", "--matrix=m.txt", "--colours=2", "--nmax={}"]),
+]
+
+
+class TestCountOptions:
+    """The count options read the integer tokens of --primes, --ground and
+    qpow:Q: an optional minus sign, then decimal digits, surrounding
+    whitespace ignored, at most 4300 digits."""
+
+    @pytest.mark.parametrize("option,argv", COUNT_OPTIONS)
+    @pytest.mark.parametrize("token", ["+3", "1_0", "+1_0", "3.0", "1" * 4301])
+    def test_refused(self, option, argv, token, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(token) for arg in argv])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(f"\nradokit {argv[0]}: error: argument {option}: "
+                            f"invalid int value: {token!r}\n")
+
+    @pytest.mark.parametrize("option,argv", COUNT_OPTIONS)
+    @pytest.mark.parametrize("token,value", [(" 3 ", 3), ("٣", 3), ("-0", 0)])
+    def test_read(self, option, argv, token, value):
+        args = radokit.cli._parse([arg.format(token) for arg in argv])
+        assert getattr(args, option[2:]) == value
 
 
 class TestRepeatedCalls:

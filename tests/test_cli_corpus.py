@@ -8,7 +8,8 @@ tests/data/cli_corpus.json holds each run's argv, the files it reads and
 the exit code, stdout and stderr it gave (see tests/data/make_cli_corpus.py),
 so every answer and every `error:` line must come out byte for byte the
 same.  Each run is replayed in an empty directory holding its files, since
-the argv names them relative to the working directory.
+the argv names them relative to the working directory, and at the 200
+columns that make_cli_corpus.py sets for argparse's usage lines.
 """
 
 import json
@@ -23,7 +24,7 @@ COMMANDS = sorted({entry["argv"][0] for entry in CORPUS})
 
 
 def test_corpus_covers_every_command_and_outcome():
-    assert len(CORPUS) == 469
+    assert len(CORPUS) == 525
     assert COMMANDS == ["build-iab", "build-system", "cc-check", "fe-check",
                         "membership", "mono-search", "nat-witness", "pigeonhole",
                         "rado-number", "refute"]
@@ -40,12 +41,14 @@ def test_corpus_covers_every_command_and_outcome():
                  "too many to print", "more than the limit of 4500000",
                  "unknown schedule", "not an integer prime",
                  "explicit schedule defines n up to",
-                 "y-values", "!= alpha", "needs a pair schedule"):
+                 "y-values", "!= alpha", "needs a pair schedule",
+                 "invalid int value"):
         assert text in errors, text
 
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_output_is_frozen(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "200")
     for k, entry in enumerate(CORPUS):
         if entry["argv"][0] != command:
             continue
@@ -54,7 +57,11 @@ def test_output_is_frozen(command, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(folder)
         for name, text in entry["files"].items():
             (folder / name).write_text(text)
-        assert main(entry["argv"]) == entry["exit"], entry["argv"]
+        try:
+            code = main(entry["argv"])
+        except SystemExit as exc:  # a usage error
+            code = exc.code
+        assert code == entry["exit"], entry["argv"]
         captured = capsys.readouterr()
         assert captured.out == entry["stdout"], entry["argv"]
         assert captured.err == entry["stderr"], entry["argv"]

@@ -185,7 +185,7 @@ def test_pinned_outcomes():
 def corpus_differences() -> list[str]:
     """The argv of each cli_corpus.json run whose exit code, stdout or stderr
     through cli.main differs from the corpus, each run in an empty directory
-    holding its files."""
+    holding its files, at the corpus's 200 columns."""
     bad = []
     cwd = os.getcwd()
     for entry in json.loads(CORPUS.read_text()):
@@ -195,8 +195,12 @@ def corpus_differences() -> list[str]:
             try:
                 for name, text in entry["files"].items():
                     Path(name).write_text(text)
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = cli.main(entry["argv"])
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                        columns("200"):
+                    try:
+                        code = cli.main(entry["argv"])
+                    except SystemExit as exc:  # a usage error
+                        code = exc.code
             finally:
                 os.chdir(cwd)
         if (code, out.getvalue(), err.getvalue()) != (

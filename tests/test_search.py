@@ -110,10 +110,10 @@ class TestColouring:
 
 class TestGroundSet:
     def test_integers(self):
-        assert list(GroundSet.slice(3)) == [F(1), F(2), F(3)]
+        assert GroundSet.slice(3).span == (3, 1)
 
     def test_slice(self):
-        assert list(GroundSet.slice(4, 2)) == [F(1, 2), F(1), F(3, 2), F(2)]
+        assert GroundSet.slice(4, 2).span == (4, 2)
 
     def test_rejects_an_empty_slice(self):
         with pytest.raises(ValueError):

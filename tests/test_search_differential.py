@@ -79,7 +79,8 @@ def budget_count(A: RatMatrix, c: Colouring, g: GroundSet, distinct: bool) -> in
     last = max((j for i in range(A.rows) for j in range(A.cols) if A.at(i, j)),
                default=0)
     classes: dict[int, list[F]] = {}
-    for x in g:
+    n, den = g.span
+    for x in (F(a, den) for a in range(1, n + 1)):
         if ref.covers(c, x):
             classes.setdefault(c.colour_of(x), []).append(x)
     tuples = sum(len(cls) ** last for cls in classes.values())
@@ -88,7 +89,7 @@ def budget_count(A: RatMatrix, c: Colouring, g: GroundSet, distinct: bool) -> in
     scales = [lcm(*(x.denominator for x in A.row(i))) for i in range(A.rows)]
     merged = 0
     for cls in classes.values():
-        width = (max(cls) - min(cls)) * g.span[1]
+        width = (max(cls) - min(cls)) * den
         for k in range(last):
             states = prod(sum(abs(x) for x in A.row(i)[:k]) * scales[i] * width + 1
                           for i in range(A.rows))

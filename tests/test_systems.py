@@ -446,6 +446,29 @@ class TestRefuteOverSubring:
             assert n == max(2, padic_valuation(y1, q) + 1)
 
 
+    # 999983 is the largest prime below SCAN_LIMIT = 10**6, and the 78,498th;
+    # 1000003 is the least prime past it
+    def test_scan_below_the_limit(self):
+        spec = SystemSpec(1, 2, CoefficientSchedule("allprimes"))
+        assert refute_over_subring(spec, PrimeSet.cofinite([999983]), (F(1),),
+                                   10**9) == 78_498
+        assert refute_over_subring(spec, PrimeSet.cofinite([1000003]), (F(1),),
+                                   78_498) is None
+
+    def test_scan_past_the_limit_refused(self):
+        spec = SystemSpec(1, 2, CoefficientSchedule("allprimes"))
+        past = PrimeSet.cofinite([1000003])
+        with pytest.raises(ValueError, match="the scan would read the primes "
+                           "up to 1000003, the least one outside the set, more "
+                           "than the limit of 1000000"):
+            refute_over_subring(spec, past, (F(1),), 78_499)
+        # a zero combination needs no scan, and a set of all primes none past 2
+        pair = SystemSpec(2, 2, CoefficientSchedule("allprimespair"))
+        assert refute_over_subring(pair, past, (F(2), F(1)), 10**9) is None
+        assert refute_over_subring(spec, PrimeSet(complement=True), (F(1),),
+                                   10**9) is None
+
+
 class TestParseSchedule:
     def test_builtin_forms(self):
         assert parse_schedule("qpow:2") == CoefficientSchedule("qpow", 2)
