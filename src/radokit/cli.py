@@ -17,8 +17,8 @@ import sys
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, islice, repeat, tee
 
-from .linalg import read_matrix
-from .rado import columns_condition, first_entries
+from .linalg import _read_text, read_integer_rows, read_matrix
+from .rado import columns_condition_rows, first_entries
 from .rings import (
     DIGIT_LIMIT,
     Rat,
@@ -34,8 +34,8 @@ from .search import (
     BudgetExceededError,
     Colouring,
     GroundSet,
-    min_rado_number,
-    monochromatic_solution,
+    min_rado_number_rows,
+    monochromatic_solution_rows,
 )
 from .systems import (
     SystemSpec,
@@ -125,9 +125,7 @@ def _parse_colouring(spec: str) -> Colouring:
         def values() -> Iterator[str]:
             """The value tokens; parse_rats reads each before its line's
             colour is checked, so errors come in text order."""
-            with open(spec[len("file:"):]) as f:
-                text = f.read()
-            for line in text.splitlines():
+            for line in _read_text(spec[len("file:"):]).splitlines():
                 stripped = line.strip()
                 if not stripped or stripped.startswith("#"):
                     continue
@@ -159,7 +157,7 @@ def _parse_ground(spec: str) -> GroundSet:
 
 
 def _cmd_cc_check(args: argparse.Namespace) -> int:
-    cert = columns_condition(read_matrix(args.matrix))
+    cert = columns_condition_rows(*read_integer_rows(args.matrix))
     if cert is None:
         print("no certificate")
         return 1
@@ -266,12 +264,11 @@ def _cmd_nat_witness(args: argparse.Namespace) -> int:
 def _cmd_mono_search(args: argparse.Namespace) -> int:
     if args.budget < 1:
         raise ValueError(f"--budget must be positive, got {args.budget}")
-    M = read_matrix(args.matrix)
+    rows, cols = read_integer_rows(args.matrix)
     colouring = _parse_colouring(args.colouring)
     ground = _parse_ground(args.ground)
-    found = monochromatic_solution(
-        M, colouring, ground, distinct=args.distinct, budget=args.budget
-    )
+    found = monochromatic_solution_rows(rows, cols, colouring, ground,
+                                        args.distinct, args.budget)
     if found is None:
         print("no monochromatic solution")
         return 1
@@ -281,8 +278,8 @@ def _cmd_mono_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_rado_number(args: argparse.Namespace) -> int:
-    M = read_matrix(args.matrix)
-    result = min_rado_number(M, args.colours, args.nmax)
+    result = min_rado_number_rows(*read_integer_rows(args.matrix), args.colours,
+                                  args.nmax)
     if result.number is None:
         print(f"no rado number up to {args.nmax}")
         print(f"surviving colouring of 1..{len(result.witness)}:")

@@ -15,7 +15,7 @@ from __future__ import annotations
 from bisect import insort
 from fractions import Fraction
 
-from .linalg import RatMatrix, _clear, _integer_rows
+from .linalg import RatMatrix, _clear
 from .rings import Rat, _Record
 
 # Hard cap on column count: a step's search is exponential in half its
@@ -157,8 +157,13 @@ def _insert(basis: list[tuple[int, list[int]]], rest: list[list[int]],
 
 
 def columns_condition(A: RatMatrix) -> CCCertificate | None:
-    """Find the canonical columns-condition certificate, or None if there is
-    none.
+    """columns_condition_rows on A's rows, scaled to integers."""
+    return columns_condition_rows(*A.integer_rows())
+
+
+def columns_condition_rows(rows: list[list[int]], cols: int) -> CCCertificate | None:
+    """Find the canonical columns-condition certificate of the matrix with
+    these integer rows of length cols, or None if there is none.
 
     The canonical certificate is the lexicographically least sequence of
     used-column masks: each block is the numerically least admissible
@@ -178,16 +183,17 @@ def columns_condition(A: RatMatrix) -> CCCertificate | None:
     step always extends, and the greedy chain is that search's answer.  On
     a no-instance the chain stops at its first dead end.
 
-    The rows of A, scaled to integers, are carried through the chain in
-    reduced row echelon form over the used columns in ascending order, each
-    a multiple of its reduced row: pivot rows in pivot order, and rest rows,
-    zero on the used columns and nonzero (a row cleared to zero is dropped).
+    The rows are carried through the chain in reduced row echelon form
+    over the used columns in ascending order, each a multiple of its
+    reduced row: pivot rows in pivot order, and rest rows, zero on the used
+    columns and nonzero (a row cleared to zero is dropped).  The caller's
+    lists are not changed.
     A block sums into span(used) exactly when its rest-row entries, the
     residuals, sum to zero: each step seeks the least nonempty zero-sum
     submask of its candidate columns, by meet in the middle.  A later block's
     witness, the solution with every free variable zero, gives each pivot
     column the block's sum in its row over the pivot entry; scaling a row
-    of A by a positive constant changes neither the pivots nor these ratios.
+    by a positive constant changes neither the pivots nor these ratios.
 
     Sign lemma: if a rest row's nonzero residuals over the candidates share
     one sign, no zero-sum block holds any of those columns.  Proof: every
@@ -226,16 +232,16 @@ def columns_condition(A: RatMatrix) -> CCCertificate | None:
     a row operation per row cleared for each inserted column, and at most
     rank + 1 packings.
     """
-    if A.cols > MAX_COLUMNS:
+    if cols > MAX_COLUMNS:
         raise ValueError(
-            f"columns_condition handles at most {MAX_COLUMNS} columns, got {A.cols}"
+            f"columns_condition handles at most {MAX_COLUMNS} columns, got {cols}"
         )
-    if A.cols == 0:
+    if cols == 0:
         return None
-    rest = [row for row in _integer_rows(map(A.row, range(A.rows))) if any(row)]
+    rest = [row for row in rows if any(row)]
     basis: list[tuple[int, list[int]]] = []
     used: list[int] = []
-    unused = list(range(A.cols))
+    unused = list(range(cols))
     blocks: list[tuple[int, ...]] = []
     witnesses: list[tuple[Rat, ...]] = []
     packed = None

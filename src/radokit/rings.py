@@ -93,9 +93,11 @@ def _parse_int(text: str) -> int:
 _parse_int.__name__ = "int"
 
 
-def parse_rat(text: str) -> Rat:
-    """Parse ``a`` or ``a/b``: a an integer token, b a string of Unicode
-    decimal digits (``str.isdecimal``), surrounding whitespace ignored.
+def _rat_parts(text: str) -> tuple[int, int]:
+    """The numerator and denominator, in lowest terms, of a rational token:
+    ``a`` or ``a/b``, a an integer token, b a string of Unicode decimal
+    digits (``str.isdecimal``), surrounding whitespace ignored.  The one
+    reader of rational text: an integer token costs one ``int()``.
     """
     num, slash, den = text.strip().partition("/")
     if not _is_integer(num) or (slash and not den.isdecimal()):
@@ -108,7 +110,13 @@ def parse_rat(text: str) -> Rat:
                          "digits") from None
     if b == 0:
         raise ValueError(f"zero denominator: {text!r}")
-    return Fraction(a, b) if slash else Fraction(a)
+    g = math.gcd(a, b)
+    return a // g, b // g
+
+
+def parse_rat(text: str) -> Rat:
+    """Parse ``a`` or ``a/b``, by `_rat_parts`'s grammar, into a Fraction."""
+    return Fraction(*_rat_parts(text))
 
 
 def parse_rats(tokens: Iterable[str]) -> list[Rat]:

@@ -58,7 +58,7 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd
 
-from .linalg import RatMatrix, _integer_rows
+from .linalg import RatMatrix
 from .rings import Rat, _Record
 
 
@@ -439,16 +439,20 @@ def _walk_bound(rows: list[list[int]], k_max: int, spans: list[tuple[int, int]],
     return min(tuples, merged)
 
 
-def monochromatic_solution(
-    A: RatMatrix,
-    c: Colouring,
-    g: GroundSet,
-    distinct: bool = False,
-    budget: int = 10**8,
-) -> tuple[Rat, ...] | None:
-    """Exhaustive search for a one-colour-class solution of A with values
-    drawn from g; optionally all values pairwise distinct.  Returns the
-    values in column order, or None.
+def monochromatic_solution(A: RatMatrix, c: Colouring, g: GroundSet,
+                           distinct: bool = False,
+                           budget: int = 10**8) -> tuple[Rat, ...] | None:
+    """monochromatic_solution_rows on A's rows, scaled to integers."""
+    return monochromatic_solution_rows(*A.integer_rows(), c, g, distinct, budget)
+
+
+def monochromatic_solution_rows(rows: list[list[int]], cols: int, c: Colouring,
+                                g: GroundSet, distinct: bool = False,
+                                budget: int = 10**8) -> tuple[Rat, ...] | None:
+    """Exhaustive search for a one-colour-class solution of the matrix with
+    these integer rows of length cols, with values drawn from g; optionally
+    all values pairwise distinct.  Returns the values in column order, or
+    None.
 
     Deterministic: colour classes in colour order, candidates in ground-set
     order, first witness wins.  Before any search and before a slice is
@@ -456,11 +460,10 @@ def monochromatic_solution(
     MAX_ENUMERATED columns (those before the last nonzero one), and
     BudgetExceededError when `_walk_bound` over them exceeds `budget`.
     """
-    v = A.cols
-    if v == 0:
+    if cols == 0:
         raise ValueError("matrix has no columns to solve for")
-    rows = [row for row in _integer_rows(map(A.row, range(A.rows))) if any(row)]
-    last = max((j for row in rows for j in range(v) if row[j]), default=-1)
+    rows = [row for row in rows if any(row)]
+    last = max((j for row in rows for j in range(cols) if row[j]), default=-1)
     den, classes = _colour_classes(c, g)
     sizes = [len(cls) for cls in classes]
     spans = [cls.span() if isinstance(cls, _Runs) else (cls[0], cls[-1])
@@ -473,14 +476,14 @@ def monochromatic_solution(
             f"search space exceeds budget of {budget} candidate tuples"
         )
     for cls, size, (lo, hi) in zip(classes, sizes, spans):
-        if distinct and size < v:
+        if distinct and size < cols:
             continue
         inclass = cls if isinstance(cls, _Runs) else set(cls)
         found = _search(plan, [0] * len(rows), cls, lo, hi, inclass, lo, hi,
                         distinct)
         if found is not None:
             # all-zero columns after the solved one take the first allowed candidates
-            for _ in range(last + 1, v):
+            for _ in range(last + 1, cols):
                 found.append(next(x for x in cls if not (distinct and x in found)))
             return tuple(Fraction(x, den) for x in found)
     return None
@@ -557,7 +560,14 @@ def _can_exceed(plan: _Plan, pin: int, t: int) -> bool:
 
 
 def min_rado_number(A: RatMatrix, r: int, n_max: int) -> RadoNumberResult:
-    """Least N <= n_max forcing a monochromatic solution under every
+    """min_rado_number_rows on A's rows, scaled to integers."""
+    return min_rado_number_rows(*A.integer_rows(), r, n_max)
+
+
+def min_rado_number_rows(rows: list[list[int]], cols: int, r: int,
+                         n_max: int) -> RadoNumberResult:
+    """For the matrix with these integer rows of length cols: the least
+    N <= n_max forcing a monochromatic solution under every
     r-colouring of {1..N}, by backtracking with solution pruning and
     forward checking.
 
@@ -608,11 +618,10 @@ def min_rado_number(A: RatMatrix, r: int, n_max: int) -> RadoNumberResult:
         raise ValueError(f"colour count must be 1..4, got {r}")
     if not 1 <= n_max <= 64:
         raise ValueError(f"n_max must be 1..64, got {n_max}")
-    v = A.cols
-    if v == 0:
+    if cols == 0:
         raise ValueError("matrix has no columns to solve for")
 
-    rows = [row for row in _integer_rows(map(A.row, range(A.rows))) if any(row)]
+    rows = [row for row in rows if any(row)]
     if not rows:
         # every assignment is a solution, so colouring 1 alone forces one
         return RadoNumberResult(1, ())

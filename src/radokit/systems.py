@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from itertools import chain, combinations, count, islice, repeat
+from itertools import chain, combinations, compress, count, islice, repeat, takewhile
 
 from .linalg import read_matrix
 from .rings import (
@@ -39,13 +39,17 @@ SCAN_LIMIT = 10**6
 
 
 def _primes() -> Iterator[int]:
-    """The primes in increasing order, extending the cache as they are read."""
+    """The primes in increasing order, extending the cache as they are read:
+    past its last prime P, by sieving lo = P + 1 .. 2 lo - 1, which holds a
+    prime (Bertrand), with the cached primes up to its square root."""
     for j in count():
         if j == len(_primes_cache):
-            candidate = _primes_cache[-1] + 1
-            while not is_prime(candidate):
-                candidate += 1
-            _primes_cache.append(candidate)
+            lo = _primes_cache[-1] + 1
+            sieve = bytearray([1]) * lo
+            for p in takewhile(lambda p: p * p < 2 * lo, _primes_cache):
+                # from lo's offset to p's first multiple past P, never p itself
+                sieve[-lo % p::p] = bytes(len(range(-lo % p, lo, p)))
+            _primes_cache.extend(compress(range(lo, 2 * lo), sieve))
         yield _primes_cache[j]
 
 

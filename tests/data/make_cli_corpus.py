@@ -15,9 +15,10 @@ usage errors), out-of-subring elements, the budget and
 enumeration-depth refusals, the colour-count and nmax caps of
 `rado-number`, the 33-column refusal of `cc-check`, the digit and entry
 limits of the system commands, bad and `file:` schedules, a schedule that
-runs past its table, and y values outside the subring or not matching
-alpha.  test_cli_corpus.py replays every run in an empty directory and
-holds the output to it byte for byte.  Rerunning this script rewrites the
+runs past its table, y values outside the subring or not matching alpha,
+and ragged matrix files whose bad token comes after the short row.
+test_cli_corpus.py replays every run in an empty directory and holds the
+output to it byte for byte.  Rerunning this script rewrites the
 file from whatever radokit is installed; do that only on purpose.
 
     PYTHONPATH=src python tests/data/make_cli_corpus.py
@@ -392,12 +393,27 @@ def count_option_cases(rng: random.Random) -> list[tuple[list[str], dict[str, st
             for token in ("+3", "1_0", "3.0", LONG, " 3 ", "٣", "-0")]
 
 
+# Ragged files whose bad token lies past the short row: every token is read,
+# in text order, before any row length is checked, so the token's error wins.
+ERROR_ORDER_MATRICES = ["1 2 3\n4 5\n6 x 7\n", f"1 2 3\n4 5\n6 {LONG} 7\n",
+                        f"1 2 3\n4 5\n6 1/{LONG} 7\n", "1 2 3\n4 5\n6 1/0 7\n"]
+
+
+def error_order_cases(rng: random.Random) -> list[tuple[list[str], dict[str, str]]]:
+    """Each command that reads a matrix file on each ERROR_ORDER_MATRICES file."""
+    commands = [["cc-check"], ["fe-check"],
+                ["mono-search", "--colouring", "log2parity", "--ground", "6"],
+                ["rado-number", "--colours", "2", "--nmax", "5"]]
+    return [([*command, "--matrix", "m.txt"], {"m.txt": matrix})
+            for command in commands for matrix in ERROR_ORDER_MATRICES]
+
+
 def corpus() -> list[tuple[list[str], dict[str, str]]]:
     rng = random.Random(20261019)
     return [case for make in (fe_check_cases, membership_cases, pigeonhole_cases,
                               mono_search_cases, rado_number_cases, cc_check_cases,
                               build_cases, refute_cases, nat_witness_cases,
-                              count_option_cases)
+                              count_option_cases, error_order_cases)
             for case in make(rng)]
 
 

@@ -24,7 +24,7 @@ COMMANDS = sorted({entry["argv"][0] for entry in CORPUS})
 
 
 def test_corpus_covers_every_command_and_outcome():
-    assert len(CORPUS) == 525
+    assert len(CORPUS) == 541
     assert COMMANDS == ["build-iab", "build-system", "cc-check", "fe-check",
                         "membership", "mono-search", "nat-witness", "pigeonhole",
                         "rado-number", "refute"]

@@ -1,7 +1,9 @@
 """Differential test of columns_condition's column insertion, built on
 linalg's one row operation, against the Fraction rref and in_span it
-replaced (tests/linalg_reference.py), and of parse_matrix, which reads each
-distinct token once, against the parser that read every token.
+replaced (tests/linalg_reference.py), of parse_matrix, which reads each
+distinct token once, against the parser that read every token, and of
+parse_integer_rows, which builds no Fraction, against _integer_rows of
+parse_matrix.
 
 The reduced row echelon form is unique for a given column order, so the
 inserted rows, each divided by its pivot, must equal the reference's entry
@@ -11,17 +13,27 @@ that prefix, and residuals and witnesses that agree with the reference's
 in_span.
 """
 
+import json
 import random
 from fractions import Fraction as F
 from math import lcm
+from pathlib import Path
 
 import pytest
 
 import linalg_reference as ref
+import radokit.linalg
 import radokit.rings
 from radokit.cli import main
 from conftest import insert_columns
-from radokit.linalg import RatMatrix, _integer_rows, parse_matrix
+from radokit.linalg import (
+    RatMatrix,
+    _integer_rows,
+    parse_integer_rows,
+    parse_matrix,
+    read_integer_rows,
+    read_matrix,
+)
 from radokit.rado import _insert
 from radokit.rings import DIGIT_LIMIT, parse_rat
 
@@ -308,3 +320,151 @@ def test_first_bad_token_error_is_the_reference_error(bad, place, tmp_path,
     path.write_text(text)
     assert main(["cc-check", "--matrix", str(path)]) == 2
     assert capsys.readouterr() == ("", f"error: {want.value}\n")
+
+
+def integer_rows_of_parse_matrix(text):
+    """What the CLI's three integer-row commands read before
+    parse_integer_rows: the rows of parse_matrix, scaled by _integer_rows."""
+    M = parse_matrix(text)
+    return _integer_rows(M.row(i) for i in range(M.rows)), M.cols
+
+
+def spelled(rng, x):
+    """x written as a matrix token, now and then unreduced or signed zero."""
+    roll = rng.random()
+    if x == 0 and roll < 0.3:
+        return rng.choice(("-0", "0/5", "00", "-0/7"))
+    if roll < 0.2:
+        k = rng.randint(2, 9)
+        return f"{x.numerator * k}/{x.denominator * k}"
+    return str(x)
+
+
+def random_rows_text(rng):
+    """random_rows written out with comment, blank and whitespace-only lines
+    between the rows, and runs of spaces and tabs between the entries."""
+    rows = random_rows(rng, rng.randint(1, 5), rng.randint(1, 8))
+    lines = []
+    for row in rows:
+        if rng.random() < 0.3:
+            lines.append(rng.choice(("# comment", "", " \t", "#1/0 x", "  # 6/4")))
+        lines.append(rng.choice((" ", "\t", "  ")).join(spelled(rng, x) for x in row))
+    return rng.choice(("\n", "\r\n")).join(lines) + rng.choice(("", "\n"))
+
+
+def test_integer_rows_reader_matches_parse_matrix():
+    texts = [entry["matrix"] for entry in json.loads(
+        (Path(__file__).parent / "data" / "cc_corpus.json").read_text())]
+    assert len(texts) == 588
+    rng = random.Random(20261020)
+    texts += [random_rows_text(rng) for _ in range(2000)]
+    texts += ["", "# only\n", "\n\n", "-0 0/5 6/4 -6/4\n3/2 0 1 -1\n",
+              "999999999999 -123456789012/7\n1 2\n", "٣ 1/２\n"]
+    seen = {"fraction": 0, "12 digits": 0, "unreduced": 0}
+    for text in texts:
+        rows, cols = parse_integer_rows(text)
+        assert (rows, cols) == integer_rows_of_parse_matrix(text), text
+        assert all(type(row) is list and all(type(x) is int for x in row)
+                   for row in rows), text
+        seen["fraction"] += "/" in text
+        seen["12 digits"] += any(len(tok.lstrip("-")) >= 12 for tok in text.split())
+        seen["unreduced"] += "6/4" in text or any(
+            F(tok).denominator != int(tok.partition("/")[2] or 1)
+            for tok in text.split() if "/" in tok and "#" not in tok)
+    assert min(seen.values()) >= 50, seen
+
+
+BAD_MATRIX_TEXTS = [
+    "1 x 2\n", "1 2\n1.5 2\n", "+1 1\n", "1 1/0\n", "1 -3/00\n",
+    f"1 {TOO_LONG}\n", f"1 1/{TOO_LONG}\n", f"-{TOO_LONG}/0 1\n",
+    "1 2 3\n4 5\n", "1 2\n3 4 5\n", "1 2 3\n4 5\n6 x 7\n",
+    f"1 2 3\n4 5\n6 {TOO_LONG} 7\n", f"1 2 3\n4 5\n6 1/{TOO_LONG} 7\n",
+    "1 2 3\n4 5\n6 1/0 7\n", "1 y 1/0\n2\n", "# 1 x\n1 1/0 x\n",
+]
+
+
+@pytest.mark.parametrize("text", BAD_MATRIX_TEXTS, ids=lambda t: t[:16])
+def test_integer_rows_reader_raises_parse_matrix_error(text, tmp_path, capsys):
+    with pytest.raises(ValueError) as want:
+        parse_matrix(text)
+    with pytest.raises(ValueError) as got:
+        parse_integer_rows(text)
+    assert str(got.value) == str(want.value)
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    for command in (["cc-check"], ["rado-number", "--colours", "2", "--nmax", "5"],
+                    ["mono-search", "--colouring", "log2parity", "--ground", "6"]):
+        assert main([*command, "--matrix", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {want.value}\n")
+
+
+@pytest.mark.parametrize("ends", ["\n", "\r\n", "\r"])
+def test_file_readers_read_line_ends_as_text_mode(ends, tmp_path):
+    text = ends.join(["# m", "1 -0 ٣", "", "6/4 2 1/２", "  0 0 0  "]) + ends
+    path = tmp_path / "m.txt"
+    path.write_bytes(text.encode())
+    with open(path) as f:  # text mode, universal newlines
+        read = f.read()
+    assert read_matrix(str(path)) == parse_matrix(read)
+    assert read_integer_rows(str(path)) == integer_rows_of_parse_matrix(read) \
+        == ([[1, 0, 3], [3, 4, 1], [0, 0, 0]], 3)
+
+
+@pytest.fixture
+def token_reads(monkeypatch):
+    """Every token that linalg reads through _rat_parts, and every call of
+    a Fraction-building reader: parse_rat, parse_matrix, _integer_rows,
+    and Fraction in linalg and rings."""
+    reads = {"tokens": [], "fractions": 0}
+
+    def counting(read):
+        def spy(*args):
+            reads["fractions"] += 1
+            return read(*args)
+        return spy
+
+    def parts(tok):
+        reads["tokens"].append(tok)
+        return radokit.rings._rat_parts(tok)
+
+    monkeypatch.setattr(radokit.linalg, "_rat_parts", parts)
+    monkeypatch.setattr(radokit.rings, "parse_rat", counting(radokit.rings.parse_rat))
+    for module in (radokit.linalg, radokit.rings):
+        monkeypatch.setattr(module, "Fraction", counting(module.Fraction))
+    for name in ("parse_matrix", "_integer_rows"):
+        read = getattr(radokit.linalg, name)
+        monkeypatch.setattr(radokit.linalg, name, counting(read))
+    return reads
+
+
+INTEGER_COMMANDS = [["cc-check"], ["rado-number", "--colours", "2", "--nmax", "6"],
+                    ["mono-search", "--colouring", "log2parity", "--ground", "4"]]
+
+
+@pytest.mark.parametrize("command", INTEGER_COMMANDS, ids=lambda c: c[0])
+def test_integer_file_builds_no_fraction(command, token_reads, tmp_path, capsys):
+    """A 2 x 16 all-integer file: each distinct token is read once, and
+    no Fraction is built from a matrix entry."""
+    rng = random.Random(16)
+    rows = [[rng.randint(-3, 3) for _ in range(16)] for _ in range(2)]
+    path = tmp_path / "m.txt"
+    path.write_text("".join(" ".join(map(str, row)) + "\n" for row in rows))
+    assert main([*command, "--matrix", str(path)]) in (0, 1)
+    assert capsys.readouterr().err == ""
+    tokens = [str(x) for row in rows for x in row]
+    assert token_reads == {"tokens": list(dict.fromkeys(tokens)), "fractions": 0}
+    assert len(tokens) == 32 > len(token_reads["tokens"])
+
+
+@pytest.mark.parametrize("command", INTEGER_COMMANDS, ids=lambda c: c[0])
+def test_fraction_tokens_are_read_once_each(command, token_reads, tmp_path, capsys):
+    """k = 3 distinct fraction tokens, 12 fraction entries: each is read
+    once, and still no Fraction is built."""
+    path = tmp_path / "m.txt"
+    path.write_text("1/2 2/4 1/2 -3/6 1 1\n2/4 1/2 -3/6 1/2 2/4 -1\n"
+                    "# 1/3\n1/2 -3/6 0 0 0 0\n")
+    assert main([*command, "--matrix", str(path)]) in (0, 1)
+    assert capsys.readouterr().err == ""
+    fraction_reads = [t for t in token_reads["tokens"] if "/" in t]
+    assert fraction_reads == ["1/2", "2/4", "-3/6"]
+    assert token_reads["fractions"] == 0

@@ -2,16 +2,20 @@ import math
 import random
 import time
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 
+import radokit.systems
 from conftest import dense, residuals, solves
+from radokit.cli import main
 from radokit.linalg import RatMatrix
 from radokit.rado import first_entries
 from radokit.rings import PrimeSet, padic_valuation
 from radokit.systems import (
     CoefficientSchedule,
     SystemSpec,
+    _primes,
     d_combination,
     natural_solution_witness,
     parse_schedule,
@@ -21,6 +25,15 @@ from radokit.systems import (
     truncated_rows,
 )
 from systems_reference import dense_stacked_matrix, dense_truncated_system
+
+
+def plain_sieve(n):
+    """The primes below n, by the sieve of Eratosthenes over one list."""
+    marks = [False, False] + [True] * (n - 2)
+    for i in range(2, math.isqrt(n - 1) + 1):
+        if marks[i]:
+            marks[i * i::i] = [False] * len(range(i * i, n, i))
+    return [i for i, prime in enumerate(marks) if prime]
 
 
 def every_kind(rng, depth):
@@ -454,6 +467,27 @@ class TestRefuteOverSubring:
                                    10**9) == 78_498
         assert refute_over_subring(spec, PrimeSet.cofinite([1000003]), (F(1),),
                                    78_498) is None
+
+    def test_primes_match_a_plain_sieve(self, monkeypatch):
+        """The cache, grown from [2] by segments, against a plain sieve: the
+        first 78,498 primes, and the whole cache, last segment included."""
+        monkeypatch.setattr(radokit.systems, "_primes_cache", [2])
+        assert list(islice(_primes(), 78_498)) == plain_sieve(10**6)
+        cache = radokit.systems._primes_cache
+        assert cache == plain_sieve(cache[-1] + 1)
+
+    def test_scan_to_the_limit_is_quick(self, monkeypatch, capsys):
+        """Listing the 78,498 primes below the limit from a cold cache took
+        2-2.8 s with one is_prime call per integer."""
+        monkeypatch.setattr(radokit.systems, "_primes_cache", [2])
+        start = time.perf_counter()
+        rc = main(["refute", "--alpha", "1", "--depth", "2", "--schedule",
+                   "allprimes", "--y", "1", "--nmax", "1000000000", "--primes",
+                   "all-except:999983"])
+        assert time.perf_counter() - start < 0.6
+        assert (rc, *capsys.readouterr()) == (2, "", (
+            "error: the d-combination at n=78498 has more than 4300 digits, "
+            "too many to print\n"))
 
     def test_scan_past_the_limit_refused(self):
         spec = SystemSpec(1, 2, CoefficientSchedule("allprimes"))
