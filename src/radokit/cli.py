@@ -5,6 +5,11 @@ answer, 1 for a definite negative one (no certificate, not a member, no
 solution), 2 for usage, parse, or budget errors.  Reports are plain text
 with stable field order and all rationals in canonical form, so identical
 inputs give byte-identical output.  Indices in reports are 1-based.
+
+A command line is read in one pass over its command's option table
+(_read_options) when it holds only exact option strings with their
+values, --option=value forms and flags.  argparse reads every other one,
+so it alone prints help, usage and errors.
 """
 
 from __future__ import annotations
@@ -372,21 +377,69 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
     return parser, sub.choices
 
 
+@functools.cache
+def _option_table(command: argparse.ArgumentParser) -> tuple[dict, dict, int]:
+    """What _read_options needs of a command's parser: each option string
+    of its store and store_true actions to that action, the defaults a parse
+    fills (less those of required options, which a parse must set), and the
+    number of names a parse sets."""
+    actions = [a for a in command._actions if a.default is not argparse.SUPPRESS]
+    options = {s: a for a in actions for s in a.option_strings
+               if type(a) in (argparse._StoreAction, argparse._StoreTrueAction)}
+    defaults = {a.dest: a.default for a in actions if not a.required}
+    return options, defaults | command._defaults, len(actions) + len(command._defaults)
+
+
+def _read_options(command: argparse.ArgumentParser,
+                  tokens: Iterator[str]) -> argparse.Namespace | None:
+    """The Namespace command.parse_known_args(list(tokens)) gives, read in
+    one pass, when every token is an exact option string followed by a value
+    that does not start with '-', an --option=value, or a flag, each value
+    converts, and no required option is missing.  None for any other tokens:
+    help, abbreviations, '--', unknown tokens and every error are argparse's
+    to read.  Each occurrence of an option converts in argv order, as in
+    argparse, so a bad value is reported even when a later one overrides it."""
+    options, defaults, size = _option_table(command)
+    values = defaults.copy()
+    for token in tokens:
+        action = options.get(token)
+        if action is None:
+            # a '--' value is argparse's too: 3.11 reads --opt=-- as []
+            name, eq, text = token.partition("=")
+            action = options.get(name) if eq and text != "--" else None
+            if action is None or action.nargs == 0:
+                return None
+        elif action.nargs == 0:
+            values[action.dest] = action.const
+            continue
+        elif (text := next(tokens, "-")).startswith("-"):
+            return None
+        try:
+            values[action.dest] = (action.type or str)(text)
+        except ValueError:
+            return None
+    return argparse.Namespace(**values) if len(values) == size else None
+
+
 def _parse(argv: Sequence[str] | None) -> argparse.Namespace:
-    """Parse argv once.  An argv that names a command goes straight to that
-    command's parser, and the tokens it leaves to the top-level error, as
-    the top-level pass, which only hands the rest to the same parser, would
-    report them.  Any other argv (empty, -h, an unknown command, a leading
-    --) can only print help or a usage error; the top-level parser reads it."""
+    """Parse argv once.  An argv that names a command is read against that
+    command's option table by _read_options.  What that reader does not
+    accept goes to the command's parser, and the tokens the parser leaves to
+    the top-level error, as the top-level pass, which only hands the rest to
+    the same parser, would report them.  Any other argv (empty, -h, an
+    unknown command, a leading --) can only print help or a usage error; the
+    top-level parser reads it."""
     parser, commands = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
     command = commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)
-    args, extra = command.parse_known_args(argv[1:])
-    if extra:
-        parser.error("unrecognized arguments: " + " ".join(extra))
+    args = _read_options(command, iter(argv[1:]))
+    if args is None:
+        args, extra = command.parse_known_args(argv[1:])
+        if extra:
+            parser.error("unrecognized arguments: " + " ".join(extra))
     return args
 
 

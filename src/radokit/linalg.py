@@ -139,9 +139,11 @@ def parse_integer_rows(text: str) -> tuple[list[list[int]], int]:
 def _read_text(path: str) -> str:
     """The text of the file at path, decoded as UTF-8: one binary read and
     one decode, since text mode's wrapper and incremental decoder cost more
-    than the rest of a small file's read.  Its lines are text mode's, as
-    str.splitlines ends a line at CR LF and at a lone CR alike."""
-    with open(path, "rb") as f:
+    than the rest of a small file's read.  Unbuffered, as one read of the
+    whole file needs no buffer, and an unbuffered open makes no isatty
+    call.  Its lines are text mode's, as str.splitlines ends a line at
+    CR LF and at a lone CR alike."""
+    with open(path, "rb", buffering=0) as f:
         return f.read().decode()
 
 

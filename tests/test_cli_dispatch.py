@@ -1,8 +1,9 @@
 """Differential test of the CLI's one-pass parse.
 
-`cli._parse(argv)` hands an argv that names a command straight to that
-command's parser, and every other argv to the top-level parser.  The
-reference here is the top-level parser's full `parse_args`, which reads the
+`cli._parse(argv)` reads an argv that names a command against that
+command's option table (`cli._read_options`), hands what that reader does
+not accept straight to the command's parser, and every other argv to the
+top-level parser.  The reference here is the top-level parser's full `parse_args`, which reads the
 command name and passes the rest to the same command parser.  On seeded
 random argvs over every command, every option string, abbreviations, `=`
 forms, `--`, `-h`, negative numbers and unknown tokens, both must give the
@@ -131,7 +132,15 @@ def columns(width: str):
 def test_dispatch_matches_the_full_parse():
     rng = random.Random(SEED)
     codes = {}
-    with columns("80"):
+    served = []
+    read = cli._read_options
+
+    def spy(command, tokens):
+        args = read(command, tokens)
+        served.append(args is not None)
+        return args
+
+    with columns("80"), mock.patch.object(cli, "_read_options", spy):
         for _ in range(COUNT):
             argv = random_argv(rng)
             expected = outcome(reference, argv)
@@ -141,6 +150,8 @@ def test_dispatch_matches_the_full_parse():
     # every command reaches a parse (None), help (0) and a usage error (2);
     # an argv that names no command only help and usage errors
     assert codes == {**dict.fromkeys(VALID, {None, 0, 2}), None: {0, 2}}
+    # the differential covers both the reader's namespaces and argparse's
+    assert 1000 < sum(served) < len(served) - 1000
 
 
 # The top-level usage, as the parent printed it at COLUMNS=80; Python 3.13's
@@ -153,6 +164,10 @@ USAGE = (f"usage: radokit [-h]\n               {COMMAND_LIST} ...\n"
 CHOICES = ("(choose from 'cc-check', 'fe-check', 'build-system', 'build-iab', "
            "'membership', 'pigeonhole', 'refute', 'nat-witness', 'mono-search', "
            "'rado-number')")
+REFUTE = ["refute", "--alpha", "1", "--depth", "3", "--schedule", "qpow:2",
+          "--primes=2"]
+REFUTE_ARGS = {"alpha": 1, "depth": 3, "schedule": "qpow:2", "primes": "2",
+               "handler": cli._cmd_refute}
 PINNED = [
     (["cc-check", "--matrix", "m.txt", "extra"],
      (2, "", USAGE + "radokit: error: unrecognized arguments: extra\n", None)),
@@ -172,6 +187,23 @@ PINNED = [
     (["--", "cc-check"],
      (2, "", USAGE + "radokit: error: argument command: invalid choice: "
       f"'--' {CHOICES}\n", None)),
+    # each occurrence of an option converts, the overridden one too
+    (["membership", "--scale", "refute", "--value", "1/3", "--primes", "3",
+      "--scale", "2"],
+     (2, "", "usage: radokit membership [-h] --value VALUE --primes PRIMES "
+      "[--scale SCALE]\nradokit membership: error: argument --scale: invalid "
+      "int value: 'refute'\n", None)),
+    (REFUTE + ["--y=-1,2", "--nmax", "10"],
+     (None, "", "", {**REFUTE_ARGS, "y": "-1,2", "nmax": 10})),
+    # a value that starts with '-' is argparse's to read
+    (REFUTE + ["--y", "1", "--nmax", "-5"],
+     (None, "", "", {**REFUTE_ARGS, "y": "1", "nmax": -5})),
+    (["fe-check", "--matrix", "m.txt", "--strict="],
+     (2, "", "usage: radokit fe-check [-h] --matrix MATRIX [--strict]\n"
+      "radokit fe-check: error: argument --strict: ignored explicit argument "
+      "''\n", None)),
+    (["cc-check", "--matrix="],
+     (None, "", "", {"matrix": "", "handler": cli._cmd_cc_check})),
 ]
 
 
@@ -180,6 +212,52 @@ def test_pinned_outcomes():
         for argv, expected in PINNED:
             assert outcome(cli._parse, argv) == expected, argv
             assert outcome(reference, argv) == expected, argv
+
+
+# One argv of each shape the benchmark's jobs send.
+FAST = [
+    ["cc-check", "--matrix", "m.txt"],
+    REFUTE + ["--y=1,-1/2", "--nmax", "12"],
+    ["mono-search", "--matrix", "m.txt", "--colouring", "log2parity",
+     "--ground", "40,2", "--distinct"],
+    ["build-system", "--alpha", "2", "--depth", "4", "--schedule", "qpow:3",
+     "--out", "o.txt"],
+    ["membership", "--value=-7/30", "--primes=2,3,101", "--scale", "6"],
+    ["pigeonhole", "--m", "3", "--primes=2,3", "--values=1/2,-3,5/4"],
+]
+# argvs the reader leaves to the command's parser
+DEFERRED = [
+    ["cc-check", "--mat", "m.txt"],
+    ["cc-check", "--matrix=--"],
+    ["cc-check", "--", "--matrix", "m.txt"],
+    ["rado-number", "--matrix", "m.txt", "--colours", "2", "--nmax", "-3"],
+]
+
+
+def test_reader_serves_the_benchmark_shapes_without_argparse():
+    expected = [outcome(reference, argv) for argv in FAST + DEFERRED]
+    calls = []
+    parse = cli.argparse.ArgumentParser.parse_known_args
+
+    def spy(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    with mock.patch.object(cli.argparse.ArgumentParser, "parse_known_args", spy):
+        for argv, want in zip(FAST, expected):
+            assert outcome(cli._parse, argv) == want, argv
+            assert want[0] is None and calls == [], argv
+        for argv, want in zip(DEFERRED, expected[len(FAST):]):
+            assert outcome(cli._parse, argv) == want, argv
+            assert calls == [f"radokit {argv[0]}"], argv
+            calls.clear()
+
+
+def test_negative_nmax_reaches_the_handler():
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert cli.main(REFUTE + ["--y", "1", "--nmax", "-5"]) == 2
+    assert err.getvalue() == "error: --nmax must be nonnegative, got -5\n"
 
 
 def corpus_differences() -> list[str]:
@@ -212,7 +290,9 @@ def corpus_differences() -> list[str]:
 def main() -> int:
     failed = 0
     version = sys.version.split()[0]
-    for test in (test_dispatch_matches_the_full_parse, test_pinned_outcomes):
+    for test in (test_dispatch_matches_the_full_parse, test_pinned_outcomes,
+                 test_reader_serves_the_benchmark_shapes_without_argparse,
+                 test_negative_nmax_reaches_the_handler):
         try:
             test()
         except AssertionError as exc:
