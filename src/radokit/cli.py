@@ -27,13 +27,15 @@ from .rado import columns_condition_rows, first_entries
 from .rings import (
     DIGIT_LIMIT,
     Rat,
+    _format_parts,
     _parse_int,
+    _rat_parts,
+    _sum_parts,
     format_rat,
-    in_scaled_subring,
+    in_scaled_subring_parts,
     parse_prime_set,
-    parse_rat,
     parse_rats,
-    pigeonhole_subset,
+    pigeonhole_subset_parts,
 )
 from .search import (
     BudgetExceededError,
@@ -44,12 +46,12 @@ from .search import (
 )
 from .systems import (
     SystemSpec,
-    d_combination,
+    d_combination_parts,
     natural_solution_witness,
     parse_schedule,
-    refute_over_subring,
+    refute_over_subring_parts,
     stacked_rows,
-    truncated_residuals,
+    truncated_residuals_parts,
     truncated_rows,
 )
 
@@ -117,8 +119,10 @@ def _printable_system_spec(args: argparse.Namespace) -> SystemSpec:
     return spec
 
 
-def _parse_rat_list(text: str) -> list:
-    return parse_rats([tok for tok in text.split(",") if tok.strip() != ""])
+def _rat_list(text: str) -> list[tuple[int, int]]:
+    """The numerator and denominator in lowest terms (`_rat_parts`) of each
+    nonblank token of a comma list, each distinct token read once."""
+    return parse_rats([tok for tok in text.split(",") if tok.strip() != ""], _rat_parts)
 
 
 def _parse_colouring(spec: str) -> Colouring:
@@ -216,9 +220,9 @@ def _cmd_build_iab(args: argparse.Namespace) -> int:
 
 
 def _cmd_membership(args: argparse.Namespace) -> int:
-    value = parse_rat(args.value)
+    a, b = _rat_parts(args.value)
     primes = parse_prime_set(args.primes)
-    if in_scaled_subring(value, args.scale, primes):
+    if in_scaled_subring_parts(a, b, args.scale, primes):
         print("member")
         return 0
     print("not a member")
@@ -227,12 +231,13 @@ def _cmd_membership(args: argparse.Namespace) -> int:
 
 def _cmd_pigeonhole(args: argparse.Namespace) -> int:
     primes = parse_prime_set(args.primes)
-    values = _parse_rat_list(args.values)
-    indices = pigeonhole_subset(args.m, primes, values)
-    total = sum(values[i] for i in indices)
+    values = _rat_list(args.values)
+    indices = pigeonhole_subset_parts(args.m, primes, values)
+    a, b = _sum_parts(values[i] for i in indices)
     print("indices: " + " ".join(str(i + 1) for i in indices))
-    print(f"sum: {format_rat(total)}")
-    print(f"sum / {args.m}: {format_rat(total / args.m)}")
+    print(f"sum: {_format_parts(a, b)}")
+    g = math.gcd(a, args.m)
+    print(f"sum / {args.m}: {_format_parts(a // g, b * (args.m // g))}")
     return 0
 
 
@@ -241,14 +246,13 @@ def _cmd_refute(args: argparse.Namespace) -> int:
         raise ValueError(f"--nmax must be nonnegative, got {args.nmax}")
     spec = _system_spec(args)
     primes = parse_prime_set(args.primes)
-    y = tuple(_parse_rat_list(args.y))
-    n = refute_over_subring(spec, primes, y, args.nmax)
+    y = _rat_list(args.y)
+    n, cy = refute_over_subring_parts(spec, primes, y, args.nmax)
     if n is None:
         print(f"no obstruction for n up to {args.nmax}")
         return 1
-    combo = d_combination(spec.schedule, n, y)
-    print(f"obstruction at n={n}: d-combination {format_rat(combo)} "
-          "is outside the subring")
+    combo = _format_parts(*d_combination_parts(spec.schedule, n, y, cy))
+    print(f"obstruction at n={n}: d-combination {combo} is outside the subring")
     return 0
 
 
@@ -261,7 +265,7 @@ def _cmd_nat_witness(args: argparse.Namespace) -> int:
                                     _texts(witness), repeat("\n")))
     while chunk := "".join(islice(parts, 16384)):
         sys.stdout.write(chunk)
-    ok = all(r == 0 for r in truncated_residuals(spec, witness))
+    ok = not any(a for a, _ in truncated_residuals_parts(spec, witness))
     print("verified: all residuals zero" if ok else "verification failed")
     return 0 if ok else 2
 

@@ -9,7 +9,10 @@ the package builds on.
 
 Rationals are plain :class:`fractions.Fraction` values, which already
 maintain the canonical reduced form (gcd 1, positive denominator, zero as
-0/1).  ``Rat`` is an alias for that type.
+0/1).  ``Rat`` is an alias for that type.  The kernels work on that form
+as two ints, a numerator and a denominator, which `_rat_parts` reads from
+text: `in_scaled_subring` and `pigeonhole_subset` are one-line wrappers
+over their `_parts` forms, and membership reads only the denominator.
 """
 
 from __future__ import annotations
@@ -104,7 +107,9 @@ def _rat_parts(text: str) -> tuple[int, int]:
         raise ValueError(f"not a rational: {text!r}")
     try:
         a = int(num)
-        b = int(den) if slash else 1
+        if not slash:
+            return a, 1
+        b = int(den)
     except ValueError:  # past the text-to-int digit limit
         raise ValueError(f"cannot read a number of more than {DIGIT_LIMIT} "
                          "digits") from None
@@ -115,17 +120,21 @@ def _rat_parts(text: str) -> tuple[int, int]:
 
 
 def parse_rat(text: str) -> Rat:
-    """Parse ``a`` or ``a/b``, by `_rat_parts`'s grammar, into a Fraction."""
-    return Fraction(*_rat_parts(text))
+    """Parse ``a`` or ``a/b``, by `_rat_parts`'s grammar, into a Fraction.
+    An integer token takes Fraction's one-argument path, with no gcd."""
+    a, b = _rat_parts(text)
+    return Fraction(a) if b == 1 else Fraction(a, b)
 
 
-def parse_rats(tokens: Iterable[str]) -> list[Rat]:
-    """parse_rat of each token, reading each distinct token once: a repeat
-    is a dict lookup and shares the Fraction of the token's first sight.
-    The tokens are taken one at a time, in order, so the first bad one
-    raises parse_rat's own error."""
-    parsed: dict[str, Rat] = {}
-    return [parsed[tok] if tok in parsed else parsed.setdefault(tok, parse_rat(tok))
+def parse_rats(tokens: Iterable[str], read=None) -> list:
+    """parse_rat of each token, or `read` of it (`_rat_parts` gives the
+    numerator and denominator), reading each distinct token once: a repeat
+    is a dict lookup and shares the value of the token's first sight.  The
+    tokens are taken one at a time, in order, so the first bad one raises
+    the reader's own error."""
+    read = read or parse_rat
+    parsed: dict = {}
+    return [parsed[tok] if tok in parsed else parsed.setdefault(tok, read(tok))
             for tok in tokens]
 
 
@@ -135,6 +144,26 @@ def format_rat(x: Rat) -> str:
         return str(x)
     except ValueError:  # past the int-to-text digit limit
         raise ValueError(TOO_LONG) from None
+
+
+def _format_parts(a: int, b: int) -> str:
+    """format_rat of a/b, given in lowest terms with b > 0."""
+    return format_rat(a) if b == 1 else f"{format_rat(a)}/{format_rat(b)}"
+
+
+def _parts(xs: Iterable[Rat]) -> list[tuple[int, int]]:
+    """The numerator and denominator of each rational, in lowest terms."""
+    return [(x.numerator, x.denominator) for x in xs]
+
+
+def _sum_parts(terms: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """The sum of the rationals a/b, b > 0, added as integers over the lcm
+    of their denominators: its numerator and denominator in lowest terms."""
+    terms = list(terms)
+    den = math.lcm(*[b for _, b in terms])
+    num = sum([a * (den // b) for a, b in terms])
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 def is_prime(n: int) -> bool:
@@ -224,7 +253,11 @@ def in_subring(x: Rat, primes: PrimeSet) -> bool:
     True exactly when every prime factor of x's reduced denominator lies in
     the set.  Integers belong to every such subring.
     """
-    den = x.denominator
+    return _den_in(x.denominator, primes)
+
+
+def _den_in(den: int, primes: PrimeSet) -> bool:
+    """in_subring of any rational whose reduced denominator is den."""
     if den == 1:
         return True
     if primes.complement:
@@ -238,9 +271,15 @@ def in_subring(x: Rat, primes: PrimeSet) -> bool:
 
 def in_scaled_subring(x: Rat, m: int, primes: PrimeSet) -> bool:
     """Is x an m-multiple of a subring element, i.e. is x/m in the subring?"""
+    return in_scaled_subring_parts(x.numerator, x.denominator, m, primes)
+
+
+def in_scaled_subring_parts(a: int, b: int, m: int, primes: PrimeSet) -> bool:
+    """in_scaled_subring of a/b, in lowest terms: x/m = a/(b m) has the
+    reduced denominator b m / gcd(a, m), as a and b are coprime."""
     if m < 1:
         raise ValueError(f"scale must be a positive integer, got {m}")
-    return in_subring(x / m, primes)
+    return _den_in(b * m // math.gcd(a, m), primes)
 
 
 def padic_valuation(x: Rat, p: int) -> int | float:
@@ -252,15 +291,15 @@ def padic_valuation(x: Rat, p: int) -> int | float:
         raise ValueError(f"{p} is not prime")
     if x == 0:
         return math.inf
+    return _multiplicity(x.numerator, p) - _multiplicity(x.denominator, p)
+
+
+def _multiplicity(n: int, p: int) -> int:
+    """How many times p > 1 divides the nonzero integer n."""
     v = 0
-    num = abs(x.numerator)
-    while num % p == 0:
-        num //= p
+    while n % p == 0:
+        n //= p
         v += 1
-    den = x.denominator
-    while den % p == 0:
-        den //= p
-        v -= 1
     return v
 
 
@@ -272,29 +311,36 @@ def pigeonhole_subset(m: int, primes: PrimeSet, xs: Sequence[Rat]) -> list[int]:
     numerators share a residue mod m (smallest residue with enough members,
     then smallest indices).  When no residue class reaches m members, some
     numerator is itself divisible by m -- the input is long enough to force
-    that -- and its index alone serves.  Membership and the lcm's scale
-    factor are worked out once per distinct denominator.
+    that -- and its index alone serves.
 
     Needs at least (m-1)**2 + 1 elements, all inside the subring.
     """
+    return pigeonhole_subset_parts(m, primes, _parts(xs))
+
+
+def pigeonhole_subset_parts(m: int, primes: PrimeSet,
+                            xs: Sequence[tuple[int, int]]) -> list[int]:
+    """pigeonhole_subset of the rationals a/b given as (a, b) in lowest
+    terms.  Membership and the lcm's scale factor are worked out once per
+    distinct denominator."""
     if m < 1:
         raise ValueError(f"modulus must be a positive integer, got {m}")
     need = (m - 1) ** 2 + 1
     if len(xs) < need:
         raise ValueError(f"need at least {need} elements for m = {m}, got {len(xs)}")
-    dens = [x.denominator for x in xs]
+    dens = [b for _, b in xs]
     # each distinct denominator and the position of its first value: dict
     # keeps the last write, so the reversed zip leaves the least position
     first = dict(zip(reversed(dens), range(len(xs) - 1, -1, -1)))
     for n in sorted(first.values()):
-        if not in_subring(xs[n], primes):
-            raise ValueError(f"element {n + 1} ({format_rat(xs[n])}) is "
+        if not _den_in(dens[n], primes):
+            raise ValueError(f"element {n + 1} ({_format_parts(*xs[n])}) is "
                              "outside the subring")
     s = math.lcm(*first)
     scale = {d: s // d for d in first}
     by_residue: dict[int, list[int]] = {}
-    for n, (x, d) in enumerate(zip(xs, dens)):
-        by_residue.setdefault(x.numerator * scale[d] % m, []).append(n)
+    for n, (a, b) in enumerate(xs):
+        by_residue.setdefault(a * scale[b] % m, []).append(n)
     for r in sorted(by_residue):
         if len(by_residue[r]) >= m:
             return by_residue[r][:m]

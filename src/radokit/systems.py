@@ -13,19 +13,22 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from itertools import chain, combinations, compress, count, islice, repeat, takewhile
+from itertools import (chain, combinations, compress, count, groupby, islice, repeat,
+                       takewhile)
 
 from .linalg import read_matrix
 from .rings import (
     DIGIT_LIMIT,
     PrimeSet,
     Rat,
+    _den_in,
+    _format_parts,
+    _multiplicity,
     _parse_int,
+    _parts,
     _Record,
-    format_rat,
-    in_subring,
+    _sum_parts,
     is_prime,
-    padic_valuation,
 )
 
 _ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
@@ -261,61 +264,69 @@ def d_combination(s: CoefficientSchedule, n: int, y: Sequence[Rat]) -> Rat:
     the quotient is too long to print: its reduced denominator is at least
     D(n) / |numerator of c.y|.
     """
+    return Fraction(*d_combination_parts(s, n, _parts(y)))
+
+
+def d_combination_parts(s: CoefficientSchedule, n: int, y: Sequence[tuple[int, int]],
+                        cy: tuple[int, int] | None = None) -> tuple[int, int]:
+    """d_combination of y given as (numerator, denominator) pairs, as such
+    a pair in lowest terms.  For a built-in schedule it is (c.y) / D(n),
+    from c.y = a/b (`cy` when the caller has it) reduced by one gcd, as a
+    and b are coprime; 0/1, with no D(n) built, when c.y = 0."""
     if s.table is not None:
-        return _dot(_schedule_row(s, n), y)
-    total = _dot(s.c, y)
-    if not total:
-        return total
+        return _sum_parts((d.numerator * a, d.denominator * b)
+                          for d, (a, b) in zip(_schedule_row(s, n), y))
+    a, b = cy or _cy(s, y)
+    if not a:
+        return 0, 1
     # 10**(int(log10 |a|) + 2) > |a| even when the float log is a unit low
-    if s.denominator_exceeds(
-            n, DIGIT_LIMIT + 2 + int(math.log10(abs(total.numerator)))):
+    if s.denominator_exceeds(n, DIGIT_LIMIT + 2 + int(math.log10(abs(a)))):
         raise ValueError(f"the d-combination at n={n} has more than "
                          f"{DIGIT_LIMIT} digits, too many to print")
-    return total / s.denominator(n)
+    d = s.denominator(n)
+    g = math.gcd(a, d)
+    return a // g, b * (d // g)
+
+
+def _cy(s: CoefficientSchedule, y: Sequence[tuple[int, int]]) -> tuple[int, int]:
+    """c.y of a built-in schedule, as integers over the lcm of y's
+    denominators: its numerator and denominator in lowest terms."""
+    return _sum_parts((c * a, b) for c, (a, b) in zip(s.c, y))
 
 
 def truncated_residuals(spec: SystemSpec, values: Sequence[Rat]) -> Iterator[Rat]:
     """The residual of each equation n = 2..depth at the given values, in
     row order: sum_j x_{n,j} - z_n + the d-combination of the y values.
+    """
+    return (Fraction(a, b) for a, b in truncated_residuals_parts(spec, values))
 
-    Only the row's own terms are read, so the whole check is O(k^2), and
-    D(n) is built only when the d-combination is nonzero (never for a pair
-    schedule's kernel y).
+
+def truncated_residuals_parts(spec: SystemSpec,
+                              values: Sequence[Rat]) -> list[tuple[int, int]]:
+    """truncated_residuals as a list of (numerator, denominator) pairs in
+    lowest terms.
+
+    Only the row's own terms are read, so the whole check is O(k^2).  A
+    row's x values are read once per run of equal values, as that value
+    times the run's length (a witness repeats one object for most of its
+    values), and added with -z_n as integers over their lcm.  c.y is
+    computed once, and D(n) is built only when it is nonzero (never for a
+    pair schedule's kernel y).
     """
     if len(values) != spec.var_count:
         raise ValueError(f"expected {spec.var_count} values, got {len(values)}")
-    y = values[spec.y_index(1):spec.y_index(spec.alpha) + 1]
-    for n in range(2, spec.depth + 1):
-        first = spec.x_index(n, 1)
-        yield (_exact_sum(values[first:first + n]) - values[spec.z_index(n)]
-               + d_combination(spec.schedule, n, y))
-
-
-def _exact_sum(values: Sequence[Rat]) -> Rat:
-    """The sum of the values, added as integers over their common
-    denominator rather than one Fraction at a time.  Each run of one
-    object is read once, as that value times the run's length: a witness
-    repeats one object for most of its values, and numerator and
-    denominator are property reads."""
-    runs: list[tuple[Rat, int]] = []
-    last, k = None, 0
-    for x in values:
-        if x is last:
-            k += 1
-        else:
-            if k:
-                runs.append((last, k))
-            last, k = x, 1
-    if k:
-        runs.append((last, k))
-    dens = [x.denominator for x, _ in runs]
-    den = math.lcm(*dens)
-    return Fraction(sum([x.numerator * k * (den // d)
-                         for (x, k), d in zip(runs, dens)]), den)
-
-
-def _dot(c: Sequence[int | Rat], y: Sequence[Rat]) -> Rat:
-    return sum((ci * yi for ci, yi in zip(c, y)), start=Fraction(0))
+    s = spec.schedule
+    y = _parts(values[spec.y_index(1):spec.y_index(spec.alpha) + 1])
+    cy = None if s.table is not None else _cy(s, y)
+    out = []
+    first = 0  # the column of x_{n,1}
+    for n, z in enumerate(values[spec.z_index(2):], start=2):
+        terms = [(x.numerator * len(list(run)), x.denominator)
+                 for x, run in groupby(values[first:first + n])]
+        terms += (-z.numerator, z.denominator), d_combination_parts(s, n, y, cy)
+        out.append(_sum_parts(terms))
+        first += n
+    return out
 
 
 def refute_over_subring(
@@ -342,20 +353,31 @@ def refute_over_subring(
     cofinite set whose least excluded prime is past SCAN_LIMIT, an n_max
     that lets the walk pass SCAN_LIMIT is refused with a ValueError.
     """
+    return refute_over_subring_parts(spec, primes, _parts(y), n_max)[0]
+
+
+def refute_over_subring_parts(
+    spec: SystemSpec, primes: PrimeSet, y: Sequence[tuple[int, int]], n_max: int
+) -> tuple[int | None, tuple[int, int] | None]:
+    """refute_over_subring of y given as (numerator, denominator) pairs in
+    lowest terms, and c.y for a built-in schedule (None for a table), for
+    d_combination_parts to take.  c.y is computed once, and the valuations
+    are read off its numerator: its denominator divides the lcm of y's,
+    which no prime outside the set divides."""
     if len(y) != spec.alpha:
         raise ValueError(f"expected {spec.alpha} y-values, got {len(y)}")
-    for i, value in enumerate(y, start=1):
-        if not in_subring(value, primes):
-            raise ValueError(f"y_{i} = {format_rat(value)} is outside the subring")
+    for i, (a, b) in enumerate(y, start=1):
+        if not _den_in(b, primes):
+            raise ValueError(f"y_{i} = {_format_parts(a, b)} is outside the subring")
     s = spec.schedule
     if s.table is not None:
-        for n in range(2, n_max + 1):
-            if not in_subring(d_combination(s, n, y), primes):
-                return n
-        return None
-    total = _dot(s.c, y)
+        n = next((n for n in range(2, n_max + 1)
+                  if not _den_in(d_combination_parts(s, n, y)[1], primes)), None)
+        return n, None
+    cy = _cy(s, y)
+    total = cy[0]
     if total == 0:
-        return None
+        return None, cy
     if (s.over_all_primes and primes.complement and n_max > 78_498
             and (least := min(primes.primes, default=0)) > SCAN_LIMIT):
         raise ValueError(f"the scan would read the primes up to {least}, the least "
@@ -371,9 +393,9 @@ def refute_over_subring(
                 last is not None and p > last):
             break
         if p not in primes:
-            n = max(j, 2, padic_valuation(total, p) + 1)
+            n = max(j, 2, _multiplicity(total, p) + 1)
             best = n if best is None else min(best, n)
-    return best if best is not None and best <= n_max else None
+    return (best if best is not None and best <= n_max else None), cy
 
 
 def parse_schedule(text: str) -> CoefficientSchedule:

@@ -11,6 +11,7 @@ import pytest
 import radokit.cli
 import radokit.rado
 import radokit.rings
+import radokit.systems
 from radokit.cli import ENTRY_LIMIT, _build_parser, main
 from linalg_reference import format_matrix
 from radokit.linalg import RatMatrix, parse_matrix
@@ -340,6 +341,53 @@ class TestStreamedBuilders:
             "too many to print\n")
 
 
+@pytest.fixture
+def token_reads(monkeypatch):
+    """Every token that the CLI reads through _rat_parts, and every call of
+    parse_rat or of Fraction in rings and systems."""
+    reads = {"tokens": [], "fractions": 0}
+
+    def counting(read):
+        def spy(*args):
+            reads["fractions"] += 1
+            return read(*args)
+        return spy
+
+    def parts(tok):
+        reads["tokens"].append(tok)
+        return radokit.rings._rat_parts(tok)
+
+    monkeypatch.setattr(radokit.cli, "_rat_parts", parts)
+    monkeypatch.setattr(radokit.rings, "parse_rat", counting(radokit.rings.parse_rat))
+    for module in (radokit.rings, radokit.systems):
+        monkeypatch.setattr(module, "Fraction", counting(module.Fraction))
+    return reads
+
+
+SUBRING_COMMANDS = [
+    (["membership", "--value=-12/90", "--primes=all-except:2", "--scale", "6"],
+     ["-12/90"], "member\n"),
+    (["pigeonhole", "--m", "2", "--primes=3", "--values=0,-5/3,-5/3,2/6"],
+     ["0", "-5/3", "2/6"], "indices: 2 3\nsum: -10/3\nsum / 2: -5/3\n"),
+    (["refute", "--alpha", "2", "--depth", "2", "--schedule", "allprimespair",
+      "--primes=2", "--y=-3/4,3,-3/4", "--nmax", "9"], ["-3/4", "3"],
+     "error: expected 2 y-values, got 3\n"),
+    (["refute", "--alpha", "2", "--depth", "2", "--schedule", "allprimespair",
+      "--primes=2", "--y=-3/4,3", "--nmax", "9"], ["-3/4", "3"],
+     "obstruction at n=3: d-combination 1/4000 is outside the subring\n"),
+]
+
+
+@pytest.mark.parametrize("argv,tokens,text", SUBRING_COMMANDS,
+                         ids=["membership", "pigeonhole", "refute-error", "refute"])
+def test_subring_commands_build_no_fraction(argv, tokens, text, token_reads, capsys):
+    """membership, pigeonhole and refute over a built-in schedule read each
+    distinct rational token once, as integers, and build no Fraction."""
+    main(argv)
+    assert "".join(capsys.readouterr()) == text
+    assert token_reads == {"tokens": tokens, "fractions": 0}
+
+
 class TestMembership:
     def test_member(self, capsys):
         assert main(["membership", "--value", "1/2", "--primes", "2"]) == 0
@@ -436,23 +484,22 @@ class TestPigeonhole:
         assert capsys.readouterr() == (
             "", "error: element 3 (1/6) is outside the subring\n")
 
-    def test_each_distinct_token_is_parsed_once(self, monkeypatch, capsys):
-        seen = []
-        parse_rat = radokit.rings.parse_rat
-
-        def counting(tok):
-            seen.append(tok)
-            return parse_rat(tok)
-
-        monkeypatch.setattr(radokit.rings, "parse_rat", counting)
+    def test_each_distinct_token_is_parsed_once(self, token_reads, capsys):
         assert main(["pigeonhole", "--m", "3", "--primes=2",
                      "--values=1/2,1,1/2, 1,2/4,1,1/2"]) == 0
-        assert seen == ["1/2", "1", " 1", "2/4"]
+        assert token_reads == {"tokens": ["1/2", "1", " 1", "2/4"], "fractions": 0}
         assert capsys.readouterr().out == (
             "indices: 1 3 5\nsum: 3/2\nsum / 3: 1/2\n")
 
 
 class TestRefute:
+    def test_each_distinct_y_token_is_parsed_once(self, token_reads, capsys):
+        assert main(["refute", "--alpha", "2", "--depth", "2", "--schedule",
+                     "qpowpair:3", "--primes=2", "--y=1/2,1/2", "--nmax", "5"]) == 0
+        assert token_reads == {"tokens": ["1/2"], "fractions": 0}
+        assert capsys.readouterr().out == (
+            "obstruction at n=2: d-combination 1/18 is outside the subring\n")
+
     def test_obstruction(self, capsys):
         code = main(["refute", "--alpha", "1", "--depth", "2",
                      "--schedule", "qpow:2", "--primes", "",

@@ -22,6 +22,7 @@ tests/data/cli_corpus.json through `cli.main`, prints one line per check
 and exits 1 on any difference.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -161,9 +162,38 @@ COMMAND_LIST = ("{cc-check,fe-check,build-system,build-iab,membership,"
 USAGE = (f"usage: radokit [-h]\n               {COMMAND_LIST} ...\n"
          if sys.version_info >= (3, 13) else
          f"usage: radokit [-h]\n               {COMMAND_LIST}\n               ...\n")
-CHOICES = ("(choose from 'cc-check', 'fe-check', 'build-system', 'build-iab', "
-           "'membership', 'pigeonhole', 'refute', 'nat-witness', 'mono-search', "
-           "'rado-number')")
+
+
+def choice_format() -> str:
+    """How the running argparse names one choice in an invalid-choice
+    error, as a format string: "'{}'" up to Python 3.13.0, "{}" in later
+    releases, which print the choices unquoted.  Read off the error that a
+    throwaway parser with the one choice "a" gives for "b"."""
+    probe = argparse.ArgumentParser(prog="probe")
+    probe.add_argument("x", choices=["a"])
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.suppress(SystemExit):
+        probe.parse_args(["b"])
+    listed = err.getvalue().rpartition("(choose from ")[2].rpartition(")")[0]
+    return listed.replace("a", "{}")
+
+
+def dash_dash_ends_options() -> bool:
+    """Whether the running argparse reads a leading '--' as the end of the
+    options, so that the word after it names the command (later 3.13
+    releases), rather than as an invalid command '--' (3.10 to 3.13.0)."""
+    probe = argparse.ArgumentParser(prog="probe")
+    probe.add_subparsers(dest="command").add_parser("a")
+    with contextlib.redirect_stderr(io.StringIO()), contextlib.suppress(SystemExit):
+        return probe.parse_args(["--", "a"]).command == "a"
+    return False
+
+
+# the command names and their order are pinned; only the quoting is read
+# from the running argparse
+COMMANDS = ["cc-check", "fe-check", "build-system", "build-iab", "membership",
+            "pigeonhole", "refute", "nat-witness", "mono-search", "rado-number"]
+CHOICES = "(choose from " + ", ".join(map(choice_format().format, COMMANDS)) + ")"
 REFUTE = ["refute", "--alpha", "1", "--depth", "3", "--schedule", "qpow:2",
           "--primes=2"]
 REFUTE_ARGS = {"alpha": 1, "depth": 3, "schedule": "qpow:2", "primes": "2",
@@ -185,6 +215,9 @@ PINNED = [
       "  -h, --help       show this help message and exit\n"
       "  --matrix MATRIX  matrix file\n", "", None)),
     (["--", "cc-check"],
+     (2, "", "usage: radokit cc-check [-h] --matrix MATRIX\nradokit cc-check: "
+      "error: the following arguments are required: --matrix\n", None)
+     if dash_dash_ends_options() else
      (2, "", USAGE + "radokit: error: argument command: invalid choice: "
       f"'--' {CHOICES}\n", None)),
     # each occurrence of an option converts, the overridden one too

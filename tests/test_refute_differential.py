@@ -10,8 +10,13 @@ import pytest
 
 from radokit.cli import main
 from radokit.rings import PrimeSet
-from radokit.systems import CoefficientSchedule, SystemSpec, refute_over_subring
-from systems_reference import scan_refute
+from radokit.systems import (
+    CoefficientSchedule,
+    SystemSpec,
+    d_combination,
+    refute_over_subring,
+)
+from systems_reference import scan_refute, scan_schedule_value
 
 SMALL = [2, 3, 5, 7, 11, 13]
 LARGE = [10007, 104729, 1299709]      # the 1230th, 10000th and 100000th primes
@@ -92,6 +97,41 @@ def test_closed_form_matches_scan():
         seen["cofinite-large"] += primes.complement and any(
             p > 10**4 for p in primes.primes)
     assert min(seen.values()) >= 20, seen
+
+
+def random_table(rng):
+    """An explicit schedule of zeros, negatives and fractions, one to three
+    columns wide and one to seven rows long."""
+    alpha = rng.randint(1, 3)
+    return CoefficientSchedule.explicit(
+        [[F(rng.randint(-3, 3), rng.choice((1, 2, 3, 4, 9, 25))) for _ in range(alpha)]
+         for _ in range(rng.randint(1, 7))])
+
+
+def test_tables_and_d_combinations_match_the_reference():
+    """d_combination of every kind at every n against the sum of the
+    reference coefficients, and the table scan against scan_refute."""
+    rng = random.Random(20261023)
+    seen = {"table": 0, "zero": 0, "nonzero": 0}
+    schedules = [(spec.schedule, primes, y) for spec, primes, y in cases(300)]
+    for _ in range(300):
+        s = random_table(rng)
+        primes = random_primes(rng, s)
+        schedules.append((s, primes, random_y(rng, s, primes)))
+    for s, primes, y in schedules:
+        depth = len(s.table) + 1 if s.table else 7
+        spec = SystemSpec(s.arity, depth, s)
+        for n in range(2, depth + 1):
+            want = sum((scan_schedule_value(s, n, i) * v for i, v in enumerate(y, start=1)),
+                       F(0))
+            assert d_combination(s, n, y) == want, (s, n, y)
+            seen["zero" if want == 0 else "nonzero"] += 1
+        if s.table:
+            seen["table"] += 1
+            for n_max in (0, 2, depth):
+                assert refute_over_subring(spec, primes, y, n_max) == \
+                    scan_refute(spec, primes, y, n_max), (s, primes, y, n_max)
+    assert min(seen.values()) >= 100, seen
 
 
 def test_errors_match_scan():

@@ -249,6 +249,26 @@ class TestScaledMembership:
         with pytest.raises(ValueError):
             in_scaled_subring(F(1), 0, PrimeSet())
 
+    def test_matches_the_quotient(self):
+        """The reduced denominator b m / gcd(a, m) against in_subring of the
+        Fraction x / m and against trial division of its denominator, over
+        zero, negative numerators, every kind of prime set and m > 1."""
+        rng = random.Random(20261020)
+        kinds = {"member": 0, "not": 0, "zero": 0, "cofinite": 0, "scaled": 0}
+        for _ in range(2000):
+            ps = random_prime_set(rng)
+            num = rng.randint(-30, 30) if rng.random() < 0.9 else 0
+            x = F(num, math.prod(rng.choices(SMALL_PRIMES, k=rng.randint(0, 3))))
+            m = rng.choice((1, 2, 3, 4, 6, 9, 10, 12, 35))
+            want = in_subring(x / m, ps)
+            assert want == all(p in ps for p in factorize((x / m).denominator))
+            assert in_scaled_subring(x, m, ps) == want, (x, m, ps)
+            kinds["member" if want else "not"] += 1
+            kinds["zero"] += x == 0
+            kinds["cofinite"] += ps.complement and bool(ps.primes)
+            kinds["scaled"] += m > 1 and x.denominator > 1
+        assert min(kinds.values()) >= 100, kinds
+
 
 class TestPadicValuation:
     def test_denominator_side(self):

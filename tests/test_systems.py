@@ -391,8 +391,10 @@ class TestTruncatedResiduals:
     def test_runs_of_shared_objects_agree_with_a_fraction_sum(self):
         """Runs of one object, read once per run, against the Fraction sum
         of the dense rows; the runs sit beside equal but distinct objects
-        and other fractions, so a run must end where the object changes."""
+        and other fractions, so a run must end where the object changes.
+        A pair schedule's y is sometimes its kernel, so that c.y = 0."""
         rng = random.Random(19102026)
+        seen = {"c.y = 0": 0, "c.y != 0": 0}
         for depth in range(2, 11):
             for alpha, schedule in every_kind(rng, depth):
                 spec = SystemSpec(alpha, depth, schedule)
@@ -409,8 +411,15 @@ class TestTruncatedResiduals:
                     else:
                         values.append(F(rng.randint(-50, 50), rng.randint(1, 12)))
                 values = values[:spec.var_count]
+                y = spec.y_index(1)
+                if schedule.kernel and rng.random() < 0.4:
+                    values[y:y + 2] = [2 * values[y + 1], values[y + 1]]
+                if schedule.table is None:
+                    cy = sum(c * v for c, v in zip(schedule.c, values[y:]))
+                    seen["c.y = 0" if cy == 0 else "c.y != 0"] += 1
                 M = RatMatrix.from_rows(dense_truncated_system(spec))
                 assert tuple(truncated_residuals(spec, values)) == residuals(values, M)
+        assert min(seen.values()) >= 5, seen
 
     def test_witness_residuals_vanish(self):
         spec = SystemSpec(2, 30, CoefficientSchedule("allprimespair"))
