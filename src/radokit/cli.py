@@ -20,7 +20,6 @@ import functools
 import math
 import sys
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import chain, islice, repeat, tee
 
 from .linalg import _read_text, read_integer_rows, read_matrix
 from .rado import columns_condition_rows, first_entries
@@ -60,28 +59,27 @@ from .systems import (
 ENTRY_LIMIT = 4_500_000
 
 
-def _write_matrix(header: list[str], rows: Iterable[dict[int, Rat]], cols: int,
-                  out: str | None) -> None:
-    """Write the header as '#' lines, then each sparse row as it arrives:
-    its entries, which the builders yield in column order, and between
-    them its runs of zeros as slices of one "0 " * cols string.  The
-    entries' texts come from one _texts stream over all rows, which reads
-    them through a tee of `rows`: nearly every entry is the shared 1 or -1,
-    and a run of one object is formatted once, across rows too."""
+def _write_matrix(header: list[str], rows: Iterable[list[tuple[int, int, Rat]]],
+                  cols: int, out: str | None) -> None:
+    """Write the header as '#' lines, then each row as it arrives.  A row
+    is its runs (column, count, value) in column order, each written as the
+    zeros before it, a slice of one "0 " * cols string, then the value's
+    text `count` times.  A value is formatted only when it is not the
+    previous run's object, across rows too: nearly every run holds the
+    shared 1 or -1."""
     with (contextlib.nullcontext(sys.stdout) if out is None
           else open(out, "w")) as f:
         f.write("".join(f"# {line}\n" for line in header))
         zeros = "0 " * cols
-        rows, again = tee(rows)
-        texts = _texts(chain.from_iterable(map(dict.values, again)))
+        last = text = None
         for row in rows:
             parts = []
             done = 0
-            # zip reads the row's column first, so it stops at the row's end
-            # without taking the next row's first text
-            for j, text in zip(row, texts):
-                parts += zeros[: 2 * (j - done)], text, " "
-                done = j + 1
+            for j, count, x in row:
+                if x is not last:
+                    last, text = x, format_rat(x) + " "
+                parts += zeros[: 2 * (j - done)], text * count
+                done = j + count
             parts.append(zeros[: 2 * (cols - done)])
             f.write("".join(parts)[:-1] + "\n")
 
@@ -102,6 +100,12 @@ def _check_entries(count: int) -> None:
     if count > ENTRY_LIMIT:
         raise ValueError(f"the output would hold {count} entries, more than "
                          f"the limit of {ENTRY_LIMIT}")
+
+
+def _names(groups: Iterable[tuple[str, Sequence[str]]]) -> str:
+    """The names of (prefix, suffixes) groups, space-separated, each group
+    in one join."""
+    return " ".join(prefix + (" " + prefix).join(suffixes) for prefix, suffixes in groups)
 
 
 def _system_spec(args: argparse.Namespace) -> SystemSpec:
@@ -200,7 +204,7 @@ def _cmd_build_system(args: argparse.Namespace) -> int:
     _check_entries((spec.depth - 1) * spec.var_count)
     header = [
         f"truncated system: depth {spec.depth}, alpha {spec.alpha}",
-        "columns: " + " ".join(spec.iter_variable_names()),
+        "columns: " + _names(spec.name_groups()),
     ]
     _write_matrix(header, truncated_rows(spec), spec.var_count, args.out)
     return 0
@@ -213,7 +217,8 @@ def _cmd_build_iab(args: argparse.Namespace) -> int:
     _check_entries((cols + spec.depth - 1 + math.comb(spec.alpha, 2)) * cols)
     header = [
         f"stacked (I; A; B) matrix: depth {spec.depth}, alpha {spec.alpha}",
-        "columns: " + " ".join(islice(spec.iter_variable_names(), cols)),
+        # the names of all groups but the z group
+        "columns: " + _names(list(spec.name_groups())[:-1]),
     ]
     _write_matrix(header, stacked_rows(spec), cols, args.out)
     return 0
@@ -260,11 +265,18 @@ def _cmd_nat_witness(args: argparse.Namespace) -> int:
     spec = _system_spec(args)
     _check_entries(spec.var_count)
     witness = natural_solution_witness(spec)
-    # the lines "name = value\n" as a stream of parts, written in chunks
-    parts = chain.from_iterable(zip(spec.iter_variable_names(), repeat(" = "),
-                                    _texts(witness), repeat("\n")))
-    while chunk := "".join(islice(parts, 16384)):
-        sys.stdout.write(chunk)
+    start = 0
+    for prefix, suffixes in spec.name_groups():
+        values = witness[start:start + len(suffixes)]
+        start += len(suffixes)
+        # a group of equal values in one join; the x groups of a witness
+        # hold one object, which the comparison passes by identity
+        if values[1:] == values[:-1]:
+            eq = f" = {format_rat(values[0])}\n"
+            sys.stdout.write(prefix + (eq + prefix).join(suffixes) + eq)
+        else:
+            sys.stdout.write("".join(f"{prefix}{name} = {format_rat(x)}\n"
+                                     for name, x in zip(suffixes, values)))
     ok = not any(a for a, _ in truncated_residuals_parts(spec, witness))
     print("verified: all residuals zero" if ok else "verification failed")
     return 0 if ok else 2

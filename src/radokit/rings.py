@@ -18,15 +18,21 @@ over their `_parts` forms, and membership reads only the denominator.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
 Rat = Fraction
 
-# Miller-Rabin on the 13 prime bases 2..41 has no strong pseudoprime below
-# psi_13 (Sorenson and Webster, 2015), so below it the test is exact.
+# Miller-Rabin on the first k prime bases has no strong pseudoprime below
+# psi_k, the k-th entry of _MR_PSI (Jaeschke 1993; Sorenson and Webster
+# 2015), so below it the test on those k bases is exact; psi_13 is the limit.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIMALITY_LIMIT = 3317044064679887385961981
+_MR_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+           341550071728321, 341550071728321, 3825123056546413051,
+           3825123056546413051, 3825123056546413051, 318665857834031151167461,
+           PRIMALITY_LIMIT)
 
 # Python converts no int of more than this many digits to text (the default
 # int_max_str_digits), so radokit prints no number longer than that.
@@ -167,7 +173,8 @@ def _sum_parts(terms: Iterable[tuple[int, int]]) -> tuple[int, int]:
 
 
 def is_prime(n: int) -> bool:
-    """Exact primality of n by deterministic Miller-Rabin.
+    """Exact primality of n by deterministic Miller-Rabin on the first k
+    prime bases, for the least k with psi_k > n.
 
     Raises ValueError for n >= PRIMALITY_LIMIT, where the 13 bases no
     longer decide primality.
@@ -185,7 +192,7 @@ def is_prime(n: int) -> bool:
         return True
     s = ((n - 1) & (1 - n)).bit_length() - 1
     d = (n - 1) >> s
-    for a in _MR_BASES:
+    for a in _MR_BASES[:bisect_right(_MR_PSI, n) + 1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

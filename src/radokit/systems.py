@@ -2,9 +2,9 @@
 
     x_{n,1} + ... + x_{n,n} + d_{n,1} y_1 + ... + d_{n,alpha} y_alpha = z_n
 
-for 2 <= n <= k, one sparse row at a time, together with the rows of the
-stacked (I; A; B) matrix whose first-entries structure drives the
-partition-regularity argument, the built-in coefficient schedules, and the
+for 2 <= n <= k, one row at a time as runs of equal entries, together with
+the rows of the stacked (I; A; B) matrix whose first-entries structure drives
+the partition-regularity argument, the built-in coefficient schedules, and the
 denominator obstruction that refutes solvability over a localized subring.
 """
 
@@ -195,50 +195,55 @@ class SystemSpec(_Record):
     def z_index(self, n: int) -> int:
         return self.x_count + self.alpha + (n - 2)
 
-    def iter_variable_names(self) -> Iterator[str]:
-        """The column names in column order, one at a time."""
+    def name_groups(self) -> Iterator[tuple[str, Sequence[str]]]:
+        """The column names in column order as (prefix, suffixes) groups,
+        each name a prefix followed by one of its suffixes: x_n_ over 1..n
+        for each n, then y_ over 1..alpha, then z_ over 2..depth."""
         js = [str(j) for j in range(1, self.depth + 1)]
         for n in range(2, self.depth + 1):
-            yield from map(f"x_{n}_".__add__, js[:n])
-        for i in range(1, self.alpha + 1):
-            yield f"y_{i}"
-        for n in range(2, self.depth + 1):
-            yield f"z_{n}"
+            yield f"x_{n}_", js[:n]
+        yield "y_", [str(i) for i in range(1, self.alpha + 1)]
+        yield "z_", js[1:]
+
+    def iter_variable_names(self) -> Iterator[str]:
+        """The column names in column order, one at a time."""
+        for prefix, suffixes in self.name_groups():
+            yield from map(prefix.__add__, suffixes)
 
 
-def truncated_rows(spec: SystemSpec) -> Iterator[dict[int, Rat]]:
+def truncated_rows(spec: SystemSpec) -> Iterator[list[tuple[int, int, Rat]]]:
     """The rows of the truncation, one at a time: row n-2 encodes
-    x_{n,1}+...+x_{n,n} + sum_i d_{n,i} y_i - z_n = 0, as {column: entry}
-    over its nonzero columns, in column order."""
+    x_{n,1}+...+x_{n,n} + sum_i d_{n,i} y_i - z_n = 0, as the runs
+    (column, count, value) of its nonzero entries, each `count` entries
+    equal to `value` from `column` on, in column order: n ones from
+    x_{n,1} on, one run per nonzero d_{n,i}, and -1 at z_n."""
     for n in range(2, spec.depth + 1):
-        first = spec.x_index(n, 1)
-        row = dict.fromkeys(range(first, first + n), _ONE)
-        for i, d in enumerate(_schedule_row(spec.schedule, n), start=1):
-            if d:
-                row[spec.y_index(i)] = d
-        row[spec.z_index(n)] = _MINUS_ONE
+        row = [(spec.x_index(n, 1), n, _ONE)]
+        row += [(spec.y_index(i), 1, d)
+                for i, d in enumerate(_schedule_row(spec.schedule, n), start=1) if d]
+        row.append((spec.z_index(n), 1, _MINUS_ONE))
         yield row
 
 
-def stacked_rows(spec: SystemSpec) -> Iterator[dict[int, Rat]]:
+def stacked_rows(spec: SystemSpec) -> Iterator[list[tuple[int, int, Rat]]]:
     """The rows of the (I; A; B) stack over v = b_k + alpha columns, one at
-    a time, as {column: entry} over their nonzero columns.  The offsets are
+    a time, as the runs of their nonzero entries.  The offsets are
     b_1 = 0 and b_j = b_{j-1} + j, so b_k is the x count.
 
     I is the v x v identity.  A has k-1 rows: row i carries ones on columns
     b_i+1 .. b_{i+1} (1-based) and d_{i+1,t} on column b_k + t, which is
-    row i of the truncated system without its z column.  B carries one
+    row i of the truncated system without its z run.  B carries one
     difference row per pair b_k < i < j <= v, a 1 at i and a -1 at j,
     pairs in lexicographic order; alpha = 1 means no B rows.  Columns read
     as x_{2,1}..x_{k,k} then y_1..y_alpha.
     """
     v = spec.x_count + spec.alpha
     for r in range(v):
-        yield {r: _ONE}
+        yield [(r, 1, _ONE)]
     for row in truncated_rows(spec):
-        yield {j: x for j, x in row.items() if j < v}
+        yield row[:-1]
     for i, j in combinations(range(spec.x_count, v), 2):
-        yield {i: _ONE, j: _MINUS_ONE}
+        yield [(i, 1, _ONE), (j, 1, _MINUS_ONE)]
 
 
 def natural_solution_witness(spec: SystemSpec) -> tuple[Rat, ...]:

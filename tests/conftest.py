@@ -50,8 +50,17 @@ def random_subring_element(rng: random.Random, primes) -> Fraction:
 
 
 def dense(rows, cols: int) -> RatMatrix:
-    """The matrix of sparse rows ({column: entry}) over `cols` columns."""
-    return RatMatrix.from_rows([[row.get(j, 0) for j in range(cols)] for row in rows])
+    """The matrix over `cols` columns of rows given as runs (column, count,
+    value): `count` entries equal to `value` from `column` on."""
+    return RatMatrix.from_rows([expand(row, cols) for row in rows])
+
+
+def expand(runs, cols: int) -> list:
+    """The dense row of the runs (column, count, value) over `cols` columns."""
+    row = [0] * cols
+    for j, count, x in runs:
+        row[j:j + count] = [x] * count
+    return row
 
 
 def residuals(values, M: RatMatrix) -> tuple[Fraction, ...]:

@@ -1,8 +1,9 @@
 """References the tests compare radokit.rings against: trial division, the
 primality test and factorization that radokit used before Miller-Rabin;
-the regex parse_rat that str.isdecimal replaced; and the pigeonhole_subset
-that tested membership and scaled each element on its own, rather than
-once per distinct denominator."""
+Miller-Rabin on all 13 bases, which radokit ran before it took only the
+bases its input needs; the regex parse_rat that str.isdecimal replaced;
+and the pigeonhole_subset that tested membership and scaled each element
+on its own, rather than once per distinct denominator."""
 
 from __future__ import annotations
 
@@ -11,7 +12,8 @@ import re
 from fractions import Fraction
 from typing import Sequence
 
-from radokit.rings import DIGIT_LIMIT, PrimeSet, Rat, format_rat, in_subring
+from radokit.rings import (DIGIT_LIMIT, PRIMALITY_LIMIT, PrimeSet, Rat, format_rat,
+                           in_subring)
 
 # Trial division below this takes at most half a million divisions; bigger
 # inputs are refused rather than left to grind.
@@ -31,6 +33,36 @@ def trial_is_prime(n: int) -> bool:
             return False
         d += 2
     return True
+
+
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def is_strong_probable_prime(n: int, a: int) -> bool:
+    """Whether the odd n > a passes the strong (Miller-Rabin) test to base a."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def thirteen_base_is_prime(n: int) -> bool:
+    """Trial division by the 13 bases, then Miller-Rabin on every one of
+    them; exact below PRIMALITY_LIMIT, refused from it on."""
+    if n >= PRIMALITY_LIMIT:
+        raise ValueError(f"{n} is too large for the exact primality test")
+    if n < 2:
+        return False
+    for p in MR_BASES:
+        if n % p == 0:
+            return n == p
+    return n < 43 * 43 or all(is_strong_probable_prime(n, a) for a in MR_BASES)
 
 
 def factorize(n: int) -> list[int]:

@@ -279,6 +279,24 @@ class TestStreamedBuilders:
         assert capsys.readouterr().out == expected_matrix_output(
             command, alpha, depth, schedule)
 
+    @pytest.mark.parametrize("alpha,depth,schedule", [
+        (1, 6, "qpow:3"), (2, 5, "qpowpair:2"), (2, 4, "allprimespair"),
+        (3, 4, None), (5, 3, None),
+    ])
+    def test_header_names_are_the_variable_names(self, alpha, depth, schedule,
+                                                 tmp_path, capsys):
+        # an explicit table for alpha = 3, and one with alpha > depth
+        schedule = schedule or "file:" + write(
+            tmp_path, "d.txt", f"{' '.join(['1/2'] * alpha)}\n" * (depth - 1))
+        spec = SystemSpec(alpha, depth, parse_schedule(schedule))
+        names = list(spec.iter_variable_names())
+        for command, cols in (("build-system", spec.var_count),
+                              ("build-iab", spec.x_count + alpha)):
+            assert main([command, "--alpha", str(alpha), "--depth", str(depth),
+                         "--schedule", schedule]) == 0
+            header = capsys.readouterr().out.splitlines()[1]
+            assert header == "# columns: " + " ".join(names[:cols])
+
     @pytest.mark.parametrize("command", ["build-system", "build-iab"])
     def test_schedule_file_of_zeros(self, command, tmp_path, capsys):
         schedule = "file:" + write(tmp_path, "d.txt", "0 0\n" * 6)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import radokit.rings
 import rings_reference as ref
 from conftest import SMALL_PRIMES, random_prime_set, random_subring_element
 from rings_reference import FACTOR_LIMIT, factorize, trial_is_prime
@@ -122,6 +123,58 @@ class TestIsPrime:
     ])
     def test_rejects_strong_pseudoprimes(self, n):
         assert not is_prime(n)
+
+    # psi_k, the least strong pseudoprime to the first k prime bases, for
+    # k = 1..13, and its prime factors (Jaeschke 1993; Sorenson and
+    # Webster 2015)
+    PSI = [
+        (2047, (23, 89)),
+        (1373653, (829, 1657)),
+        (25326001, (2251, 11251)),
+        (3215031751, (151, 751, 28351)),
+        (2152302898747, (6763, 10627, 29947)),
+        (3474749660383, (1303, 16927, 157543)),
+        (341550071728321, (10670053, 32010157)),
+        (341550071728321, (10670053, 32010157)),
+        (3825123056546413051, (149491, 747451, 34233211)),
+        (3825123056546413051, (149491, 747451, 34233211)),
+        (3825123056546413051, (149491, 747451, 34233211)),
+        (318665857834031151167461, (399165290221, 798330580441)),
+        (3317044064679887385961981, (1287836182261, 2575672364521)),
+    ]
+
+    def test_base_table_is_psi(self):
+        assert radokit.rings._MR_BASES == ref.MR_BASES
+        assert radokit.rings._MR_PSI == tuple(psi for psi, _ in self.PSI)
+        assert radokit.rings._MR_PSI[-1] == PRIMALITY_LIMIT
+
+    @pytest.mark.parametrize("k", range(1, 14))
+    def test_psi_is_a_composite_strong_pseudoprime(self, k):
+        psi, factors = self.PSI[k - 1]
+        assert math.prod(factors) == psi and all(1 < p < psi for p in factors)
+        assert all(ref.is_strong_probable_prime(psi, a) for a in ref.MR_BASES[:k])
+        if k < 13:
+            assert not is_prime(psi) and not ref.thirteen_base_is_prime(psi)
+
+    def test_agrees_with_the_thirteen_base_test(self):
+        rng = random.Random(29)
+        ns = [psi + e for psi, _ in self.PSI for e in (-2, -1, 1, 2)
+              if psi + e < PRIMALITY_LIMIT]
+        for digits in range(1, 26):
+            for _ in range(40):
+                n = rng.randrange(10 ** (digits - 1), min(10**digits, PRIMALITY_LIMIT))
+                ns.append(n)
+                # the next prime past n, and a product of two such primes
+                while not ref.thirteen_base_is_prime(n):
+                    n += 1
+                ns.append(n)
+                if n * n < PRIMALITY_LIMIT:
+                    ns.append(n * n)
+                    ns.append(n * next(m for m in range(n + 1, 2 * n + 1)
+                                       if ref.thirteen_base_is_prime(m)))
+        assert len(ns) > 2000
+        for n in ns:
+            assert is_prime(n) == ref.thirteen_base_is_prime(n), n
 
     def test_nineteen_digit_prime_is_fast(self):
         start = time.perf_counter()

@@ -7,7 +7,7 @@ from itertools import islice
 import pytest
 
 import radokit.systems
-from conftest import dense, residuals, solves
+from conftest import dense, expand, residuals, solves
 from radokit.cli import main
 from radokit.linalg import RatMatrix
 from radokit.rado import first_entries
@@ -53,7 +53,7 @@ def coefficient(s, n, i):
     """d_{n,i} as row n of the truncation holds it, checked against the
     d-combination of the i-th unit vector."""
     spec = SystemSpec(s.arity, n, s)
-    d = list(truncated_rows(spec))[-1].get(spec.y_index(i), F(0))
+    d = expand(list(truncated_rows(spec))[-1], spec.var_count)[spec.y_index(i)]
     unit = [F(int(k == i)) for k in range(1, s.arity + 1)]
     assert d_combination(s, n, unit) == d
     return d
@@ -295,8 +295,18 @@ class TestStackedRows:
 
 
 class TestSparseRows:
-    """truncated_rows and stacked_rows against the dense builders they
-    replaced (tests/systems_reference.py)."""
+    """truncated_rows and stacked_rows, rows of runs (column, count, value),
+    against the dense builders they replaced (tests/systems_reference.py)."""
+
+    @staticmethod
+    def kinds(rng, depth):
+        """every_kind, then for alpha = 1, 2, 3 explicit tables with zeros
+        in every position of a row, so rows drop their y runs."""
+        yield from every_kind(rng, depth)
+        for alpha in (1, 2, 3):
+            yield alpha, CoefficientSchedule.explicit(
+                [[F(int(t == n % (alpha + 1)), n) for t in range(alpha)]
+                 for n in range(2, depth + 1)])
 
     @pytest.mark.parametrize("rows,reference", [
         (truncated_rows, dense_truncated_system),
@@ -305,39 +315,52 @@ class TestSparseRows:
     def test_against_the_dense_builders(self, rows, reference):
         rng = random.Random(7)
         for depth in range(2, 13):
-            for alpha, schedule in every_kind(rng, depth):
+            for alpha, schedule in self.kinds(rng, depth):
                 spec = SystemSpec(alpha, depth, schedule)
                 want = reference(spec)
                 got = list(rows(spec))
                 assert len(got) == len(want)
-                for sparse, dense in zip(got, want):
-                    # the nonzero columns, in column order, and nothing else
-                    assert list(sparse) == [j for j, x in enumerate(dense) if x]
-                    assert all(sparse[j] == dense[j] for j in sparse)
+                assert [expand(runs, len(row)) for runs, row in zip(got, want)] == want
 
     @pytest.mark.parametrize("rows", [truncated_rows, stacked_rows])
     def test_columns_in_ascending_order(self, rows):
-        # the CLI writes each row's entries in the order they come, so the
-        # builders must yield the columns of every row strictly ascending
+        # the CLI writes each row's runs in the order they come, so every
+        # run must hold a nonzero value at least once, and the runs of a
+        # row must be ascending and disjoint, within the row
         rng = random.Random(11)
         for depth in range(2, 10):
-            kinds = list(every_kind(rng, depth))
-            for alpha in (1, 2, 3):
-                # explicit tables with zeros in every position of a row
-                kinds.append((alpha, CoefficientSchedule.explicit(
-                    [[F(int(t == n % (alpha + 1)), n) for t in range(alpha)]
-                     for n in range(2, depth + 1)])))
-            for alpha, schedule in kinds:
-                for row in rows(SystemSpec(alpha, depth, schedule)):
-                    columns = list(row)
-                    assert all(a < b for a, b in zip(columns, columns[1:])), row
+            for alpha, schedule in self.kinds(rng, depth):
+                spec = SystemSpec(alpha, depth, schedule)
+                cols = spec.var_count if rows is truncated_rows else spec.x_count + alpha
+                for runs in rows(spec):
+                    assert all(count >= 1 and x != 0 for _, count, x in runs), runs
+                    ends = [(j, j + count) for j, count, _ in runs]
+                    assert all(a[1] <= b[0] for a, b in zip(ends, ends[1:])), runs
+                    assert ends[0][0] >= 0 and ends[-1][1] <= cols, runs
+
+    def test_a_rows_are_truncated_rows_without_z(self):
+        rng = random.Random(13)
+        for depth in (2, 5, 9):
+            for alpha, schedule in self.kinds(rng, depth):
+                spec = SystemSpec(alpha, depth, schedule)
+                v = spec.x_count + alpha
+                stacked = list(stacked_rows(spec))
+                for n, row in enumerate(truncated_rows(spec), start=2):
+                    assert row[0] == (spec.x_index(n, 1), n, 1)
+                    assert row[-1] == (spec.z_index(n), 1, -1)
+                    assert stacked[v + n - 2] == row[:-1]
+                # alpha = 3 has three B rows, each two runs
+                b_rows = stacked[v + depth - 1:]
+                assert len(b_rows) == math.comb(alpha, 2)
+                assert all([(c, x) for _, c, x in r] == [(1, 1), (1, -1)]
+                           for r in b_rows)
 
     def test_rows_are_produced_lazily(self):
         # the first row of a truncation far past any printable size
         spec = SystemSpec(1, 10**6, CoefficientSchedule("qpow", 2))
-        assert next(truncated_rows(spec)) == {0: 1, 1: 1, spec.y_index(1): F(1, 4),
-                                              spec.z_index(2): -1}
-        assert next(stacked_rows(spec)) == {0: 1}
+        assert next(truncated_rows(spec)) == [(0, 2, 1), (spec.y_index(1), 1, F(1, 4)),
+                                              (spec.z_index(2), 1, -1)]
+        assert next(stacked_rows(spec)) == [(0, 1, 1)]
 
 
 class TestNaturalSolutionWitness:
