@@ -33,6 +33,7 @@ from .rings import (
     format_rat,
     in_scaled_subring_parts,
     parse_prime_set,
+    parse_rat,
     parse_rats,
     pigeonhole_subset_parts,
 )
@@ -130,33 +131,29 @@ def _rat_list(text: str) -> list[tuple[int, int]]:
 
 
 def _parse_colouring(spec: str) -> Colouring:
+    """A colouring flag: log2parity, or file:PATH with one 'value colour'
+    line per coloured value.  Each line's value is read before its colour,
+    once, so errors come in text order."""
     if spec == "log2parity":
         return Colouring("log2parity")
-    if spec.startswith("file:"):
-        colours: list[int] = []
-
-        def values() -> Iterator[str]:
-            """The value tokens; parse_rats reads each before its line's
-            colour is checked, so errors come in text order."""
-            for line in _read_text(spec[len("file:"):]).splitlines():
-                stripped = line.strip()
-                if not stripped or stripped.startswith("#"):
-                    continue
-                parts = stripped.split()
-                if len(parts) != 2:
-                    raise ValueError(f"expected 'value colour', got {stripped!r}")
-                yield parts[0]
-                try:
-                    # a colour is an integer token without a sign
-                    if parts[1].startswith("-"):
-                        raise ValueError
-                    colours.append(_parse_int(parts[1]))
-                except ValueError:  # or past the text-to-int digit limit
-                    raise ValueError(
-                        f"expected 'value colour', got {stripped!r}") from None
-
-        return Colouring.table(parse_rats(values()), colours)
-    raise ValueError(f"unknown colouring: {spec!r}")
+    if not spec.startswith("file:"):
+        raise ValueError(f"unknown colouring: {spec!r}")
+    values, colours = [], []
+    for line in _read_text(spec[len("file:"):]).splitlines():
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        parts = stripped.split()
+        if len(parts) == 2:
+            values.append(parse_rat(parts[0]))
+        try:
+            # a colour is an integer token without a sign
+            if len(parts) != 2 or parts[1].startswith("-"):
+                raise ValueError
+            colours.append(_parse_int(parts[1]))
+        except ValueError:  # or past the text-to-int digit limit
+            raise ValueError(f"expected 'value colour', got {stripped!r}") from None
+    return Colouring.table(values, colours)
 
 
 def _parse_ground(spec: str) -> GroundSet:

@@ -15,11 +15,10 @@ pivots, residuals and witnesses off them.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence, Sized
-from fractions import Fraction
 from itertools import chain, islice
 from math import gcd, lcm
 
-from .rings import Rat, _rat_parts, _Record, parse_rats
+from .rings import Rat, _rat, _rat_parts, _Record, parse_rats
 
 
 class RatMatrix(_Record):
@@ -39,9 +38,7 @@ class RatMatrix(_Record):
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[Rat | int]]) -> "RatMatrix":
-        # entries that are already Fractions are kept, not rebuilt
-        row_tuples = [tuple(x if type(x) is Fraction else Fraction(x) for x in row)
-                      for row in rows]
+        row_tuples = [tuple(map(_rat, row)) for row in rows]
         return cls(len(row_tuples), _width(row_tuples),
                    tuple(chain.from_iterable(row_tuples)))
 

@@ -9,7 +9,8 @@ the package builds on.
 
 Rationals are plain :class:`fractions.Fraction` values, which already
 maintain the canonical reduced form (gcd 1, positive denominator, zero as
-0/1).  ``Rat`` is an alias for that type.  The kernels work on that form
+0/1).  ``Rat`` is an alias for that type, and a constructor takes its
+values through `_rat`, which keeps a Fraction.  The kernels work on that form
 as two ints, a numerator and a denominator, which `_rat_parts` reads from
 text: `in_scaled_subring` and `pigeonhole_subset` are one-line wrappers
 over their `_parts` forms, and membership reads only the denominator.
@@ -132,6 +133,12 @@ def parse_rat(text: str) -> Rat:
     return Fraction(a) if b == 1 else Fraction(a, b)
 
 
+def _rat(x: Rat | int) -> Rat:
+    """x itself when it is a Fraction, else Fraction(x): the one rule by
+    which a constructor takes its values, so a value built once is kept."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
 def parse_rats(tokens: Iterable[str], read=None) -> list:
     """parse_rat of each token, or `read` of it (`_rat_parts` gives the
     numerator and denominator), reading each distinct token once: a repeat
@@ -236,10 +243,9 @@ class PrimeSet(_Record):
 
 
 def parse_prime_set(text: str) -> PrimeSet:
-    """Parse ``''`` (empty), ``all``, ``p1,p2,...``, or ``all-except:p1,...``."""
+    """Parse ``all``, ``all-except:p1,...``, or ``p1,p2,...``, a list that
+    may be empty (``''``, the integers)."""
     t = text.strip()
-    if t == "":
-        return PrimeSet()
     if t == "all":
         return PrimeSet(complement=True)
     if t.startswith("all-except:"):

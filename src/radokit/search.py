@@ -59,7 +59,7 @@ from itertools import chain
 from math import gcd
 
 from .linalg import RatMatrix
-from .rings import Rat, _Record
+from .rings import Rat, _rat, _Record
 
 
 class BudgetExceededError(RuntimeError):
@@ -112,7 +112,7 @@ class Colouring(_Record):
     def table(cls, elements: Sequence[Rat | int], colours: Sequence[int]) -> "Colouring":
         if len(elements) != len(colours):
             raise ValueError("need one colour per element")
-        return cls("table", tuple((Fraction(x), c) for x, c in zip(elements, colours)))
+        return cls("table", tuple(zip(map(_rat, elements), colours)))
 
     def colour_of(self, x: Rat) -> int:
         if self.kind == "log2parity":

@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from itertools import (chain, combinations, compress, count, groupby, islice, repeat,
-                       takewhile)
+from itertools import combinations, compress, count, groupby, islice, takewhile
 
 from .linalg import read_matrix
 from .rings import (
@@ -26,6 +25,7 @@ from .rings import (
     _multiplicity,
     _parse_int,
     _parts,
+    _rat,
     _Record,
     _sum_parts,
     is_prime,
@@ -111,7 +111,7 @@ class CoefficientSchedule(_Record):
 
     @classmethod
     def explicit(cls, rows) -> "CoefficientSchedule":
-        table = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        table = tuple(tuple(map(_rat, row)) for row in rows)
         return cls("explicit", table=table)
 
     @property
@@ -205,11 +205,6 @@ class SystemSpec(_Record):
         yield "y_", [str(i) for i in range(1, self.alpha + 1)]
         yield "z_", js[1:]
 
-    def iter_variable_names(self) -> Iterator[str]:
-        """The column names in column order, one at a time."""
-        for prefix, suffixes in self.name_groups():
-            yield from map(prefix.__add__, suffixes)
-
 
 def truncated_rows(spec: SystemSpec) -> Iterator[list[tuple[int, int, Rat]]]:
     """The rows of the truncation, one at a time: row n-2 encodes
@@ -257,27 +252,22 @@ def natural_solution_witness(spec: SystemSpec) -> tuple[Rat, ...]:
             f"integer witness needs a pair schedule, got {spec.schedule.kind!r}"
         )
     # the columns are x_{2,1}..x_{k,k}, then y, then z_2..z_k
-    return tuple(chain(repeat(_ONE, spec.x_count), map(Fraction, kernel),
-                       map(Fraction, range(2, spec.depth + 1))))
+    return (_ONE,) * spec.x_count + tuple(
+        map(Fraction, (*kernel, *range(2, spec.depth + 1))))
 
 
-def d_combination(s: CoefficientSchedule, n: int, y: Sequence[Rat]) -> Rat:
-    """The d-combination sum_i d_{n,i} y_i of equation n; for a built-in
-    schedule, (c.y) / D(n).
+def d_combination_parts(s: CoefficientSchedule, n: int, y: Sequence[tuple[int, int]],
+                        cy: tuple[int, int] | None = None) -> tuple[int, int]:
+    """The d-combination sum_i d_{n,i} y_i of equation n, of y given as
+    (numerator, denominator) pairs, as such a pair in lowest terms.  For a
+    built-in schedule it is (c.y) / D(n), from c.y = a/b (`cy` when the
+    caller has it) reduced by one gcd, as a and b are coprime; 0/1, with no
+    D(n) built, when c.y = 0.
 
     Raises ValueError, without building D(n), when D(n) alone shows that
     the quotient is too long to print: its reduced denominator is at least
     D(n) / |numerator of c.y|.
     """
-    return Fraction(*d_combination_parts(s, n, _parts(y)))
-
-
-def d_combination_parts(s: CoefficientSchedule, n: int, y: Sequence[tuple[int, int]],
-                        cy: tuple[int, int] | None = None) -> tuple[int, int]:
-    """d_combination of y given as (numerator, denominator) pairs, as such
-    a pair in lowest terms.  For a built-in schedule it is (c.y) / D(n),
-    from c.y = a/b (`cy` when the caller has it) reduced by one gcd, as a
-    and b are coprime; 0/1, with no D(n) built, when c.y = 0."""
     if s.table is not None:
         return _sum_parts((d.numerator * a, d.denominator * b)
                           for d, (a, b) in zip(_schedule_row(s, n), y))
@@ -299,17 +289,11 @@ def _cy(s: CoefficientSchedule, y: Sequence[tuple[int, int]]) -> tuple[int, int]
     return _sum_parts((c * a, b) for c, (a, b) in zip(s.c, y))
 
 
-def truncated_residuals(spec: SystemSpec, values: Sequence[Rat]) -> Iterator[Rat]:
-    """The residual of each equation n = 2..depth at the given values, in
-    row order: sum_j x_{n,j} - z_n + the d-combination of the y values.
-    """
-    return (Fraction(a, b) for a, b in truncated_residuals_parts(spec, values))
-
-
 def truncated_residuals_parts(spec: SystemSpec,
                               values: Sequence[Rat]) -> list[tuple[int, int]]:
-    """truncated_residuals as a list of (numerator, denominator) pairs in
-    lowest terms.
+    """The residual of each equation n = 2..depth at the given values, in
+    row order: sum_j x_{n,j} - z_n + the d-combination of the y values, as
+    a list of (numerator, denominator) pairs in lowest terms.
 
     Only the row's own terms are read, so the whole check is O(k^2).  A
     row's x values are read once per run of equal values, as that value

@@ -13,6 +13,18 @@ from radokit.rado import _insert
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
 
 
+def count_fractions(monkeypatch, reads: dict) -> None:
+    """Add one to reads["fractions"] for every Fraction built from here on,
+    in any module, Fraction arithmetic included: its constructor counts."""
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        reads["fractions"] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+
+
 def random_matrix(
     rng: random.Random, max_rows: int = 3, max_cols: int = 8,
     lo: int = -3, hi: int = 3,

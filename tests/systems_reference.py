@@ -3,12 +3,15 @@ for n = 2, 3, ..., n_max it builds every coefficient d_{n,i} by branching on
 the schedule kind and tests the d-combination for subring membership.  It
 is the reference for the closed form.  The dense builders that the sparse
 row generators replaced are kept here too, as their reference and as the
-matrices that tests hand to columns_condition and first_entries."""
+matrices that tests hand to columns_condition and first_entries, with the
+positive-integer witness as a chain of its three blocks, and the column
+names as the definition lists them."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain, repeat
 
 from rings_reference import trial_is_prime
 from radokit.rings import format_rat, in_subring
@@ -95,3 +98,21 @@ def dense_stacked_matrix(spec) -> list[list[Fraction]]:
             row[j] = Fraction(-1)
             rows.append(row)
     return rows
+
+
+def variable_names(spec) -> list[str]:
+    """The column names in column order, from the definition: x_{n,j} for
+    2 <= n <= depth and 1 <= j <= n in lexicographic (n, j) order, then
+    y_1..y_alpha, then z_2..z_depth."""
+    ns = range(2, spec.depth + 1)
+    return ([f"x_{n}_{j}" for n in ns for j in range(1, n + 1)]
+            + [f"y_{i}" for i in range(1, spec.alpha + 1)]
+            + [f"z_{n}" for n in ns])
+
+
+def chained_witness(spec) -> tuple[Fraction, ...]:
+    """natural_solution_witness as it was built before tuple repetition:
+    one shared 1 per x column, then the kernel y, then z_n = n."""
+    return tuple(chain(repeat(Fraction(1), spec.x_count),
+                       map(Fraction, spec.schedule.kernel),
+                       map(Fraction, range(2, spec.depth + 1))))

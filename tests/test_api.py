@@ -18,6 +18,12 @@ def test_public_names():
                  "weak_first_entries_condition", "schedule_value"):
         assert gone not in radokit.__all__ and not hasattr(radokit, gone)
     assert not hasattr(radokit.systems, "schedule_value")
+    # Fraction forms of the _parts kernels, and the one-name-at-a-time
+    # column names, that only tests called
+    for owner, gone in ((radokit.systems, "d_combination"),
+                        (radokit.systems, "truncated_residuals"),
+                        (radokit.SystemSpec, "iter_variable_names")):
+        assert gone not in radokit.__all__ and not hasattr(owner, gone), gone
     assert not hasattr(radokit.systems, "_SCHEDULE_KINDS")
     # a built-in schedule is CoefficientSchedule(kind, q), as parse_schedule builds it
     for gone in ("qpow", "allprimes", "qpowpair", "allprimespair"):
@@ -81,4 +87,35 @@ def test_every_private_name_has_a_caller():
                    and isinstance(n.ctx, ast.Load) and id(n) not in inside
                    for tree in trees.values() for n in ast.walk(tree)):
             unread.append(f"{module}: {name}")
+    assert unread == []
+
+
+def test_every_public_name_has_a_caller():
+    # a module-level public function is read somewhere in the package
+    # outside its own definition, or exported in radokit.__all__, and a
+    # public method is read as an attribute somewhere in the package: a
+    # public name that only tests read is deleted with its tests
+    package = Path(radokit.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in package.glob("*.py")}
+    loads = [(n, n.id if isinstance(n, ast.Name) else n.attr)
+             for tree in trees.values() for n in ast.walk(tree)
+             if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)]
+    attributes = {name for n, name in loads if isinstance(n, ast.Attribute)}
+    checked, unread = 0, []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                checked += 1
+                inside = {id(n) for n in ast.walk(node)}
+                if node.name not in radokit.__all__ and not any(
+                        name == node.name and id(n) not in inside for n, name in loads):
+                    unread.append(f"{module}: {node.name}")
+            elif isinstance(node, ast.ClassDef):
+                for method in node.body:
+                    if (isinstance(method, ast.FunctionDef)
+                            and not method.name.startswith("_")):
+                        checked += 1
+                        if method.name not in attributes:
+                            unread.append(f"{module}: {node.name}.{method.name}")
+    assert checked > 40
     assert unread == []

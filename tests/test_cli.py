@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -12,16 +13,18 @@ import radokit.cli
 import radokit.rado
 import radokit.rings
 import radokit.systems
+from conftest import count_fractions
 from radokit.cli import ENTRY_LIMIT, _build_parser, main
 from linalg_reference import format_matrix
 from radokit.linalg import RatMatrix, parse_matrix
+from radokit.search import Colouring
 from radokit.systems import (
     CoefficientSchedule,
     SystemSpec,
     natural_solution_witness,
     parse_schedule,
 )
-from systems_reference import dense_stacked_matrix, dense_truncated_system
+from systems_reference import dense_stacked_matrix, dense_truncated_system, variable_names
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -229,7 +232,7 @@ def expected_matrix_output(command, alpha, depth, schedule):
     else:
         rows, label = dense_stacked_matrix(spec), "stacked (I; A; B) matrix"
     M = RatMatrix.from_rows(rows)
-    names = list(spec.iter_variable_names())[:M.cols]
+    names = variable_names(spec)[:M.cols]
     return (f"# {label}: depth {depth}, alpha {alpha}\n"
             f"# columns: {' '.join(names)}\n" + format_matrix(M) + "\n")
 
@@ -289,7 +292,7 @@ class TestStreamedBuilders:
         schedule = schedule or "file:" + write(
             tmp_path, "d.txt", f"{' '.join(['1/2'] * alpha)}\n" * (depth - 1))
         spec = SystemSpec(alpha, depth, parse_schedule(schedule))
-        names = list(spec.iter_variable_names())
+        names = variable_names(spec)
         for command, cols in (("build-system", spec.var_count),
                               ("build-iab", spec.x_count + alpha)):
             assert main([command, "--alpha", str(alpha), "--depth", str(depth),
@@ -361,24 +364,16 @@ class TestStreamedBuilders:
 
 @pytest.fixture
 def token_reads(monkeypatch):
-    """Every token that the CLI reads through _rat_parts, and every call of
-    parse_rat or of Fraction in rings and systems."""
+    """Every token that the CLI reads through _rat_parts, and the count of
+    the Fractions built, in any module."""
     reads = {"tokens": [], "fractions": 0}
-
-    def counting(read):
-        def spy(*args):
-            reads["fractions"] += 1
-            return read(*args)
-        return spy
 
     def parts(tok):
         reads["tokens"].append(tok)
         return radokit.rings._rat_parts(tok)
 
     monkeypatch.setattr(radokit.cli, "_rat_parts", parts)
-    monkeypatch.setattr(radokit.rings, "parse_rat", counting(radokit.rings.parse_rat))
-    for module in (radokit.rings, radokit.systems):
-        monkeypatch.setattr(module, "Fraction", counting(module.Fraction))
+    count_fractions(monkeypatch, reads)
     return reads
 
 
@@ -614,7 +609,7 @@ class TestNatWitness:
     def test_a_wrong_value_fails(self, name, line, monkeypatch, capsys):
         def off_by_one(spec):
             values = list(natural_solution_witness(spec))
-            values[list(spec.iter_variable_names()).index(name)] += 1
+            values[variable_names(spec).index(name)] += 1
             return tuple(values)
 
         monkeypatch.setattr(radokit.cli, "natural_solution_witness", off_by_one)
@@ -769,12 +764,33 @@ class TestMonoSearch:
     ])
     def test_colouring_file_errors_come_in_text_order(self, tmp_path, capsys,
                                                       text, error):
-        # the values are read by parse_rats, between the checks of each line
+        # each line's value is read between the checks of its field count
+        # and of its colour
         matrix = write(tmp_path, "m.txt", "1 1 -1\n")
         colouring = write(tmp_path, "c.txt", text)
         assert main(["mono-search", "--matrix", matrix,
                      "--colouring", f"file:{colouring}", "--ground", "4"]) == 2
         assert capsys.readouterr() == ("", f"error: {error}\n")
+
+    @pytest.mark.parametrize("text,built,outcome", [
+        ("1 0\n# 5 1\n2/4 1\n\n-3 0\r\n7/3\t2\n", 4,
+         Colouring.table([F(1), F(1, 2), F(-3), F(7, 3)], [0, 1, 0, 2])),
+        ("", 0, Colouring.table([], [])),
+        ("1 0\n2 0\n1 1\n", 3, "1 coloured twice"),
+        ("1 0\n2/2 1\n", 2, "1 coloured twice"),
+        ("1 0\n2 x\n3 0\n", 2, "expected 'value colour', got '2 x'"),
+    ])
+    def test_colouring_file_builds_each_value_once(self, tmp_path, token_reads,
+                                                   text, built, outcome):
+        # one Fraction per value read, by parse_rat, which Colouring.table
+        # keeps; a repeated token is read again, as a colouring refuses it
+        # anyway, and no token goes through the comma-list reader
+        spec = "file:" + write(tmp_path, "c.txt", text)
+        try:
+            got = radokit.cli._parse_colouring(spec)
+        except ValueError as e:
+            got = str(e)
+        assert (got, token_reads) == (outcome, {"tokens": [], "fractions": built})
 
     @pytest.mark.parametrize("text,line", [
         ("1 -1\n", "1 -1"),

@@ -19,6 +19,12 @@ class TestRatMatrix:
         M = RatMatrix.from_rows([[1, F(1, 2)]])
         assert all(isinstance(x, F) for x in M.entries)
 
+    def test_keeps_given_fractions_and_converts_ints(self):
+        half = F(1, 2)
+        M = RatMatrix.from_rows([[half, 2], (half, -1)])
+        assert M.entries[0] is half and M.entries[2] is half
+        assert [(type(x), x) for x in M.entries[1::2]] == [(F, 2), (F, -1)]
+
     def test_rejects_ragged_rows(self):
         with pytest.raises(ValueError):
             RatMatrix.from_rows([[1, 2], [3]])

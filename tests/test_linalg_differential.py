@@ -414,7 +414,7 @@ def test_file_readers_read_line_ends_as_text_mode(ends, tmp_path):
 def token_reads(monkeypatch):
     """Every token that linalg reads through _rat_parts, and every call of
     a Fraction-building reader: parse_rat, parse_matrix, _integer_rows,
-    and Fraction in linalg and rings."""
+    and Fraction in rings, which builds linalg's Fractions too."""
     reads = {"tokens": [], "fractions": 0}
 
     def counting(read):
@@ -429,8 +429,7 @@ def token_reads(monkeypatch):
 
     monkeypatch.setattr(radokit.linalg, "_rat_parts", parts)
     monkeypatch.setattr(radokit.rings, "parse_rat", counting(radokit.rings.parse_rat))
-    for module in (radokit.linalg, radokit.rings):
-        monkeypatch.setattr(module, "Fraction", counting(module.Fraction))
+    monkeypatch.setattr(radokit.rings, "Fraction", counting(radokit.rings.Fraction))
     for name in ("parse_matrix", "_integer_rows"):
         read = getattr(radokit.linalg, name)
         monkeypatch.setattr(radokit.linalg, name, counting(read))

@@ -83,6 +83,15 @@ class TestColouring:
         with pytest.raises(ValueError):
             c.colour_of(F(3))
 
+    def test_table_keeps_given_fractions_and_converts_ints(self):
+        half, three = F(1, 2), F(3)
+        c = Colouring.table([half, 2, three], [0, 1, 0])
+        (x, _), (y, _), (z, _) = c.assignments
+        assert x is half and z is three and (type(y), y) == (F, 2)
+        assert c == Colouring("table", ((F(1, 2), 0), (F(2), 1), (F(3), 0)))
+        assert repr(c) == ("Colouring(kind='table', assignments=((Fraction(1, 2), 0), "
+                           "(Fraction(2, 1), 1), (Fraction(3, 1), 0)))")
+
     def test_uncoloured_value_rejected(self):
         c = Colouring.table([1], [0])
         with pytest.raises(ValueError):

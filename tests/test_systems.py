@@ -11,20 +11,21 @@ from conftest import dense, expand, residuals, solves
 from radokit.cli import main
 from radokit.linalg import RatMatrix
 from radokit.rado import first_entries
-from radokit.rings import PrimeSet, padic_valuation
+from radokit.rings import PrimeSet, _parts, padic_valuation
 from radokit.systems import (
     CoefficientSchedule,
     SystemSpec,
     _primes,
-    d_combination,
+    d_combination_parts,
     natural_solution_witness,
     parse_schedule,
     refute_over_subring,
     stacked_rows,
-    truncated_residuals,
+    truncated_residuals_parts,
     truncated_rows,
 )
-from systems_reference import dense_stacked_matrix, dense_truncated_system
+from systems_reference import (chained_witness, dense_stacked_matrix,
+                               dense_truncated_system, variable_names)
 
 
 def plain_sieve(n):
@@ -55,7 +56,7 @@ def coefficient(s, n, i):
     spec = SystemSpec(s.arity, n, s)
     d = expand(list(truncated_rows(spec))[-1], spec.var_count)[spec.y_index(i)]
     unit = [F(int(k == i)) for k in range(1, s.arity + 1)]
-    assert d_combination(s, n, unit) == d
+    assert F(*d_combination_parts(s, n, _parts(unit))) == d
     return d
 
 
@@ -87,7 +88,7 @@ class TestScheduleValue:
         s = CoefficientSchedule.explicit([[F(1, 5)]])
         with pytest.raises(ValueError,
                            match="explicit schedule defines n up to 2, got 3"):
-            d_combination(s, 3, [F(1)])
+            d_combination_parts(s, 3, [(1, 1)])
 
     def test_pair_combination_vanishes(self):
         for s in (CoefficientSchedule("qpowpair", 2),
@@ -154,6 +155,13 @@ class TestScheduleValidation:
         with pytest.raises(ValueError):
             CoefficientSchedule.explicit([[F(1)], [F(1), F(2)]])
 
+    def test_explicit_keeps_given_fractions_and_converts_ints(self):
+        half = F(-1, 2)
+        s = CoefficientSchedule.explicit([[half, 3], (0, half)])
+        assert s.table == ((F(-1, 2), F(3)), (F(0), F(-1, 2)))
+        assert s.table[0][0] is half and s.table[1][1] is half
+        assert all(type(d) is F for row in s.table for d in row)
+
     def test_arities(self):
         assert CoefficientSchedule("qpow", 2).arity == 1
         assert CoefficientSchedule("allprimes").arity == 1
@@ -166,7 +174,7 @@ class TestSystemSpec:
     def test_variable_bookkeeping(self):
         spec = SystemSpec(1, 3, CoefficientSchedule("qpow", 2))
         assert spec.var_count == 2 + 3 + 1 + 2
-        assert list(spec.iter_variable_names()) == [
+        assert variable_names(spec) == [
             "x_2_1", "x_2_2", "x_3_1", "x_3_2", "x_3_3", "y_1", "z_2", "z_3",
         ]
 
@@ -373,7 +381,7 @@ class TestNaturalSolutionWitness:
     def test_depth_three(self):
         spec = SystemSpec(2, 3, CoefficientSchedule("qpowpair", 3))
         w = natural_solution_witness(spec)
-        names = list(spec.iter_variable_names())
+        names = variable_names(spec)
         byname = dict(zip(names, w))
         assert byname["y_1"] == 2 and byname["y_2"] == 1
         assert byname["z_3"] == 3
@@ -395,6 +403,15 @@ class TestNaturalSolutionWitness:
         assert type(w) is tuple and len(w) == spec.var_count
         assert all(type(x) is F for x in w)
 
+    @pytest.mark.parametrize("schedule", ["qpowpair:3", "allprimespair"])
+    @pytest.mark.parametrize("depth", [2, 3, 30, 300])
+    def test_same_values_as_the_chained_blocks(self, schedule, depth):
+        spec = SystemSpec(2, depth, parse_schedule(schedule))
+        w = natural_solution_witness(spec)
+        assert w == chained_witness(spec)
+        # every x value is one shared object, which the printer formats once
+        assert len({id(x) for x in w[:spec.x_count]}) == 1
+
     def test_rejects_single_schedules(self):
         with pytest.raises(ValueError):
             natural_solution_witness(SystemSpec(1, 2, CoefficientSchedule("qpow", 2)))
@@ -409,7 +426,8 @@ class TestTruncatedResiduals:
                 values = [F(rng.randint(-4, 4), rng.randint(1, 3))
                           for _ in range(spec.var_count)]
                 M = RatMatrix.from_rows(dense_truncated_system(spec))
-                assert tuple(truncated_residuals(spec, values)) == residuals(values, M)
+                assert tuple(F(*r) for r in truncated_residuals_parts(spec, values)) == \
+                    residuals(values, M)
 
     def test_runs_of_shared_objects_agree_with_a_fraction_sum(self):
         """Runs of one object, read once per run, against the Fraction sum
@@ -441,18 +459,19 @@ class TestTruncatedResiduals:
                     cy = sum(c * v for c, v in zip(schedule.c, values[y:]))
                     seen["c.y = 0" if cy == 0 else "c.y != 0"] += 1
                 M = RatMatrix.from_rows(dense_truncated_system(spec))
-                assert tuple(truncated_residuals(spec, values)) == residuals(values, M)
+                assert tuple(F(*r) for r in truncated_residuals_parts(spec, values)) == \
+                    residuals(values, M)
         assert min(seen.values()) >= 5, seen
 
     def test_witness_residuals_vanish(self):
         spec = SystemSpec(2, 30, CoefficientSchedule("allprimespair"))
         w = natural_solution_witness(spec)
-        assert set(truncated_residuals(spec, w)) == {0}
+        assert set(truncated_residuals_parts(spec, w)) == {(0, 1)}
 
     def test_wrong_length(self):
         spec = SystemSpec(2, 3, CoefficientSchedule("qpowpair", 2))
         with pytest.raises(ValueError):
-            next(truncated_residuals(spec, [F(1)] * 3))
+            truncated_residuals_parts(spec, [F(1)] * 3)
 
 
 class TestRefuteOverSubring:
