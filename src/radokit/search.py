@@ -44,9 +44,10 @@ only once colour c-1 is used): renaming colours in order of first use turns
 any colouring into one that is no larger lexicographically and has the same
 solutions, so the least solution-free colourings it finds are the least of
 all.  Its forward checking, which marks the values above t that would
-complete a solution, and the one-column lemma, which leaves the kernel only
-the solutions with t in two nonzero columns, are stated and proved once,
-in its docstring.
+complete a solution, the one-column lemma, which leaves the kernel only
+the solutions with t in two nonzero columns, and the firing lemma, which
+runs each plan only on the interval of t where its pivot row admits a
+value, are stated and proved once, in its docstring.
 """
 
 from __future__ import annotations
@@ -505,19 +506,19 @@ class RadoNumberResult(_Record):
         self._set(number=number, witness=witness)
 
 
-_Pinned = list[tuple[tuple[int, ...], _Plan]]
+_Pinned = list[tuple[tuple[int, ...], _Plan, int, int]]
 
 
 def _rado_plans(rows: list[list[int]], n_max: int) -> tuple[_Pinned, _Pinned]:
     """The exact-check and the forward plans of `min_rado_number` for
     nonzero integer rows, each with the coefficients of the columns it pins
-    t at.
+    t at and the least and the greatest t at which it can fire.
 
     Only the first columns of a kind are pinned or solved for.  An exact
     check pins t at the first two columns of one kind or the first columns
-    of two kinds.  A forward plan pins t at the first column of a kind and
-    solves for u at the first column of each kind among the other nonzero
-    columns, and is kept only if u can exceed t for some t < n_max.
+    of two kinds, and runs at t in [1, n_max].  A forward plan pins t at the
+    first column of a kind and solves for u at the first column of each kind
+    among the other nonzero columns, and runs at t in [1, n_max - 1].
     """
     columns = list(zip(*rows))
     nonzero = [j for j, col in enumerate(columns) if any(col)]
@@ -525,38 +526,45 @@ def _rado_plans(rows: list[list[int]], n_max: int) -> tuple[_Pinned, _Pinned]:
     plans: _Pinned = []
     for i, p in enumerate(kinds):
         twin = [j for j in nonzero if j > p and columns[j] == columns[p]][:1]
-        plans += [(tuple(a + b for a, b in zip(columns[p], columns[q])),
-                   _plan(rows, [j for j in nonzero if j not in (p, q)]))
-                  for q in twin + kinds[i + 1:]]
+        for q in twin + kinds[i + 1:]:
+            plans += _firing(rows, tuple(a + b for a, b in zip(columns[p], columns[q])),
+                             [j for j in nonzero if j not in (p, q)], (0, 1), (1, 0), n_max)
     ahead: _Pinned = []
     for p in kinds:
         rest = [j for j in nonzero if j != p]
         left = [columns[j] for j in rest]
         for k, f in enumerate(rest):
-            if left.index(columns[f]) != k:
-                continue
-            plan = _plan(rows, [j for j in rest if j != f] + [f])
-            # the condition is linear in t, so it holds somewhere on
-            # [1, n_max - 1] exactly when it holds at an end
-            if any(_can_exceed(plan, columns[p][plan.pivot], t)
-                   for t in (1, n_max - 1)):
-                ahead.append((columns[p], plan))
+            if left.index(columns[f]) == k:
+                ahead += _firing(rows, columns[p], [j for j in rest if j != f] + [f],
+                                 (1, 1), (0, n_max), n_max - 1)
     return plans, ahead
 
 
-def _can_exceed(plan: _Plan, pin: int, t: int) -> bool:
-    """Whether the plan's pivot row admits a solved value above t when the
-    pinned columns add pin * t to it and each enumerated column lies in
-    [1, t]."""
-    heads = [coeffs[plan.pivot] for coeffs in plan.heads]
-    pos = sum(a for a in heads if a > 0)
-    neg = sum(a for a in heads if a < 0)
-    b = plan.solved[plan.pivot]
-    # b * u = -pin * t - (the heads' sum), which spans
-    # [-pin*t - pos*t - neg, -pin*t - pos - neg*t]
-    if b > 0:
-        return -pin * t - pos - neg * t >= b * (t + 1)
-    return -pin * t - pos * t - neg <= b * (t + 1)
+def _firing(rows: list[list[int]], pinned: tuple[int, ...], columns: list[int],
+            ylo: tuple[int, int], yhi: tuple[int, int], t_max: int) -> _Pinned:
+    """The plan for `columns` with t pinned, and the interval of t in
+    [1, t_max] on which its pivot row admits a solved value in [ylo, yhi],
+    each bound the pair (c, d) of c*t + d, when the pinned columns add
+    pinned[pivot] * t to the row and every enumerated column lies in [1, t];
+    nothing, and no plan built, when that interval is empty."""
+    tlo, thi = 1, t_max
+    if columns:
+        i = next(i for i, row in enumerate(rows) if row[columns[-1]])
+        sign = 1 if rows[i][columns[-1]] > 0 else -1
+        *heads, b = [sign * rows[i][j] for j in columns]
+        pos = sum(a for a in heads if a > 0)
+        neg, pin = sum(heads) - pos, sign * pinned[i]
+        # b * y spans [-(pos + pin) * t - neg, -(neg + pin) * t - pos] and
+        # must meet [b * ylo, b * yhi]: two conditions alpha * t + beta <= 0
+        for alpha, beta in ((neg + pin + b * ylo[0], pos + b * ylo[1]),
+                            (-pos - pin - b * yhi[0], -neg - b * yhi[1])):
+            if alpha > 0:
+                thi = min(thi, -beta // alpha)
+            elif alpha < 0:
+                tlo = max(tlo, -(beta // alpha))
+            elif beta > 0:
+                return []
+    return [(pinned, _plan(rows, columns), tlo, thi)] if tlo <= thi else []
 
 
 def min_rado_number(A: RatMatrix, r: int, n_max: int) -> RadoNumberResult:
@@ -604,11 +612,21 @@ def min_rado_number_rows(rows: list[list[int]], cols: int, r: int,
     and the kernel solves the other nonzero columns in t's class.  When no
     column is nonzero, every assignment is a solution and the number is 1.
 
-    Forward plans that can never mark are not built.  A plan pins t at one
-    column and solves for u at another; its pivot row, with the enumerated
-    columns in [1, t], bounds u by a linear function of t, and the plan is
-    kept only if that bound exceeds t at t = 1 or at t = n_max - 1.  For
-    x + y = z this keeps t + y = u and drops u = z - t and u = t - y.
+    Firing lemma: a plan runs only at the t where its pivot row admits a
+    value.  Sign the row so that the solved column's coefficient b is
+    positive; let P be the pinned columns' coefficient and pos and neg the
+    sums of the positive and of the negative enumerated coefficients.  With
+    the enumerated columns in [1, t], the row admits a solved value in
+    [ylo, yhi] only if (neg + P) * t + pos <= -b * ylo and
+    (pos + P) * t + neg >= -b * yhi: [1, t] for an exact check, at t in
+    [1, n_max], and (t, n_max] for a forward plan, at t < n_max.  Both are
+    linear in t, so the t that pass form one interval, found in closed form
+    (`_firing`).  It ignores integrality and the gaps in the class, so the
+    kernel answers None, or adds no value, at every t outside it.  A plan
+    with an empty interval is not built, and when no exact check is built
+    the classes are not kept as sets.  For x + y = z no exact check can
+    hold (pinning t twice forces the third value to 2t or 0), and the one
+    forward plan kept is t + y = u.
 
     The search is exhaustive at desk scale only; hence the caps r <= 4 and
     n_max <= 64.  A plan of more than MAX_ENUMERATED enumerated columns
@@ -625,10 +643,15 @@ def min_rado_number_rows(rows: list[list[int]], cols: int, r: int,
     if not rows:
         # every assignment is a solution, so colouring 1 alone forces one
         return RadoNumberResult(1, ())
-    plans, ahead = _rado_plans(rows, n_max)
+    # each t's exact-check and forward plans that can fire, with the row
+    # sums of t's pins
+    checks, ahead = ([[([a * t for a in pinned], plan) for pinned, plan, lo, hi in pairs
+                       if lo <= t <= hi] for t in range(n_max + 1)]
+                     for pairs in _rado_plans(rows, n_max))
 
     members: list[list[int]] = [[] for _ in range(r)]
-    inclass: list[set[int]] = [set() for _ in range(r)]
+    # the classes as sets, for the exact checks only
+    inclass: list[set[int]] = [set() for _ in range(r)] if any(checks) else []
     colours: list[int] = []
     best: tuple[int, ...] = ()
 
@@ -637,15 +660,13 @@ def min_rado_number_rows(rows: list[list[int]], cols: int, r: int,
         would complete a solution in its class with t, or None on a wipe-out:
         some u in (t, len(best) + 1] marked against every colour."""
         cls = members[colour]
-        mark = marks[colour]
-        above = range(t + 1, n_max + 1)
         values: set[int] = set()
-        for pinned, plan in ahead:
-            _search(plan, [a * t for a in pinned], cls, cls[0], t, above, t + 1,
-                    n_max, False, values)
-        for u in values:
-            mark |= 1 << u
-        marks = marks[:colour] + [mark] + marks[colour + 1:]
+        for res, plan in ahead[t]:
+            _search(plan, res, cls, cls[0], t, range(t + 1, n_max + 1), t + 1, n_max,
+                    False, values)
+        # the values are distinct, so their bits' sum is their OR
+        marks = [*marks[:colour], marks[colour] | sum(1 << u for u in values),
+                 *marks[colour + 1:]]
         wiped = (1 << len(best) + 2) - (2 << t)     # bits t+1 .. len(best)+1
         for m in marks:
             wiped &= m
@@ -662,22 +683,24 @@ def min_rado_number_rows(rows: list[list[int]], cols: int, r: int,
                 continue
             cls = members[colour]
             cls.append(t)
-            inclass[colour].add(t)
+            if inclass:
+                inclass[colour].add(t)
             colours.append(colour)
-            # only solutions that contain t are new
-            if all(_search(plan, [a * t for a in pinned], cls, cls[0], t,
-                           inclass[colour], cls[0], t, False) is None
-                   for pinned, plan in plans):
+            # only solutions that contain t are new; most t have no exact
+            # check, and skipping the empty generator is measurably faster
+            if not checks[t] or all(_search(plan, res, cls, cls[0], t, inclass[colour],
+                                            cls[0], t, False) is None
+                                    for res, plan in checks[t]):
                 if t > len(best):
                     best = tuple(colours)
                 if t == n_max:
                     return True
-                ahead_marks = forward(t, colour, marks)
-                if ahead_marks is not None and extend(
-                        t + 1, max(used, colour + 1), ahead_marks):
+                if (marked := forward(t, colour, marks)) is not None and extend(
+                        t + 1, max(used, colour + 1), marked):
                     return True
             cls.pop()
-            inclass[colour].discard(t)
+            if inclass:
+                inclass[colour].discard(t)
             colours.pop()
         return False
 

@@ -241,19 +241,20 @@ def stacked_rows(spec: SystemSpec) -> Iterator[list[tuple[int, int, Rat]]]:
         yield [(i, 1, _ONE), (j, 1, _MINUS_ONE)]
 
 
-def natural_solution_witness(spec: SystemSpec) -> tuple[Rat, ...]:
+def natural_solution_witness(spec: SystemSpec) -> list[Rat]:
     """A positive-integer solution of the truncated system, its values in
-    column order, for a schedule with an integer kernel y (the pair kinds:
-    y = (2, 1)), which kills every d-combination; all x_{n,j} = 1 and
-    z_n = n.  Other schedules are rejected."""
+    column order as a list, for a schedule with an integer kernel y (the
+    pair kinds: y = (2, 1)), which kills every d-combination; all
+    x_{n,j} = 1, one shared object, and z_n = n.  Other schedules are
+    rejected.  The list is allocated once, at its full length."""
     kernel = spec.schedule.kernel
     if kernel is None:
-        raise ValueError(
-            f"integer witness needs a pair schedule, got {spec.schedule.kind!r}"
-        )
+        raise ValueError(f"integer witness needs a pair schedule, "
+                         f"got {spec.schedule.kind!r}")
     # the columns are x_{2,1}..x_{k,k}, then y, then z_2..z_k
-    return (_ONE,) * spec.x_count + tuple(
-        map(Fraction, (*kernel, *range(2, spec.depth + 1))))
+    witness = [_ONE] * spec.var_count
+    witness[spec.x_count:] = map(Fraction, (*kernel, *range(2, spec.depth + 1)))
+    return witness
 
 
 def d_combination_parts(s: CoefficientSchedule, n: int, y: Sequence[tuple[int, int]],
@@ -296,9 +297,11 @@ def truncated_residuals_parts(spec: SystemSpec,
     a list of (numerator, denominator) pairs in lowest terms.
 
     Only the row's own terms are read, so the whole check is O(k^2).  A
-    row's x values are read once per run of equal values, as that value
-    times the run's length (a witness repeats one object for most of its
-    values), and added with -z_n as integers over their lcm.  c.y is
+    row whose n x values all equal its first (a witness's rows, one shared
+    object, which `count` passes by identity) is the one term n * x;
+    otherwise its x values are read once per run of equal values, as that
+    value times the run's length.  The terms are added with -z_n as
+    integers over their lcm.  c.y is
     computed once, and D(n) is built only when it is nonzero (never for a
     pair schedule's kernel y).
     """
@@ -310,8 +313,10 @@ def truncated_residuals_parts(spec: SystemSpec,
     out = []
     first = 0  # the column of x_{n,1}
     for n, z in enumerate(values[spec.z_index(2):], start=2):
-        terms = [(x.numerator * len(list(run)), x.denominator)
-                 for x, run in groupby(values[first:first + n])]
+        row = values[first:first + n]
+        x = row[0]
+        terms = ([(x.numerator * n, x.denominator)] if row.count(x) == n else
+                 [(x.numerator * len(list(run)), x.denominator) for x, run in groupby(row)])
         terms += (-z.numerator, z.denominator), d_combination_parts(s, n, y, cy)
         out.append(_sum_parts(terms))
         first += n

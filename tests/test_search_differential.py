@@ -314,8 +314,9 @@ def test_min_rado_number_matches_one_pin_on_signed_equations():
 
 def test_dropped_forward_plans_cannot_mark():
     """A forward plan is dropped only when no assignment of its enumerated
-    columns from [1, t] gives a solved value above t, for any t < n_max: it
-    could never mark.  The one-pin form's plans are the candidates."""
+    columns from [1, t] gives a solved value in (t, n_max], for any
+    t < n_max: it could never mark.  The one-pin form's plans are the
+    candidates."""
     rng = random.Random(20261020)
     dropped = kept = 0
     for case in range(300):
@@ -324,7 +325,7 @@ def test_dropped_forward_plans_cannot_mark():
             continue
         v, n_max = len(rows[0]), rng.randint(2, 20)
         every = ref.one_pin_plans(rows, v)[1]
-        ahead = _rado_plans(rows, n_max)[1]
+        ahead = [(pinned, plan) for pinned, plan, *_ in _rado_plans(rows, n_max)[1]]
         assert all(pair in every for pair in ahead), (case, rows)
         for pinned, plan in every:
             if (pinned, plan) in ahead:
@@ -334,7 +335,7 @@ def test_dropped_forward_plans_cannot_mark():
             for t in range(1, n_max):
                 values = ref._solved_values(plan, [a * t for a in pinned],
                                             list(range(1, t + 1)), 1, t, t + 1,
-                                            10**6)
+                                            n_max)
                 assert not values, (case, rows, pinned, plan, t, values)
     assert dropped > 100 and kept > 100, (dropped, kept)
 
@@ -344,6 +345,67 @@ def test_schur_keeps_one_forward_plan():
     exceed t."""
     assert len(ref.one_pin_plans([[1, 1, -1]], 3)[1]) == 3
     assert len(_rado_plans([[1, 1, -1]], 42)[1]) == 1
+
+
+def test_plan_intervals():
+    """The interval of t on which each kept plan can fire, at n_max 20: for
+    3x + y = z and x + y = z no exact check can ever hold."""
+    def intervals(row):
+        return tuple([(lo, hi) for *_, lo, hi in pairs]
+                     for pairs in _rado_plans([row], 20))
+
+    assert intervals([3, 1, -1]) == ([], [(1, 6), (1, 17)])
+    assert intervals([1, 1, -1]) == ([], [(1, 19)])
+    assert intervals([4, 2, 2, -3]) == ([(6, 20)], [(1, 14), (1, 19), (8, 19)])
+
+
+def exact_candidates(rows: list[list[int]]) -> list[tuple[tuple[int, ...], object]]:
+    """Every exact-check plan that `_rado_plans` weighs: t pinned at the
+    first two columns of one kind or at the first columns of two kinds."""
+    columns = list(zip(*rows))
+    nonzero = [j for j, col in enumerate(columns) if any(col)]
+    kinds = [p for p in nonzero if columns.index(columns[p]) == p]
+    pairs = [(p, q) for i, p in enumerate(kinds)
+             for q in [j for j in nonzero if j > p and columns[j] == columns[p]][:1]
+             + kinds[i + 1:]]
+    return [(tuple(a + b for a, b in zip(columns[p], columns[q])),
+             _plan(rows, [j for j in nonzero if j not in (p, q)])) for p, q in pairs]
+
+
+def test_plans_yield_nothing_outside_their_interval():
+    """A candidate plan that the rule drops yields no solved value at any
+    t, nor does a kept plan at a t outside its interval: with members
+    1..t, no value in [1, t] for an exact check (t <= n_max) and none in
+    (t, n_max] for a forward plan (t < n_max)."""
+    rng = random.Random(20261103)
+    seen = Counter()
+    for case in range(600):
+        rows = [row for row in random_plan_rows(rng) if any(row)]
+        if not rows:
+            continue
+        n_max = rng.randint(2, 20)
+        plans, ahead = _rado_plans(rows, n_max)
+        for kind, candidates, kept, t_max in (
+                ("exact", exact_candidates(rows), plans, n_max),
+                ("forward", ref.one_pin_plans(rows, len(rows[0]))[1], ahead, n_max - 1)):
+            window = {(pinned, plan): (lo, hi) for pinned, plan, lo, hi in kept}
+            assert len(window) == len(kept) and set(window) <= set(candidates)
+            for pinned, plan in candidates:
+                if plan.pivot < 0:
+                    # no column to solve for: kept at every t
+                    assert window[pinned, plan] == (1, t_max), (case, rows)
+                    continue
+                lo, hi = window.get((pinned, plan), (1, 0))
+                seen[kind + (" kept" if lo <= hi else " dropped")] += 1
+                for t in range(1, t_max + 1):
+                    if lo <= t <= hi:
+                        continue
+                    ylo, yhi = (1, t) if kind == "exact" else (t + 1, n_max)
+                    values = ref._solved_values(plan, [a * t for a in pinned],
+                                                list(range(1, t + 1)), 1, t, ylo, yhi)
+                    assert not values, (case, rows, kind, pinned, plan, t, values)
+                    seen[kind + " t outside"] += 1
+    assert len(seen) == 6 and min(seen.values()) > 200, seen
 
 
 def random_plan_rows(rng: random.Random) -> list[list[int]]:
@@ -443,7 +505,7 @@ def test_kernel_collects_the_reference_values():
         pin = [rng.randint(-2, 2) for _ in rows]
         for kind, pairs in (("plan", [(pin, _plan(rows, columns))]),
                             ("exact", plans), ("forward", ahead)):
-            for pinned, plan in pairs:
+            for pinned, plan, *_ in pairs:
                 if plan.pivot < 0:
                     continue    # no column to solve for
                 t = rng.randint(1, n_max - 1)

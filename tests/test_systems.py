@@ -375,7 +375,7 @@ class TestNaturalSolutionWitness:
     def test_minimal_pair(self):
         spec = SystemSpec(2, 2, CoefficientSchedule("qpowpair", 2))
         w = natural_solution_witness(spec)
-        assert w == (F(1), F(1), F(2), F(1), F(2))
+        assert w == [F(1), F(1), F(2), F(1), F(2)]
         assert solves(w, RatMatrix.from_rows(dense_truncated_system(spec)))
 
     def test_depth_three(self):
@@ -397,10 +397,10 @@ class TestNaturalSolutionWitness:
         w = natural_solution_witness(spec)
         assert all(x.denominator == 1 and x > 0 for x in w)
 
-    def test_a_plain_value_tuple(self):
+    def test_a_plain_value_list(self):
         spec = SystemSpec(2, 4, CoefficientSchedule("qpowpair", 3))
         w = natural_solution_witness(spec)
-        assert type(w) is tuple and len(w) == spec.var_count
+        assert type(w) is list and len(w) == spec.var_count
         assert all(type(x) is F for x in w)
 
     @pytest.mark.parametrize("schedule", ["qpowpair:3", "allprimespair"])
@@ -408,7 +408,7 @@ class TestNaturalSolutionWitness:
     def test_same_values_as_the_chained_blocks(self, schedule, depth):
         spec = SystemSpec(2, depth, parse_schedule(schedule))
         w = natural_solution_witness(spec)
-        assert w == chained_witness(spec)
+        assert w == list(chained_witness(spec))
         # every x value is one shared object, which the printer formats once
         assert len({id(x) for x in w[:spec.x_count]}) == 1
 
