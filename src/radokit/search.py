@@ -18,14 +18,14 @@ sum so far, the later columns in the class's span and the solved value in
 its target, the column's value lies in an interval, and candidates outside
 it are passed over.  They are filtered, not cut off by bisection, which
 measured slower on classes of the sizes searched.  The caller picks the
-output: the first assignment, or every solved value added to a set.
+output: the first assignment, or every solved value as a bit of an int.
 
 Merging lemma: unless values must be distinct, the number of columns
 assigned and the row sums alone decide whether a prefix completes and
 which solved values it reaches, so a prefix that leaves the same sums as
 one already expanded is skipped.  Looking for the first assignment, the
 earlier prefix found none, or the search would have stopped; collecting,
-its values are in the set already.  The distinct searches never merge,
+its values are ORed in already.  The distinct searches never merge,
 since there the values chosen matter too.  For a sum of many terms the
 merged states are far fewer than the tuples: a colouring of 1..88 with no
 monochromatic solution of x1 + ... + x9 = x10 is re-checked in
@@ -44,10 +44,11 @@ only once colour c-1 is used): renaming colours in order of first use turns
 any colouring into one that is no larger lexicographically and has the same
 solutions, so the least solution-free colourings it finds are the least of
 all.  Its forward checking, which marks the values above t that would
-complete a solution, the one-column lemma, which leaves the kernel only
-the solutions with t in two nonzero columns, and the firing lemma, which
-runs each plan only on the interval of t where its pivot row admits a
-value, are stated and proved once, in its docstring.
+complete a solution, the forced-value lemma, which lets a value with one
+colour left mark as if it had taken it, the one-column lemma, which leaves
+the kernel only the solutions with t in two nonzero columns, and the
+firing lemma, which runs each plan only on the interval of t where its
+pivot row admits a value, are stated and proved once, in its docstring.
 """
 
 from __future__ import annotations
@@ -253,14 +254,14 @@ def _head_range(plan: _Plan, k: int, r: int, lo: int, hi: int, ylo: int,
 
 def _search(plan: _Plan, res: list[int], members: list[int], lo: int, hi: int,
             inclass: set[int], ylo: int, yhi: int, distinct: bool,
-            values: set[int] | None = None) -> list[int] | None:
+            values: list[int] | None = None) -> list[int] | None:
     """Assignments of the plan's columns that zero every row: enumerated
     values come from `members`, spanned by [lo, hi], and the solved value
     from `inclass`, spanned by [ylo, yhi] (when members is a `_Runs`,
     inclass is the same one).  res[i] is row i's sum over the columns
     assigned beforehand.  With `values` None, returns the first assignment
-    in candidate order, in plan order, or None; otherwise adds every solved
-    value to `values`."""
+    in candidate order, in plan order, or None; otherwise ORs bit y - ylo
+    into values[0] for every solved value y."""
     for i in plan.fixed:
         if res[i]:
             return None
@@ -276,13 +277,13 @@ def _search(plan: _Plan, res: list[int], members: list[int], lo: int, hi: int,
     if rest or y not in inclass or any(res[i] + solved[i] * y for i in plan.others):
         return None
     if values is not None:
-        values.add(y)
+        values[0] |= 1 << y - ylo
     return [y]
 
 
 def _extend(plan: _Plan, res: list[int], chosen: list[int], members: list[int],
             lo: int, hi: int, inclass: set[int], ylo: int, yhi: int,
-            seen: set[tuple[int, ...]] | None, values: set[int] | None) -> bool:
+            seen: set[tuple[int, ...]] | None, values: list[int] | None) -> bool:
     """Extend `chosen` by the enumerated columns it lacks, then by the
     solved column, as `_search` asks; res holds the row sums over the
     columns in `chosen`.  True once the first assignment is complete.
@@ -337,7 +338,7 @@ def _extend(plan: _Plan, res: list[int], chosen: list[int], members: list[int],
         if values is None:
             chosen += x, y
             return True
-        values.add(y)
+        values[0] |= 1 << y - ylo
     return False
 
 
@@ -595,11 +596,34 @@ def min_rado_number_rows(rows: list[list[int]], cols: int, r: int,
     u of the colour's mask.  The masks are passed down the recursion, each
     step ORing its marks into a new list, so backtracking is a return.  A
     marked colour is rejected without the exact check.  After each forward
-    step the whole window (t, len(best) + 1] is tested by one AND of the
+    step the whole window (t, len(best) + 1] is tested by one pass over the
     masks, and the branch is cut when some u in it has every colour marked
     (a wipe-out): no extension of it can colour u, so none can beat the
     best colouring found.  Wipe-outs past that horizon are not tested,
     since cutting there could cut the least witness.
+
+    Forced values: after each forward step one pass over the masks finds
+    the values u in (t, len(best)] with one colour c left unmarked.  Each
+    such u not yet propagated on this branch (bit u of a `done` mask,
+    handed down beside the marks) runs its own forward plans against class
+    c, u pinned, and its marks are ORed into c's mask; the pass and the
+    wipe-out test repeat until no new value is forced.  A forced value
+    marks only above itself, so the window's top value is left until the
+    window grows past it.  With one colour len(best) is t and nothing
+    propagates; a value forced to an unused colour has no class to draw
+    from and is not propagated either, nor is n_max, which has no plans.
+
+    Forced-value lemma: propagated marks are exact.  Marks only grow along
+    a branch, so when every colour but c is marked at u, any colouring that
+    gets past u gave u the colour c.  A mark against c at a w > u, from a
+    solution in class c with u, therefore removes only colourings that hold
+    a monochromatic solution: a branch that reaches w has given u the colour
+    c, so the exact check and the marks would reject c at w anyway, and a
+    wipe-out revealed at w cuts only branches that colour nothing past
+    w - 1 <= len(best).  The solution-free colourings longer than the best
+    found so far are still visited in the same order, so neither the
+    number nor the lexicographically least witness can change.  Only the
+    wipe-out test stays limited to the horizon.
 
     One-column lemma: a solution in which t fills exactly one nonzero
     column is always marked.  Its other nonzero columns hold values below
@@ -655,28 +679,48 @@ def min_rado_number_rows(rows: list[list[int]], cols: int, r: int,
     colours: list[int] = []
     best: tuple[int, ...] = ()
 
-    def forward(t: int, colour: int, marks: list[int]) -> list[int] | None:
-        """The marks with `colour` also marked at each u in (t, n_max] that
-        would complete a solution in its class with t, or None on a wipe-out:
-        some u in (t, len(best) + 1] marked against every colour."""
-        cls = members[colour]
-        values: set[int] = set()
-        for res, plan in ahead[t]:
-            _search(plan, res, cls, cls[0], t, range(t + 1, n_max + 1), t + 1, n_max,
-                    False, values)
-        # the values are distinct, so their bits' sum is their OR
-        marks = [*marks[:colour], marks[colour] | sum(1 << u for u in values),
-                 *marks[colour + 1:]]
-        wiped = (1 << len(best) + 2) - (2 << t)     # bits t+1 .. len(best)+1
-        for m in marks:
-            wiped &= m
-        return None if wiped else marks
+    def marked_by(u: int, cls: list[int]) -> int:
+        """The values in (u, n_max] that would complete a solution with u and
+        values from `cls` in one class, as bits."""
+        values = [0]
+        for res, plan in ahead[u]:
+            _search(plan, res, cls, cls[0], cls[-1], range(u + 1, n_max + 1), u + 1,
+                    n_max, False, values)
+        return values[0] << u + 1
 
-    def extend(t: int, used: int, marks: list[int]) -> bool:
+    def forward(t: int, colour: int, marks: list[int],
+                done: int) -> tuple[list[int], int] | None:
+        """The marks with `colour` also marked at each u in (t, n_max] that
+        would complete a solution in its class with t, then propagated from
+        each value forced in (t, len(best)] and not in `done`, which gains
+        them; None on a wipe-out: some u in the window (t, len(best) + 1]
+        marked against every colour."""
+        marks = marks.copy()
+        marks[colour] |= marked_by(t, members[colour])
+        window = (1 << len(best) + 2) - (2 << t)     # bits t+1 .. len(best)+1
+        while True:
+            free = twice = 0    # the bits with a colour unmarked, with two
+            for m in marks:
+                m = window & ~m
+                twice |= free & m
+                free |= m
+            if window & ~free:
+                return None
+            # a forced value marks only above itself, so not the window's top
+            forced = free & ~twice & ~done & window >> 1
+            if not forced:
+                return marks, done
+            u = (forced & -forced).bit_length() - 1
+            done |= 1 << u
+            c = next(c for c, m in enumerate(marks) if not m >> u & 1)
+            if members[c]:
+                marks[c] |= marked_by(u, members[c])
+
+    def extend(t: int, used: int, marks: list[int], done: int) -> bool:
         """Try each colour for t in turn and extend every solution-free
-        choice to t + 1; `used` colours appear on 1..t-1, and bit u of
-        marks[c] is set when u would complete a solution in class c.  True
-        once n_max is coloured."""
+        choice to t + 1; `used` colours appear on 1..t-1, bit u of marks[c]
+        is set when u would complete a solution in class c, and bit u of
+        done once u has been propagated.  True once n_max is coloured."""
         nonlocal best
         for colour in range(min(r, used + 1)):
             if marks[colour] >> t & 1:
@@ -695,8 +739,8 @@ def min_rado_number_rows(rows: list[list[int]], cols: int, r: int,
                     best = tuple(colours)
                 if t == n_max:
                     return True
-                if (marked := forward(t, colour, marks)) is not None and extend(
-                        t + 1, max(used, colour + 1), marked):
+                if (step := forward(t, colour, marks, done)) is not None and extend(
+                        t + 1, max(used, colour + 1), *step):
                     return True
             cls.pop()
             if inclass:
@@ -704,6 +748,6 @@ def min_rado_number_rows(rows: list[list[int]], cols: int, r: int,
             colours.pop()
         return False
 
-    if extend(1, 0, [0] * r):
+    if extend(1, 0, [0] * r, 0):
         return RadoNumberResult(None, best)
     return RadoNumberResult(len(best) + 1, best)

@@ -13,8 +13,11 @@ come from the library.  `min_rado_number_one_pin` is the kernel-based
 Rado-number search as it was before its exact checks pinned t at two
 columns, t pinned at one column of each kind and every forward plan
 built, and it runs on that copy.  `floor_log2_shifted` is `_floor_log2`
-as it was before it became one quotient's bit length, verbatim.  Not
-collected by pytest.
+as it was before it became one quotient's bit length, verbatim.
+`min_rado_number_rows` is the library's search as it was before it
+propagated forced values, verbatim, on the library's plans and kernel; the
+`_search` beside it gives the kernel's collect mode the set it filled then.
+Not collected by pytest.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
+from radokit import search
 from radokit.linalg import RatMatrix, _integer_rows
 from radokit.rings import Rat
 from radokit.search import (
@@ -32,6 +36,7 @@ from radokit.search import (
     _head_range,
     _Plan,
     _plan,
+    _rado_plans,
     _Runs,
 )
 
@@ -436,3 +441,157 @@ def floor_log2_shifted(a: int, b: int) -> int:
         if (a << -e) < b:
             e -= 1
     return e
+
+
+# `min_rado_number_rows` as it was before forced-value propagation, verbatim.
+
+
+def _search(plan: _Plan, res: list[int], members: list[int], lo: int, hi: int,
+            inclass: set[int], ylo: int, yhi: int, distinct: bool,
+            values: set[int] | None = None) -> list[int] | None:
+    """The library's `_search`, looked up at each call, with its collect
+    mode adding every solved value to the set `values`, as it did before it
+    ORed bits into an int."""
+    if values is None:
+        return search._search(plan, res, members, lo, hi, inclass, ylo, yhi, distinct)
+    bits = [0]
+    found = search._search(plan, res, members, lo, hi, inclass, ylo, yhi, distinct, bits)
+    values.update(y for y in range(ylo, yhi + 1) if bits[0] >> y - ylo & 1)
+    return found
+
+
+def min_rado_number_rows(rows: list[list[int]], cols: int, r: int,
+                         n_max: int) -> RadoNumberResult:
+    """For the matrix with these integer rows of length cols: the least
+    N <= n_max forcing a monochromatic solution under every
+    r-colouring of {1..N}, by backtracking with solution pruning and
+    forward checking.
+
+    Colourings are tried in lexicographic order with restricted growth:
+    colour c is used only once colour c-1 has been used, so of the
+    colourings that differ only by a renaming of colours only the least is
+    tried.
+
+    Both the exact check and the forward step run the one kernel,
+    `_search`: the exact check for its first assignment, the forward step
+    collecting every solved value in (t, n_max].  Neither asks for distinct
+    values, so both merge the prefixes that leave equal row sums.
+
+    Forward checking: once t takes colour c and passes the exact check,
+    every uncoloured u in (t, n_max] that would complete a solution in class
+    c with t and u, u filling one column, gets a mark against colour c: bit
+    u of the colour's mask.  The masks are passed down the recursion, each
+    step ORing its marks into a new list, so backtracking is a return.  A
+    marked colour is rejected without the exact check.  After each forward
+    step the whole window (t, len(best) + 1] is tested by one AND of the
+    masks, and the branch is cut when some u in it has every colour marked
+    (a wipe-out): no extension of it can colour u, so none can beat the
+    best colouring found.  Wipe-outs past that horizon are not tested,
+    since cutting there could cut the least witness.
+
+    One-column lemma: a solution in which t fills exactly one nonzero
+    column is always marked.  Its other nonzero columns hold values below
+    t, in t's class, and when the greatest of them, t', took that colour,
+    the forward step solved for the column holding t and marked t.  Nor is
+    a solution with t in no nonzero column new: without t it was already a
+    solution.  So the exact check pins t at two nonzero columns only:
+    the first two columns of one kind, or the first columns of two kinds
+    (swapping columns with equal coefficients maps solutions to solutions),
+    and the kernel solves the other nonzero columns in t's class.  When no
+    column is nonzero, every assignment is a solution and the number is 1.
+
+    Firing lemma: a plan runs only at the t where its pivot row admits a
+    value.  Sign the row so that the solved column's coefficient b is
+    positive; let P be the pinned columns' coefficient and pos and neg the
+    sums of the positive and of the negative enumerated coefficients.  With
+    the enumerated columns in [1, t], the row admits a solved value in
+    [ylo, yhi] only if (neg + P) * t + pos <= -b * ylo and
+    (pos + P) * t + neg >= -b * yhi: [1, t] for an exact check, at t in
+    [1, n_max], and (t, n_max] for a forward plan, at t < n_max.  Both are
+    linear in t, so the t that pass form one interval, found in closed form
+    (`_firing`).  It ignores integrality and the gaps in the class, so the
+    kernel answers None, or adds no value, at every t outside it.  A plan
+    with an empty interval is not built, and when no exact check is built
+    the classes are not kept as sets.  For x + y = z no exact check can
+    hold (pinning t twice forces the third value to 2t or 0), and the one
+    forward plan kept is t + y = u.
+
+    The search is exhaustive at desk scale only; hence the caps r <= 4 and
+    n_max <= 64.  A plan of more than MAX_ENUMERATED enumerated columns
+    raises ValueError before any search.
+    """
+    if not 1 <= r <= 4:
+        raise ValueError(f"colour count must be 1..4, got {r}")
+    if not 1 <= n_max <= 64:
+        raise ValueError(f"n_max must be 1..64, got {n_max}")
+    if cols == 0:
+        raise ValueError("matrix has no columns to solve for")
+
+    rows = [row for row in rows if any(row)]
+    if not rows:
+        # every assignment is a solution, so colouring 1 alone forces one
+        return RadoNumberResult(1, ())
+    # each t's exact-check and forward plans that can fire, with the row
+    # sums of t's pins
+    checks, ahead = ([[([a * t for a in pinned], plan) for pinned, plan, lo, hi in pairs
+                       if lo <= t <= hi] for t in range(n_max + 1)]
+                     for pairs in _rado_plans(rows, n_max))
+
+    members: list[list[int]] = [[] for _ in range(r)]
+    # the classes as sets, for the exact checks only
+    inclass: list[set[int]] = [set() for _ in range(r)] if any(checks) else []
+    colours: list[int] = []
+    best: tuple[int, ...] = ()
+
+    def forward(t: int, colour: int, marks: list[int]) -> list[int] | None:
+        """The marks with `colour` also marked at each u in (t, n_max] that
+        would complete a solution in its class with t, or None on a wipe-out:
+        some u in (t, len(best) + 1] marked against every colour."""
+        cls = members[colour]
+        values: set[int] = set()
+        for res, plan in ahead[t]:
+            _search(plan, res, cls, cls[0], t, range(t + 1, n_max + 1), t + 1, n_max,
+                    False, values)
+        # the values are distinct, so their bits' sum is their OR
+        marks = [*marks[:colour], marks[colour] | sum(1 << u for u in values),
+                 *marks[colour + 1:]]
+        wiped = (1 << len(best) + 2) - (2 << t)     # bits t+1 .. len(best)+1
+        for m in marks:
+            wiped &= m
+        return None if wiped else marks
+
+    def extend(t: int, used: int, marks: list[int]) -> bool:
+        """Try each colour for t in turn and extend every solution-free
+        choice to t + 1; `used` colours appear on 1..t-1, and bit u of
+        marks[c] is set when u would complete a solution in class c.  True
+        once n_max is coloured."""
+        nonlocal best
+        for colour in range(min(r, used + 1)):
+            if marks[colour] >> t & 1:
+                continue
+            cls = members[colour]
+            cls.append(t)
+            if inclass:
+                inclass[colour].add(t)
+            colours.append(colour)
+            # only solutions that contain t are new; most t have no exact
+            # check, and skipping the empty generator is measurably faster
+            if not checks[t] or all(_search(plan, res, cls, cls[0], t, inclass[colour],
+                                            cls[0], t, False) is None
+                                    for res, plan in checks[t]):
+                if t > len(best):
+                    best = tuple(colours)
+                if t == n_max:
+                    return True
+                if (marked := forward(t, colour, marks)) is not None and extend(
+                        t + 1, max(used, colour + 1), marked):
+                    return True
+            cls.pop()
+            if inclass:
+                inclass[colour].discard(t)
+            colours.pop()
+        return False
+
+    if extend(1, 0, [0] * r):
+        return RadoNumberResult(None, best)
+    return RadoNumberResult(len(best) + 1, best)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import rado_counts
 import radokit.search as search
 import search_reference as ref
 from conftest import solves
@@ -416,7 +417,8 @@ class TestMinRadoNumber:
         assert monochromatic_solution(SCHUR, c, GroundSet.slice(28)) is None
 
     def test_four_colour_schur_survivor_of_43_in_time(self):
-        # forward checking: 132,987 exact checks without it, 4,322 with it
+        # Schur has no exact check; forward checking with forced values
+        # makes 633 kernel calls here, 3,764 without forced values
         start = time.perf_counter()
         result = min_rado_number(SCHUR, 4, 43)
         assert time.perf_counter() - start < 1.5
@@ -424,6 +426,37 @@ class TestMinRadoNumber:
         assert len(result.witness) == 43 and set(result.witness) == {0, 1, 2, 3}
         c = Colouring.table(list(range(1, 44)), list(result.witness))
         assert monochromatic_solution(SCHUR, c, GroundSet.slice(43)) is None
+
+    def test_four_colour_schur_survivor_of_44(self):
+        # S(4) = 44: a solution-free 4-colouring of 1..44 exists
+        result = min_rado_number(SCHUR, 4, 44)
+        assert result.number is None
+        assert len(result.witness) == 44 and set(result.witness) == {0, 1, 2, 3}
+        c = Colouring.table(list(range(1, 45)), list(result.witness))
+        assert monochromatic_solution(SCHUR, c, GroundSet.slice(44)) is None
+
+    def test_three_colour_number_of_x1_plus_x2_plus_x3_eq_x4(self):
+        # k^3 - k^2 - k - 1 = 43 at k = 4 (Boza, Marin, Revuelta & Sanz,
+        # "3-color Schur numbers", 2019)
+        M = RatMatrix.from_rows([[1, 1, 1, -1]])
+        start = time.perf_counter()
+        result = min_rado_number(M, 3, 43)
+        assert time.perf_counter() - start < 1.5
+        assert result.number == 43
+        assert len(result.witness) == 42 and set(result.witness) == {0, 1, 2}
+        c = Colouring.table(list(range(1, 43)), list(result.witness))
+        assert monochromatic_solution(M, c, GroundSet.slice(42)) is None
+
+    @pytest.mark.parametrize("rows, r, n_max, calls", [
+        ([[1, 1, -1]], 4, 42, (632, 632)),           # 3,763 and 3,763 before
+        ([[1, 1, 1, -1]], 3, 43, (3009, 13399)),     # 27,453 and 146,485 before
+    ])
+    def test_forced_values_pin_the_kernel_calls(self, rows, r, n_max, calls):
+        # the `_search` and `_extend` calls that tests/rado_counts.py prints;
+        # the counts before forced-value propagation are in the comments
+        found, walked, _ = rado_counts.counts(search.min_rado_number_rows, rows,
+                                              len(rows[0]), r, n_max)
+        assert (found, walked) == calls
 
     def test_bounds_rejected(self):
         with pytest.raises(ValueError):

@@ -2,8 +2,9 @@
 replaced (search_reference.py, next to this file) on seeded random inputs:
 the same witness or None, the same Rado number and witness colouring, and
 BudgetExceededError exactly when the budget's count exceeds the budget.
-min_rado_number is also checked against its one-pin form, and its forward
-plans against every forward plan that form builds.  The kernel `_search` is checked against the
+min_rado_number is also checked against its one-pin form, its forward
+plans against every forward plan that form builds, and its propagation of
+forced values against the search before it.  The kernel `_search` is checked against the
 two enumerations it replaced, `_first_solution` and `_solved_values`."""
 
 import random
@@ -13,6 +14,7 @@ from math import lcm, prod
 
 import pytest
 
+import rado_counts
 import search_reference as ref
 from radokit.linalg import RatMatrix
 from radokit.search import (
@@ -25,6 +27,7 @@ from radokit.search import (
     _Runs,
     _search,
     min_rado_number,
+    min_rado_number_rows,
     monochromatic_solution,
 )
 
@@ -268,6 +271,50 @@ def test_min_rado_number_matches_reference_on_pinned_pairs(name):
         assert min_rado_number(A, r, n_max) == want, (r, want)
 
 
+def signed_row(rng: random.Random, v: int) -> list[int]:
+    """v coefficients in -3..3, none zero, of both signs."""
+    row = [0]
+    while not min(row) < 0 < max(row):
+        row = [rng.choice((-3, -2, -1, 1, 1, 2, 3)) for _ in range(v)]
+    return row
+
+
+def test_min_rado_number_matches_the_search_before_propagation():
+    """Propagating forced values leaves every number and witness as the
+    search before it gave (`search_reference.min_rado_number_rows`), where
+    propagation fires: 4-colour Schur at nmax 30-42, x1+x2+x3=x4 with 3
+    colours up to its number 43, 4x+2y+2z=3w with 3 colours up to nmax 30,
+    and seeded random equations and two-row systems.  It changes the
+    number of `_search` calls in over half of the listed cases and over a
+    tenth of the random ones, and cuts their sum on the listed ones."""
+    listed = ([([[1, 1, -1]], 4, n) for n in range(30, 43)]
+              + [([[1, 1, 1, -1]], 3, n) for n in range(30, 44)]
+              + [([[4, 2, 2, -3]], 3, n) for n in range(15, 31)])
+    rng = random.Random(20261104)
+    drawn = []
+    for _ in range(150):
+        drawn.append(([signed_row(rng, rng.randint(3, 4))], rng.randint(2, 3),
+                      rng.randint(10, 24)))
+        a, b = signed_row(rng, 3), signed_row(rng, 3)
+        drawn.append(([a + [0], [b[0], 0, b[1], b[2]]], rng.randint(2, 3),
+                      rng.randint(10, 24)))
+    calls = Counter()
+    for kind, cases in (("listed", listed), ("random", drawn)):
+        for rows, r, n_max in cases:
+            args = (rows, len(rows[0]), r, n_max)
+            before, _, want = rado_counts.counts(ref.min_rado_number_rows, *args)
+            after, _, got = rado_counts.counts(min_rado_number_rows, *args)
+            assert got == want, (kind, rows, r, n_max)
+            calls[kind, "changed"] += after != before
+            calls[kind, "before"] += before
+            calls[kind, "after"] += after
+            calls[kind, "number"] += want.number is not None
+    assert 2 * calls["listed", "changed"] > len(listed), calls
+    assert 10 * calls["random", "changed"] > len(drawn), calls
+    assert calls["listed", "after"] < calls["listed", "before"], calls
+    assert calls["listed", "number"] == 1 and calls["random", "number"] > 50, calls
+
+
 def random_system(rng: random.Random) -> list[list[int]]:
     """1-2 rows of 2-5 columns, coefficients in {0, +-1, +-2, 3}."""
     v = rng.randint(2, 5)
@@ -489,9 +536,10 @@ def test_kernel_first_assignment_matches_reference():
 
 
 def test_kernel_collects_the_reference_values():
-    """Collecting, the one kernel adds exactly the values the level-by-level
-    `_solved_values` returned, for random plans from `_plan` and for every
-    exact-check and forward plan of `_rado_plans`, pinned at t."""
+    """Collecting, the one kernel sets exactly the bits y - ylo of the values
+    y the level-by-level `_solved_values` returned, for random plans from
+    `_plan` and for every exact-check and forward plan of `_rado_plans`,
+    pinned at t."""
     rng = random.Random(20261102)
     seen = Counter()
     for case in range(1200):
@@ -515,10 +563,11 @@ def test_kernel_collects_the_reference_values():
                                        (-n_max, n_max)))
                 want = ref._solved_values(plan, list(res), members, members[0],
                                           t, ylo, yhi)
-                got: set[int] = set()
+                got = [0]
                 _search(plan, list(res), members, members[0], t,
                         range(ylo, yhi + 1), ylo, yhi, False, got)
-                assert got == want, (case, kind, rows, pinned, t, members, ylo, yhi)
+                assert got[0] == sum(1 << y - ylo for y in want), (
+                    case, kind, rows, pinned, t, members, ylo, yhi)
                 seen.update(plan_shape(plan))
                 seen[kind] += 1
                 seen["values" if want else "none"] += 1
